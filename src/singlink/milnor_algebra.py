@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
-from ._intpoly import div_binomial, mul_binomial
+from ._intpoly import div_binomial, mul_binomial_power
 from .errors import (
     ConsistencyError,
     DegenerateDegreeError,
@@ -61,8 +62,8 @@ class PoincareSeries:
 @lru_cache(maxsize=None)
 def _series_coefficients(weights: tuple[int, ...], degree: int) -> tuple[int, ...]:
     coeffs = [1]
-    for w in weights:
-        coeffs = mul_binomial(coeffs, degree - w)
+    for j, run in groupby(sorted(degree - w for w in weights)):
+        coeffs = mul_binomial_power(coeffs, j, len(list(run)))
     for w in weights:
         coeffs = div_binomial(coeffs, w)
     return tuple(coeffs)

@@ -26,10 +26,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from typing import Mapping, Sequence
+from itertools import accumulate
+from typing import Sequence
 
-from ._intpoly import div_binomial, mul_binomial
+from ._intpoly import div_binomial, mul_binomial_power
 from .divisor import Divisor, lambda_of
 from .errors import (
     BoundExceededError,
@@ -141,13 +141,23 @@ class ExpandedPoly:
         return acc
 
     def multiplicity_at_one(self) -> int:
-        """Exponent of (t - 1), by repeated exact division."""
-        coeffs = list(self.coefficients)
+        """Exponent of (t - 1), by repeated exact division.
+
+        The prefix sums s_0 .. s_n of the coefficients give both the
+        remainder P(1) = s_n and the negated quotient s_0 .. s_{n-1} of
+        P / (t - 1).  Each step is one C-level accumulate pass, so the
+        check costs O(b2 * mu) big-integer additions.  The quotient keeps
+        the nonzero leading coefficient up to sign, so the loop ends at
+        degree 0 at the latest.
+        """
+        coeffs = self.coefficients
         count = 0
-        while len(coeffs) > 1 and sum(coeffs) == 0:
-            coeffs = div_binomial(coeffs, 1)
+        while True:
+            sums = list(accumulate(coeffs))
+            if sums.pop():
+                return count
+            coeffs = sums
             count += 1
-        return count
 
 
 def to_factored(divisor: Divisor) -> FactoredCharPoly:
@@ -159,11 +169,16 @@ def to_factored(divisor: Divisor) -> FactoredCharPoly:
 
 
 def expand(p: FactoredCharPoly) -> ExpandedPoly:
-    """Multiply the numerator binomials, then divide the denominators exactly."""
+    """Multiply the numerator binomials, then divide the denominators exactly.
+
+    Each numerator factor (t^j - 1)^e is one binomial-theorem product of
+    e + 1 slice updates over the coefficients so far; each unit of a
+    denominator exponent is one linear exact division.
+    """
     coeffs = [1]
     for j, e in p.factors:
-        for _ in range(max(e, 0)):
-            coeffs = mul_binomial(coeffs, j)
+        if e > 0:
+            coeffs = mul_binomial_power(coeffs, j, e)
     for j, e in p.factors:
         for _ in range(max(-e, 0)):
             coeffs = div_binomial(coeffs, j)

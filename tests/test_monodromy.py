@@ -5,6 +5,7 @@ from functools import reduce
 
 import pytest
 
+from singlink import _intpoly, monodromy
 from singlink import (
     BoundExceededError,
     Divisor,
@@ -36,6 +37,61 @@ def naive_mul(p, q):
 
 def naive_product(polys):
     return reduce(naive_mul, polys, [1])
+
+
+def reference_expand(p):
+    """The one-binomial-at-a-time expansion: one linear pass per unit of exponent."""
+    coeffs = [1]
+    for j, e in p.factors:
+        for _ in range(max(e, 0)):
+            out = [0] * (len(coeffs) + j)
+            for k, c in enumerate(coeffs):
+                out[k + j] += c
+                out[k] -= c
+            coeffs = out
+    for j, e in p.factors:
+        for _ in range(max(-e, 0)):
+            quotient = [0] * (len(coeffs) - j)
+            for k in range(len(coeffs) - 1, j - 1, -1):
+                quotient[k - j] = coeffs[k] + (quotient[k] if k < len(quotient) else 0)
+            assert all(
+                coeffs[k] == -(quotient[k] if k < len(quotient) else 0) for k in range(j)
+            )
+            coeffs = quotient
+    return coeffs
+
+
+def brieskorn_pham_quadruples(bound):
+    """Nondecreasing quadruples a_i >= 2 with prod(a_i - 1) <= bound."""
+    out = []
+
+    def extend(prefix, low, prod):
+        if len(prefix) == 4:
+            out.append(tuple(prefix))
+            return
+        a = low
+        while prod * (a - 1) <= bound:
+            extend(prefix + [a], a, prod * (a - 1))
+            a += 1
+
+    extend([], 2, 1)
+    return out
+
+
+def brieskorn_pham_system(exps):
+    big_l = math.lcm(*exps)
+    return WeightSystem(tuple(big_l // a for a in exps), big_l)
+
+
+def random_quotient(rng):
+    """prod (t^m - 1) / (t^j - 1) over random pairs j | m: a polynomial."""
+    exps = {}
+    for _ in range(rng.randint(1, 6)):
+        m = rng.randint(1, 40)
+        j = rng.choice([d for d in range(1, m + 1) if m % d == 0])
+        exps[m] = exps.get(m, 0) + 1
+        exps[j] = exps.get(j, 0) - 1
+    return FactoredCharPoly(tuple(exps.items()))
 
 
 def geometric(n):
@@ -141,8 +197,9 @@ def test_to_factored_requires_integer_coefficients():
 
 
 def test_expand_raises_on_inexact_division():
-    with pytest.raises(InexactDivisionError):
-        expand(FactoredCharPoly(((3, 1), (2, -1))))
+    for factors in (((3, 1), (2, -1)), ((4, 1), (3, -1)), ((6, 2), (4, -1)), ((1, 3), (2, -1))):
+        with pytest.raises(InexactDivisionError):
+            expand(FactoredCharPoly(factors))
 
 
 def test_expanded_poly_validation_and_evaluation():
@@ -240,3 +297,93 @@ def test_bp_oracle_degree_and_symmetry():
     # product of cyclotomics over a closed root multiset: palindromic up to sign
     coeffs = p.coefficients
     assert coeffs in (tuple(reversed(coeffs)), tuple(-c for c in reversed(coeffs)))
+
+
+def test_expand_matches_the_reference_on_brieskorn_pham_quadruples():
+    quadruples = brieskorn_pham_quadruples(300)
+    assert len(quadruples) == 1457
+    for exps in quadruples:
+        fac = to_factored(characteristic_divisor(brieskorn_pham_system(exps)))
+        assert list(expand(fac).coefficients) == reference_expand(fac), exps
+
+
+def test_expand_matches_the_reference_on_the_reference_links(f60, f256_1, f256_2):
+    for f in (f60, f256_1, f256_2):
+        fac = to_factored(characteristic_divisor(f.system))
+        assert any(e < 0 for _, e in fac.factors)
+        assert list(expand(fac).coefficients) == reference_expand(fac)
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_expand_matches_the_reference_on_fermat_surfaces(d):
+    fac = to_factored(characteristic_divisor(WeightSystem((1, 1, 1, 1), d)))
+    expanded = expand(fac)
+    assert list(expanded.coefficients) == reference_expand(fac)
+    assert expanded.degree == (d - 1) ** 4
+
+
+def test_expand_matches_the_reference_on_random_quotients():
+    rng = random.Random(2718)
+    seen = 0
+    while seen < 200:
+        fac = random_quotient(rng)
+        if not any(e < 0 for _, e in fac.factors):
+            continue
+        assert list(expand(fac).coefficients) == reference_expand(fac), fac
+        seen += 1
+
+
+def test_multiplicity_at_one_counts_the_factors_of_t_minus_one():
+    # Q(t) = (t + 1)^3 (10^40 t^2 + 7 t - 3): big coefficients, a root at -1,
+    # Q(1) = 8 (10^40 + 4) != 0
+    q = naive_product([[1, 1]] * 3 + [[-3, 7, 10 ** 40]])
+    rng = random.Random(99)
+    for k in range(8):
+        coeffs = naive_product([q] + [[-1, 1]] * k)
+        assert ExpandedPoly(tuple(coeffs)).multiplicity_at_one() == k
+        if k:
+            coeffs[rng.randrange(len(coeffs))] += 1
+            assert ExpandedPoly(tuple(coeffs)).multiplicity_at_one() == 0
+
+
+def test_multiplicity_at_one_of_t_power_plus_one_is_zero():
+    for k in range(1, 12):
+        assert ExpandedPoly(tuple(plus_one(k))).multiplicity_at_one() == 0
+
+
+def _count_kernel_calls(monkeypatch):
+    """Count calls of every _intpoly function, wherever monodromy binds it."""
+    calls = []
+    kernels = [
+        name
+        for name, value in vars(_intpoly).items()
+        if callable(value) and getattr(value, "__module__", None) == _intpoly.__name__
+    ]
+    assert kernels
+    for name in kernels:
+        original = getattr(_intpoly, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        for module in (_intpoly, monodromy):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_expand_makes_one_kernel_call_per_factor_and_denominator_unit(monkeypatch):
+    fac = to_factored(characteristic_divisor(WeightSystem((1, 1, 1, 1), 11)))
+    calls = _count_kernel_calls(monkeypatch)
+    expanded = expand(fac)
+    assert expanded.degree == 10_000
+    assert calls
+    assert len(calls) <= len(fac.factors) + sum(-e for _, e in fac.factors if e < 0)
+
+
+def test_multiplicity_at_one_calls_no_kernel(monkeypatch, f60):
+    expanded = expand(to_factored(characteristic_divisor(f60.system)))
+    calls = _count_kernel_calls(monkeypatch)
+    assert expanded.multiplicity_at_one() == 2
+    assert calls == []
