@@ -18,17 +18,18 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
-from itertools import permutations
+from dataclasses import dataclass, field
+from itertools import chain, groupby, permutations, product
 
 from .divisor import Divisor
 from .errors import ConsistencyError, SinglinkError, WrongDimensionError
 from .milnor_algebra import (
+    PoincareSeries,
     genus_branch_curve,
-    hodge_numbers,
-    middle_betti_hodge,
     poincare_series,
-    signature,
+    series_hodge_numbers,
+    series_middle_betti,
+    series_signature,
 )
 from .monodromy import (
     ExpandedPoly,
@@ -45,10 +46,11 @@ from .orbifold import (
     Fano,
     Stratum,
     fano,
-    orbifold_order,
     pair_well_formed,
     singular_strata,
-    torsion_status,
+    strata_orbifold_order,
+    strata_pair_well_formed,
+    strata_torsion_status,
 )
 from .weights import (
     Exponents,
@@ -67,6 +69,19 @@ NOT_FANO = "not_fano"
 NOT_WELL_FORMED = "not_well_formed"
 
 
+def _canonical_key(weights: tuple[int, ...], degree: int, support: tuple[Exponents, ...]) -> tuple:
+    """Permutation-invariant lookup key.
+
+    Among relabelings that sort the weights (they permute only tied
+    weights), take the lexicographically least sorted support.
+    """
+    order = sorted(range(len(weights)), key=weights.__getitem__)
+    ties = [list(run) for _, run in groupby(order, key=weights.__getitem__)]
+    relabelings = (tuple(chain(*g)) for g in product(*map(permutations, ties)))
+    best = min(tuple(sorted(tuple(m[i] for i in perm) for m in support)) for perm in relabelings)
+    return (tuple(weights[i] for i in order), degree, best)
+
+
 @dataclass(frozen=True)
 class RegistryEntry:
     """One published existence result, keyed by weights and support."""
@@ -78,6 +93,7 @@ class RegistryEntry:
     citation: str
     obstructed: bool = False
     reference_invariants: tuple[tuple[str, int], ...] = ()
+    key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ws = validate_weights(self.weights)
@@ -92,6 +108,7 @@ class RegistryEntry:
         )
         # validates quasi-homogeneity of the stated degree
         WeightedPolynomial(frozenset(support), WeightSystem(ws, self.degree))
+        object.__setattr__(self, "key", _canonical_key(ws, self.degree, support))
 
     def polynomial(self) -> WeightedPolynomial:
         return WeightedPolynomial(
@@ -99,10 +116,7 @@ class RegistryEntry:
         )
 
     def reference(self, name: str) -> int | None:
-        for k, v in self.reference_invariants:
-            if k == name:
-                return v
-        return None
+        return dict(self.reference_invariants).get(name)
 
 
 _DK_CITATION = (
@@ -173,8 +187,9 @@ def registry_dump(entries: tuple[RegistryEntry, ...] = BUILTIN_REGISTRY) -> str:
 
 
 def load_registry(text: str) -> tuple[RegistryEntry, ...]:
-    """Parse a line-delimited registry file; every entry is re-validated."""
+    """Parse a line-delimited registry file; every entry is re-validated and unique."""
     entries = []
+    seen: dict[tuple, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -194,28 +209,11 @@ def load_registry(text: str) -> tuple[RegistryEntry, ...]:
         except (KeyError, TypeError, ValueError, SinglinkError) as exc:
             raise SinglinkError(f"registry line {lineno}: {exc}") from exc
         _check_entry(entry)
+        if entry.key in seen:
+            raise SinglinkError(f"registry line {lineno}: {entry.tag} duplicates {seen[entry.key]}")
+        seen[entry.key] = f"{entry.tag} from line {lineno}"
         entries.append(entry)
     return tuple(entries)
-
-
-def _canonical_key(
-    weights: tuple[int, ...], degree: int, support: tuple[Exponents, ...]
-) -> tuple:
-    """Permutation-invariant lookup key.
-
-    Among relabelings that sort the weights, take the lexicographically
-    least sorted support.
-    """
-    order = sorted(range(len(weights)), key=lambda i: weights[i])
-    sorted_w = tuple(weights[i] for i in order)
-    best = None
-    for perm in permutations(range(len(weights))):
-        if tuple(weights[i] for i in perm) != sorted_w:
-            continue
-        mapped = tuple(sorted(tuple(m[i] for i in perm) for m in support))
-        if best is None or mapped < best:
-            best = mapped
-    return (sorted_w, degree, best)
 
 
 def registry_lookup(
@@ -223,10 +221,7 @@ def registry_lookup(
 ) -> RegistryEntry | None:
     """Match weights, degree and support, all up to one shared relabeling."""
     key = _canonical_key(f.system.weights, f.system.degree, f.sorted_support)
-    for entry in registry:
-        if _canonical_key(entry.weights, entry.degree, entry.support) == key:
-            return entry
-    return None
+    return next((entry for entry in registry if entry.key == key), None)
 
 
 def smale_type(b2: int, torsion_free: bool) -> int | None:
@@ -272,6 +267,7 @@ class InvariantReport:
     factored: FactoredCharPoly
     expanded: ExpandedPoly
     b2_divisor: int
+    series: PoincareSeries
     b2_hodge: int
     hodge: tuple[tuple[tuple[int, int], int], ...]
     signature: int
@@ -295,7 +291,6 @@ class InvariantReport:
 
 def cross_checks(report: InvariantReport) -> tuple[CheckResult, ...]:
     """Recompute every two-route quantity from the report's own fields."""
-    w = WeightSystem(report.weights, report.degree)
     checks = []
 
     def check(name: str, got, expected) -> None:
@@ -312,7 +307,7 @@ def cross_checks(report: InvariantReport) -> tuple[CheckResult, ...]:
     )
     if report.fano.is_fano:
         check("signature vs 1 - b2 (Fano)", report.signature, 1 - report.b2_divisor)
-    check("series total vs milnor number", poincare_series(w).total(), report.milnor_number)
+    check("series total vs milnor number", report.series.total(), report.milnor_number)
     if report.registry_reference_order is not None:
         check(
             "orbifold order vs registry reference",
@@ -409,15 +404,16 @@ def analyze(
         expanded = expand(factored)
         b2_div = middle_betti(divisor)
     with _stage("hodge numbers"):
-        hodge = tuple(sorted(hodge_numbers(w).items()))
-        b2_hodge = middle_betti_hodge(w)
-        tau = signature(w)
+        series = poincare_series(w)
+        hodge = tuple(sorted(series_hodge_numbers(series, w).items()))
+        b2_hodge = series_middle_betti(series, w)
+        tau = series_signature(series, w)
 
     with _stage("strata"):
         strata = singular_strata(f)
-        pwf = pair_well_formed(f)
-        order = orbifold_order(f)
-        torsion = torsion_status(f)
+        pwf = strata_pair_well_formed(strata, f.nvars)
+        order = strata_orbifold_order(strata)
+        torsion = strata_torsion_status(strata, w)
     if any(s.incidence == CONTAINED for s in strata):
         notes.append(
             "a stratum inside the hypersurface contributes its generic isotropy "
@@ -499,6 +495,7 @@ def analyze(
         factored=factored,
         expanded=expanded,
         b2_divisor=b2_div,
+        series=series,
         b2_hodge=b2_hodge,
         hodge=hodge,
         signature=tau,

@@ -44,7 +44,7 @@ from .errors import (
     PolynomialSyntaxError,
     SinglinkError,
 )
-from .monodromy import characteristic_divisor, middle_betti, milnor_number
+from .monodromy import characteristic_divisor, middle_betti, milnor_number, milnor_orlik_terms
 from .weights import (
     Exponents,
     WeightedPolynomial,
@@ -413,33 +413,16 @@ def run_batch(args: argparse.Namespace) -> int:
 def _row_mu_b2(ws: tuple[int, ...], degree: int) -> tuple[int | None, int | None]:
     """Milnor number and divisor-route b2, null when not integral.
 
-    Integer-only fast path of the main pipeline: the Milnor product is
-    tested by divisibility, and the divisor product runs with coefficients
-    scaled by prod(v_i) so everything stays in int.  Equality with
-    milnor_number/characteristic_divisor is covered by tests.
+    Integer-only fast path of the main pipeline: the Milnor product is tested
+    by divisibility, the divisor comes from characteristic_divisor's kernel.
     """
-    if degree <= max(ws):
+    mu, rest = divmod(math.prod(degree - w for w in ws), math.prod(ws))
+    if degree <= max(ws) or rest:
         return None, None
-    numerator = math.prod(degree - w for w in ws)
-    denominator = math.prod(ws)
-    if numerator % denominator:
-        return None, None
-    mu = numerator // denominator
-    terms = {1: 1}
-    scale = 1
-    for w in ws:
-        g = math.gcd(degree, w)
-        u, v = degree // g, w // g
-        scale *= v
-        nxt: dict[int, int] = {}
-        for n, c in terms.items():
-            m = n * u // math.gcd(n, u)
-            nxt[m] = nxt.get(m, 0) + c * math.gcd(n, u)
-            nxt[n] = nxt.get(n, 0) - c * v
-        terms = {n: c for n, c in nxt.items() if c}
+    terms, scale = milnor_orlik_terms(ws, degree)
     if any(c % scale for c in terms.values()):
         return mu, None
-    return mu, sum(c // scale for c in terms.values())
+    return mu, sum(terms.values()) // scale
 
 
 def _scan_rows_4(max_weight: int, index: int) -> Iterator[dict]:

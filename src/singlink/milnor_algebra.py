@@ -9,7 +9,8 @@ out in degrees d - w_i, so its Poincare series is the closed product
 a symmetric polynomial with top degree T = sum_i (d - 2 w_i) and P(1) equal
 to the Milnor number.  Every consumer here is a coefficient lookup:
 primitive Hodge numbers h^{i, n-i-1} at (i+1)d - |w|, the surface signature,
-and the genus of the branch curve of a z3-power split.
+and the genus of the branch curve of a z3-power split.  The series_* rules
+read a series already built, so one series serves a whole report.
 """
 
 from __future__ import annotations
@@ -94,38 +95,41 @@ def graded_dim(w: WeightSystem, k: int) -> int:
     return poincare_series(w).coefficient(k)
 
 
-def hodge_numbers(w: WeightSystem) -> dict[tuple[int, int], int]:
-    """Primitive Hodge numbers of the middle fiber cohomology.
-
-    h^{i, n-i-1} is the graded dimension at (i+1)d - |w|, for i = 0 .. n-1
-    with n+1 = number of variables.
-    """
+def series_hodge_numbers(series: PoincareSeries, w: WeightSystem) -> dict[tuple[int, int], int]:
+    """Primitive Hodge numbers of the middle fiber cohomology: h^{i, n-i-1} is
+    the graded dimension at (i+1)d - |w|, for i = 0 .. n-1 and n+1 variables."""
     n = w.nvars - 1
     if n < 1:
         raise WrongDimensionError("at least two variables are required")
-    return {
-        (i, n - i - 1): graded_dim(w, (i + 1) * w.degree - w.total)
-        for i in range(n)
-    }
+    return {(i, n - i - 1): series.coefficient((i + 1) * w.degree - w.total) for i in range(n)}
+
+
+def series_middle_betti(series: PoincareSeries, w: WeightSystem) -> int:
+    """Middle Betti number of the link as a sum of Hodge numbers."""
+    return sum(series_hodge_numbers(series, w).values())
+
+
+def series_signature(series: PoincareSeries, w: WeightSystem) -> int:
+    """Milnor fiber signature of a surface: 1 + 2 dim M_{d-|w|} - dim M_{2d-|w|}."""
+    if w.nvars != 4:
+        raise WrongDimensionError(f"signature needs exactly 4 variables, got {w.nvars}")
+    k = w.degree - w.total
+    return 1 + 2 * series.coefficient(k) - series.coefficient(k + w.degree)
+
+
+def hodge_numbers(w: WeightSystem) -> dict[tuple[int, int], int]:
+    """Primitive Hodge numbers of the middle fiber cohomology."""
+    return series_hodge_numbers(poincare_series(w), w)
 
 
 def middle_betti_hodge(w: WeightSystem) -> int:
     """Middle Betti number of the link as a sum of Hodge numbers."""
-    return sum(hodge_numbers(w).values())
+    return series_middle_betti(poincare_series(w), w)
 
 
 def signature(w: WeightSystem) -> int:
-    """Signature of the Milnor fiber intersection form, surface case only.
-
-    tau = 1 + 2 dim M_{d-|w|} - dim M_{2d-|w|} for four variables.
-    """
-    if w.nvars != 4:
-        raise WrongDimensionError(
-            f"signature needs exactly 4 variables, got {w.nvars}"
-        )
-    return 1 + 2 * graded_dim(w, w.degree - w.total) - graded_dim(
-        w, 2 * w.degree - w.total
-    )
+    """Signature of the Milnor fiber intersection form, surface case only."""
+    return series_signature(poincare_series(w), w)
 
 
 def genus_branch_curve(w3: WeightSystem) -> int:

@@ -8,7 +8,8 @@ terms,
     mu = prod_i (d/w_i - 1)
     div Delta(t) = prod_i (Lambda_{u_i} / v_i - 1)
 
-with the product taken in the divisor ring.  The divisor's coefficients
+with the product taken in the divisor ring, in int scaled by prod v_i
+(milnor_orlik_terms, shared with scan).  The divisor's coefficients
 must come out integral; the exponent of Lambda_j is then the exponent of
 (t^j - 1) in a factored form of Delta, which expands to exact integer
 coefficients.
@@ -30,7 +31,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from ._intpoly import div_binomial, mul_binomial_power
-from .divisor import Divisor, lambda_of
+from .divisor import Divisor
 from .errors import (
     BoundExceededError,
     ConsistencyError,
@@ -63,23 +64,39 @@ def milnor_number(w: WeightSystem) -> int:
     return int(mu)
 
 
+def milnor_orlik_terms(weights: tuple[int, ...], degree: int) -> tuple[dict[int, int], int]:
+    """Milnor-Orlik product prod(Lambda_u / v - 1) in int, as (terms, scale).
+
+    The divisor is sum terms[n] / scale * Lambda_n; scale = prod(v_i) absorbs every 1/v.
+    """
+    terms, scale = {1: 1}, 1
+    for wi in weights:
+        g = math.gcd(degree, wi)
+        u, v = degree // g, wi // g
+        scale *= v
+        nxt: dict[int, int] = {}
+        for n, c in terms.items():
+            k = math.gcd(n, u)
+            m = n * u // k
+            nxt[m] = nxt.get(m, 0) + c * k
+            nxt[n] = nxt.get(n, 0) - c * v
+        terms = {n: c for n, c in nxt.items() if c}
+    return terms, scale
+
+
 def characteristic_divisor(w: WeightSystem) -> Divisor:
     """Divisor of the monodromy characteristic polynomial."""
     mu = _milnor_fraction(w)
-    acc = lambda_of(1)
-    for wi in w.weights:
-        ratio = Fraction(w.degree, wi)
-        acc = acc * (lambda_of(ratio.numerator) / ratio.denominator - 1)
-    if not acc.is_integral():
-        bad = {n: c for n, c in acc.terms.items() if c.denominator != 1}
+    terms, scale = milnor_orlik_terms(w.weights, w.degree)
+    bad = {n: Fraction(c, scale) for n, c in terms.items() if c % scale}
+    if bad:
         raise IntegralityViolationError(
             f"characteristic divisor has fractional coefficients {bad}; "
             "the weight data is inconsistent with an isolated singularity link"
         )
+    acc = Divisor({n: c // scale for n, c in terms.items()})
     if acc.degree() != mu:
-        raise ConsistencyError(
-            f"divisor degree {acc.degree()} differs from Milnor product {mu}"
-        )
+        raise ConsistencyError(f"divisor degree {acc.degree()} differs from Milnor product {mu}")
     return acc
 
 

@@ -115,39 +115,37 @@ def singular_strata(f: WeightedPolynomial) -> tuple[Stratum, ...]:
     return tuple(out)
 
 
+def strata_orbifold_order(strata: tuple[Stratum, ...]) -> int:
+    """lcm of isotropy orders over strata the hypersurface touches (the strata_*
+    rules read the tuple one singular_strata call gives)."""
+    return math.lcm(*(s.isotropy_order for s in strata if s.incidence in (MEETS, CONTAINED)))
+
+
+def strata_pair_well_formed(strata: tuple[Stratum, ...], nvars: int) -> bool:
+    """No singular stratum of complex codimension 2 (nvars - 2 indices: edges
+    for four variables) lies inside the hypersurface."""
+    return not any(s.incidence == CONTAINED and len(s.indices) == nvars - 2 for s in strata)
+
+
+def strata_torsion_status(strata: tuple[Stratum, ...], w: WeightSystem) -> str:
+    """Randell's criterion, four variables only: well-formedness forces torsion-free
+    H2; when its hypotheses fail the status is unknown, never a torsion claim."""
+    if w.nvars != 4:
+        raise WrongDimensionError(f"torsion status needs exactly 4 variables, got {w.nvars}")
+    well_formed = is_well_formed_space(w) and divisibility_condition(w)
+    return TORSION_FREE if well_formed and strata_pair_well_formed(strata, 4) else TORSION_UNKNOWN
+
+
 def orbifold_order(f: WeightedPolynomial) -> int:
     """lcm of isotropy orders over strata the hypersurface touches."""
-    orders = [
-        s.isotropy_order
-        for s in singular_strata(f)
-        if s.incidence in (MEETS, CONTAINED)
-    ]
-    return math.lcm(*orders) if orders else 1
+    return strata_orbifold_order(singular_strata(f))
 
 
 def pair_well_formed(f: WeightedPolynomial) -> bool:
-    """No singular stratum of complex codimension 2 lies inside the hypersurface.
-
-    Codimension 2 in the ambient space means subsets of nvars - 2 indices
-    (edges for four variables).
-    """
-    return not any(
-        s.incidence == CONTAINED and len(s.indices) == f.nvars - 2
-        for s in singular_strata(f)
-    )
+    """No singular stratum of complex codimension 2 lies inside the hypersurface."""
+    return strata_pair_well_formed(singular_strata(f), f.nvars)
 
 
 def torsion_status(f: WeightedPolynomial) -> str:
-    """Randell's criterion: well-formedness forces torsion-free H2.
-
-    Four-variable links only.  When the criterion's hypotheses fail the
-    status is unknown, never a torsion claim.
-    """
-    if f.nvars != 4:
-        raise WrongDimensionError(
-            f"torsion status needs exactly 4 variables, got {f.nvars}"
-        )
-    w = f.system
-    if is_well_formed_space(w) and divisibility_condition(w) and pair_well_formed(f):
-        return TORSION_FREE
-    return TORSION_UNKNOWN
+    """Randell's criterion on the strata of f; four variables only."""
+    return strata_torsion_status(singular_strata(f), f.system)

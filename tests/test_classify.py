@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from singlink import classify, divisor, milnor_algebra, orbifold
 from singlink import (
     BUILTIN_REGISTRY,
     CANDIDATE,
@@ -22,14 +23,20 @@ from singlink import (
     WrongDimensionError,
     analyze,
     cross_checks,
+    hodge_numbers,
     lambda_of,
     load_registry,
+    middle_betti_hodge,
+    orbifold_order,
+    pair_well_formed,
     quasi_degree,
     registry_dump,
     registry_lookup,
     require_consistent,
+    signature,
     smale_name,
     smale_type,
+    torsion_status,
 )
 from conftest import F60_SUPPORT, F60_WEIGHTS
 
@@ -65,6 +72,24 @@ def test_registry_reports_the_failing_line():
     assert "registry line 2" in str(err.value)
     with pytest.raises(SinglinkError):
         load_registry('{"weights": [2, 4], "degree": 4, "support": [], "tag": "x", "citation": "y"}')
+
+
+def test_registry_refuses_a_relabeled_duplicate():
+    dk1 = BUILTIN_REGISTRY[0]
+    perm = (2, 0, 3, 1)
+    duplicate = {
+        "weights": [dk1.weights[i] for i in perm],
+        "degree": dk1.degree,
+        "support": [[m[i] for i in perm] for m in dk1.support],
+        "tag": "DK-1 relabeled",
+        "citation": "copy",
+    }
+    text = registry_dump() + json.dumps(duplicate) + "\n"
+    with pytest.raises(SinglinkError) as err:
+        load_registry(text)
+    message = str(err.value)
+    assert "registry line 4" in message
+    assert "DK-1 relabeled" in message and "DK-1 from line 1" in message
 
 
 def test_registry_lookup_is_permutation_invariant(f60):
@@ -318,3 +343,79 @@ def test_reference_fixture_matches_the_registry(f60):
     assert entry.weights == F60_WEIGHTS
     assert frozenset(entry.support) == frozenset(F60_SUPPORT)
     assert entry.polynomial() == f60
+
+
+FERMAT_CUBIC = quasi_degree(
+    [(0, 0, 3, 0), (3, 0, 0, 0), (0, 0, 0, 3), (0, 3, 0, 0)], (1, 1, 1, 1)
+)
+# z0^2*z1 + z1^3 + z2^3 + z3^3; the registry holds it relabeled as (3, 2, 0, 1)
+TIED_CUBIC = quasi_degree([(2, 1, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)], (1, 1, 1, 1))
+TIED_REGISTRY = BUILTIN_REGISTRY + (
+    RegistryEntry((1, 1, 1, 1), 3, tuple(FERMAT_CUBIC.support), "F3", "Fermat cubic"),
+    RegistryEntry(
+        (1, 1, 1, 1), 3, ((0, 0, 1, 2), (0, 0, 3, 0), (3, 0, 0, 0), (0, 3, 0, 0)), "C3", "cubic"
+    ),
+)
+CONTAINED_EDGE = quasi_degree([(1, 0, 0, 1), (0, 1, 0, 1)], (2, 2, 1, 3))
+EXAMPLES = {"contained_edge": CONTAINED_EDGE, "fermat_cubic": FERMAT_CUBIC, "tied_cubic": TIED_CUBIC}
+
+
+@pytest.mark.parametrize(
+    "name, tag",
+    [
+        ("f60", "DK-1"),
+        ("f256_1", "DK-2"),
+        ("f256_2", "DK-3"),
+        ("contained_edge", None),
+        ("fermat_cubic", "F3"),
+        ("tied_cubic", "C3"),
+    ],
+)
+def test_public_functions_agree_with_the_report(name, tag, request):
+    f = EXAMPLES.get(name) or request.getfixturevalue(name)
+    r = analyze(f, registry=TIED_REGISTRY)
+    w = f.system
+    assert hodge_numbers(w) == r.hodge_map()
+    assert middle_betti_hodge(w) == r.b2_hodge
+    assert signature(w) == r.signature
+    assert pair_well_formed(f) == r.pair_well_formed
+    assert orbifold_order(f) == r.orbifold_order
+    assert torsion_status(f) == r.torsion
+    entry = registry_lookup(f, TIED_REGISTRY)
+    assert (entry.tag if entry else None) == r.registry_tag == tag
+
+
+def _count_calls(monkeypatch, holder, name):
+    """Count calls of holder.name, in every singlink module that binds it."""
+    original = getattr(holder, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    holders = [holder] if isinstance(holder, type) else [
+        classify, milnor_algebra, orbifold
+    ]
+    for module in holders:
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["f256_1", "fermat_sextic"])
+def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch):
+    if name == "fermat_sextic":
+        f = quasi_degree([tuple(6 * (i == k) for i in range(4)) for k in range(4)], (1,) * 4)
+    else:
+        f = request.getfixturevalue(name)
+    series = _count_calls(monkeypatch, milnor_algebra, "poincare_series")
+    strata = _count_calls(monkeypatch, orbifold, "singular_strata")
+    products = _count_calls(monkeypatch, divisor.Divisor, "__mul__")
+    keys = _count_calls(monkeypatch, classify, "_canonical_key")
+    analyze(f)
+    assert 1 <= len(series) <= 2
+    assert len(strata) == 1
+    assert products == []
+    assert len(keys) == 1

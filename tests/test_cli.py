@@ -8,7 +8,12 @@ from singlink import (
     CancelledMonomialError,
     DuplicateMonomialWarning,
     PolynomialSyntaxError,
+    SinglinkError,
+    WeightSystem,
     analyze,
+    characteristic_divisor,
+    middle_betti,
+    milnor_number,
     quasi_degree,
     registry_dump,
 )
@@ -203,6 +208,19 @@ def test_cli_wrong_registry_reference_is_a_consistency_failure(tmp_path, capsys)
     assert "orbifold order vs registry reference" in err
 
 
+def test_cli_duplicate_registry_entries_exit_one(tmp_path, capsys):
+    lines = registry_dump().splitlines()
+    record = json.loads(lines[0])
+    assert record["tag"] == "DK-1"
+    record["tag"] = "DK-1 again"
+    record["support"] = record["support"][::-1]
+    path = tmp_path / "registry.jsonl"
+    path.write_text("\n".join(lines + [json.dumps(record)]) + "\n", encoding="utf-8")
+    assert entry(["registry", "--registry", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "registry line 4: DK-1 again duplicates DK-1 from line 1" in err
+
+
 def test_cli_io_errors_exit_three(tmp_path, capsys):
     missing = str(tmp_path / "missing.jsonl")
     assert entry(["batch", missing]) == 3
@@ -303,13 +321,30 @@ def test_scan_smallest_case():
     ]
 
 
+def pipeline_mu_b2(system):
+    """milnor_number and middle_betti(characteristic_divisor), null on failure."""
+    try:
+        mu = milnor_number(system)
+    except SinglinkError:
+        return None, None
+    try:
+        return mu, middle_betti(characteristic_divisor(system))
+    except SinglinkError:
+        return mu, None
+
+
 def test_scan_fast_path_matches_the_generic_path():
-    fast = list(scan_rows(12, index=1, nvars=4))
-    generic = list(_scan_rows_generic(12, index=1, nvars=4))
-    assert fast == generic
-    fast3 = list(scan_rows(15, index=2, nvars=4))
-    generic3 = list(_scan_rows_generic(15, index=2, nvars=4))
-    assert fast3 == generic3
+    """Same tuples as the generic enumerator; mu and b2 as the pipeline has them."""
+    for max_weight, index in ((12, 1), (15, 2)):
+        fast = list(scan_rows(max_weight, index=index, nvars=4))
+        generic = _scan_rows_generic(max_weight, index=index, nvars=4)
+        assert [(r["weights"], r["degree"]) for r in fast] == [
+            (r["weights"], r["degree"]) for r in generic
+        ]
+        assert any(r["b2_divisor"] is not None for r in fast)
+        for row in fast:
+            system = WeightSystem(tuple(row["weights"]), row["degree"])
+            assert (row["milnor_number"], row["b2_divisor"]) == pipeline_mu_b2(system), row
 
 
 def test_scan_other_variable_counts_use_the_generic_path():

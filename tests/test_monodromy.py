@@ -1,13 +1,15 @@
 import math
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
 from singlink import _intpoly, monodromy
 from singlink import (
     BoundExceededError,
+    ConsistencyError,
     Divisor,
     ExpandedPoly,
     FactoredCharPoly,
@@ -157,6 +159,83 @@ def test_characteristic_divisor_degree_equals_milnor_number():
         div = characteristic_divisor(w)
         assert div.degree() == milnor_number(w)
         seen += 1
+
+
+@lru_cache(maxsize=None)
+def reference_product(weights, degree):
+    """prod(Lambda_u / v - 1) over the weights, in the Fraction divisor ring.
+
+    Cached by prefix, so a sweep over weight tuples pays one product per tuple.
+    """
+    if not weights:
+        return lambda_of(1)
+    ratio = Fraction(degree, weights[-1])
+    return reference_product(weights[:-1], degree) * reference_factor(
+        ratio.numerator, ratio.denominator
+    )
+
+
+@lru_cache(maxsize=None)
+def reference_factor(u, v):
+    return lambda_of(u) / v - 1
+
+
+def reference_characteristic_divisor(w):
+    """The divisor-ring product with the pipeline's checks and messages."""
+    if w.degree < max(w.weights):
+        raise DegenerateDegreeError(
+            f"degree {w.degree} is below the largest weight {max(w.weights)}"
+        )
+    mu = math.prod((Fraction(w.degree, wi) - 1 for wi in w.weights), start=Fraction(1))
+    acc = reference_product(w.weights, w.degree)
+    if not acc.is_integral():
+        bad = {n: c for n, c in acc.terms.items() if c.denominator != 1}
+        raise IntegralityViolationError(
+            f"characteristic divisor has fractional coefficients {bad}; "
+            "the weight data is inconsistent with an isolated singularity link"
+        )
+    if acc.degree() != mu:
+        raise ConsistencyError(
+            f"divisor degree {acc.degree()} differs from Milnor product {mu}"
+        )
+    return acc
+
+
+def _outcome(fn, w):
+    try:
+        return fn(w)
+    except (DegenerateDegreeError, IntegralityViolationError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def test_characteristic_divisor_matches_the_divisor_ring_product():
+    """Every 4-tuple of weights <= 10 up to order (gcd 1), every degree up to 40.
+
+    The order of the weights changes only the order of the terms, which
+    shows in the message of a fractional result; 60 seeded tuples are
+    checked in all their orders.
+    """
+    outcomes = set()
+    for ws in combinations_with_replacement(range(1, 11), 4):
+        if math.gcd(*ws) != 1:
+            continue
+        for degree in range(1, 41):
+            w = WeightSystem(ws, degree)
+            got = _outcome(characteristic_divisor, w)
+            assert got == _outcome(reference_characteristic_divisor, w), (ws, degree)
+            outcomes.add(got[0] if isinstance(got, tuple) else Divisor)
+    assert outcomes == {Divisor, DegenerateDegreeError, IntegralityViolationError}
+    rng = random.Random(5)
+    for _ in range(60):
+        ws = tuple(rng.randint(1, 10) for _ in range(4))
+        if math.gcd(*ws) != 1:
+            continue
+        degree = rng.randint(max(ws), 40)
+        for order in set(permutations(ws)):
+            w = WeightSystem(order, degree)
+            assert _outcome(characteristic_divisor, w) == _outcome(
+                reference_characteristic_divisor, w
+            ), (order, degree)
 
 
 def test_characteristic_divisor_rejects_fractional_results():
