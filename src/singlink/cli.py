@@ -24,7 +24,6 @@ import json
 import math
 import sys
 import warnings
-from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
 from .classify import (
@@ -44,13 +43,11 @@ from .errors import (
     PolynomialSyntaxError,
     SinglinkError,
 )
-from .monodromy import characteristic_divisor, middle_betti, milnor_number, milnor_orlik_terms
+from .monodromy import milnor_orlik_terms
 from .weights import (
     Exponents,
     WeightedPolynomial,
     WeightSystem,
-    divisibility_condition,
-    is_well_formed_space,
     quasi_degree,
 )
 
@@ -425,73 +422,35 @@ def _row_mu_b2(ws: tuple[int, ...], degree: int) -> tuple[int | None, int | None
     return mu, sum(terms.values()) // scale
 
 
-def _scan_rows_4(max_weight: int, index: int) -> Iterator[dict]:
-    """Nested-loop enumeration with gcd pruning, 4 variables only.
-
-    A triple whose gcd exceeds 1 can never extend to a space-well-formed
-    quadruple, so whole branches are skipped; the remaining well-formedness
-    and divisibility checks reduce to pair gcds.
-    """
-    gcd = math.gcd
-    for w0 in range(1, max_weight + 1):
-        for w1 in range(w0, max_weight + 1):
-            g01 = gcd(w0, w1)
-            for w2 in range(w1, max_weight + 1):
-                if gcd(g01, w2) > 1:
-                    continue
-                g02, g12 = gcd(w0, w2), gcd(w1, w2)
-                base = w0 + w1 + w2 - index
-                for w3 in range(w2, max_weight + 1):
-                    degree = base + w3
-                    if degree < 1:
-                        continue
-                    if g01 > 1 and (gcd(g01, w3) > 1 or degree % g01):
-                        continue
-                    if g02 > 1 and (gcd(g02, w3) > 1 or degree % g02):
-                        continue
-                    if g12 > 1 and (gcd(g12, w3) > 1 or degree % g12):
-                        continue
-                    g03, g13, g23 = gcd(w0, w3), gcd(w1, w3), gcd(w2, w3)
-                    if degree % g03 or degree % g13 or degree % g23:
-                        continue
-                    ws = (w0, w1, w2, w3)
-                    mu, b2 = _row_mu_b2(ws, degree)
-                    yield {
-                        "weights": list(ws),
-                        "degree": degree,
-                        "milnor_number": mu,
-                        "b2_divisor": b2,
-                    }
+def _prefixes(max_weight: int, length: int, prefix: tuple, g: int, big_l: int, big_m: int):
+    """Nondecreasing tuples P of `length` weights with gcd 1, lexicographic, with
+    L and M: the lcm of the gcds left by deleting one, and two, weights of P
+    (for P = (): gcd() = 0, lcm() = 1).  A deletion keeps or drops an appended
+    w, so L becomes lcm(gcd(L, w), g) and M becomes lcm(gcd(M, w), L)."""
+    gcd, lcm = math.gcd, math.lcm
+    for w in range(prefix[-1] if prefix else 1, max_weight + 1):
+        grown = (prefix + (w,), gcd(g, w), lcm(gcd(big_l, w), g), lcm(gcd(big_m, w), big_l))
+        if len(prefix) + 1 < length:
+            yield from _prefixes(max_weight, length, *grown)
+        elif grown[1] == 1:
+            yield grown[0], grown[2], grown[3]
 
 
-def _scan_rows_generic(max_weight: int, index: int, nvars: int) -> Iterator[dict]:
-    for ws in combinations_with_replacement(range(1, max_weight + 1), nvars):
-        if math.gcd(*ws) != 1:
-            continue
-        degree = sum(ws) - index
-        if degree < 1:
-            continue
-        system = WeightSystem(ws, degree)
-        if not is_well_formed_space(system):
-            continue
-        if not divisibility_condition(system):
-            continue
-        try:
-            mu = milnor_number(system)
-        except SinglinkError:
-            mu = None
-        b2 = None
-        if mu is not None:
-            try:
-                b2 = middle_betti(characteristic_divisor(system))
-            except SinglinkError:
-                b2 = None
-        yield {
-            "weights": list(ws),
-            "degree": degree,
-            "milnor_number": mu,
-            "b2_divisor": b2,
-        }
+def _scan_walk(max_weight: int, index: int, nvars: int) -> Iterator[dict]:
+    for prefix, big_l, big_m in _prefixes(max_weight, nvars - 1, (), 0, 1, 1):
+        base = sum(prefix) - index
+        lo = max(prefix[-1], 1 - base)
+        if big_l:
+            if math.gcd(big_l, base) != 1:
+                continue
+            lasts = range(lo + (-base - lo) % big_l, max_weight + 1, big_l)
+        else:  # two variables: deleting the first weight leaves the last alone
+            lasts = range(lo, 2)
+        for last in lasts:
+            if base % math.gcd(big_m, last) == 0:
+                ws, degree = prefix + (last,), base + last
+                mu, b2 = _row_mu_b2(ws, degree)
+                yield {"weights": list(ws), "degree": degree, "milnor_number": mu, "b2_divisor": b2}
 
 
 def scan_rows(
@@ -503,6 +462,17 @@ def scan_rows(
     relabeling class), rows sorted lexicographically.  Rows whose Milnor
     product is not a positive integer, or whose divisor is not integral,
     carry null in those fields.
+
+    Every prefix P of nvars - 1 weights with gcd 1 (deleting the last weight
+    w) is tested once through L and M, the lcm of the gcds left by deleting
+    one, and two, weights of P; the pruning is exact because gcd(lcm(a, b), w)
+    = lcm(gcd(a, w), gcd(b, w)).  So the delete-one gcds that keep w are all 1
+    iff gcd(L, w) = 1, and the delete-two gcds without w all divide d iff L | d,
+    which fixes w modulo L and turns gcd(L, w) into gcd(L, |P| - index).  A
+    delete-two gcd that keeps w divides w, hence divides d iff it divides
+    |P| - index: for all of them iff gcd(M, w) does.
+
+    No scan walks more nondecreasing tuples than the largest 4-variable one.
     """
     if max_weight > SCAN_MAX_WEIGHT_CEILING:
         raise BoundExceededError(
@@ -512,9 +482,14 @@ def scan_rows(
         raise BoundExceededError("max weight must be at least 1")
     if nvars < 2:
         raise BoundExceededError("scan needs at least 2 variables")
-    if nvars == 4:
-        return _scan_rows_4(max_weight, index)
-    return _scan_rows_generic(max_weight, index, nvars)
+    tuples = math.comb(max_weight + nvars - 1, nvars)
+    ceiling = math.comb(SCAN_MAX_WEIGHT_CEILING + 3, 4)
+    if tuples > ceiling:
+        raise BoundExceededError(
+            f"{nvars} weights up to {max_weight} give {tuples} nondecreasing tuples, "
+            f"over the scan ceiling {ceiling}"
+        )
+    return _scan_walk(max_weight, index, nvars)
 
 
 def run_scan(args: argparse.Namespace) -> int:

@@ -34,7 +34,6 @@ from .weights import (
     WeightSystem,
     divisibility_condition,
     is_well_formed_space,
-    restrict,
 )
 
 DISJOINT = "disjoint"
@@ -72,15 +71,12 @@ def fano(w: WeightSystem) -> Fano:
     return Fano(is_fano=index > 0, index=index)
 
 
-def _vertex_incidence(f: WeightedPolynomial, i: int) -> str:
-    return CONTAINED if not restrict(f, {i}).support else DISJOINT
-
-
-def _edge_incidence(f: WeightedPolynomial, i: int, j: int) -> str:
-    g = restrict(f, {i, j}).support
-    if not g:
-        return CONTAINED
-    return DISJOINT if len(g) == 1 else MEETS
+def _incidence(f: WeightedPolynomial, subset: tuple[int, ...]) -> str:
+    """Vertex or edge incidence from the number of monomials supported inside
+    the subset (a vertex carries at most one, the pure power of its variable)."""
+    others = [i for i in range(f.nvars) if i not in subset]
+    count = sum(not any(m[i] for i in others) for m in f.support)
+    return (CONTAINED, DISJOINT, MEETS)[min(count, 2)]
 
 
 def singular_strata(f: WeightedPolynomial) -> tuple[Stratum, ...]:
@@ -101,17 +97,13 @@ def singular_strata(f: WeightedPolynomial) -> tuple[Stratum, ...]:
             m = math.gcd(*(ws[i] for i in subset))
             if m == 1:
                 continue
-            if size == 1:
-                inc = _vertex_incidence(f, subset[0])
-            elif size == 2:
-                inc = _edge_incidence(f, *subset)
-            else:
+            if size > 2:
                 raise UnsupportedDimensionError(
                     f"subset {subset} of {size} variables has gcd {m} > 1; "
                     "incidence rules cover vertices and edges only "
                     "(the ambient space is not well formed)"
                 )
-            out.append(Stratum(subset, m, inc))
+            out.append(Stratum(subset, m, _incidence(f, subset)))
     return tuple(out)
 
 
@@ -127,12 +119,12 @@ def strata_pair_well_formed(strata: tuple[Stratum, ...], nvars: int) -> bool:
     return not any(s.incidence == CONTAINED and len(s.indices) == nvars - 2 for s in strata)
 
 
-def strata_torsion_status(strata: tuple[Stratum, ...], w: WeightSystem) -> str:
-    """Randell's criterion, four variables only: well-formedness forces torsion-free
-    H2; when its hypotheses fail the status is unknown, never a torsion claim."""
-    if w.nvars != 4:
-        raise WrongDimensionError(f"torsion status needs exactly 4 variables, got {w.nvars}")
-    well_formed = is_well_formed_space(w) and divisibility_condition(w)
+def strata_torsion_status(strata: tuple[Stratum, ...], nvars: int, well_formed: bool) -> str:
+    """Randell's criterion, four variables only: well-formedness (of the space,
+    with the divisibility condition) forces torsion-free H2; when its hypotheses
+    fail the status is unknown, never a torsion claim."""
+    if nvars != 4:
+        raise WrongDimensionError(f"torsion status needs exactly 4 variables, got {nvars}")
     return TORSION_FREE if well_formed and strata_pair_well_formed(strata, 4) else TORSION_UNKNOWN
 
 
@@ -148,4 +140,6 @@ def pair_well_formed(f: WeightedPolynomial) -> bool:
 
 def torsion_status(f: WeightedPolynomial) -> str:
     """Randell's criterion on the strata of f; four variables only."""
-    return strata_torsion_status(singular_strata(f), f.system)
+    strata, w = singular_strata(f), f.system
+    well_formed = is_well_formed_space(w) and divisibility_condition(w)
+    return strata_torsion_status(strata, w.nvars, well_formed)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from singlink import classify, divisor, milnor_algebra, orbifold
+from singlink import classify, divisor, milnor_algebra, orbifold, weights
 from singlink import (
     BUILTIN_REGISTRY,
     CANDIDATE,
@@ -414,8 +414,14 @@ def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch
     strata = _count_calls(monkeypatch, orbifold, "singular_strata")
     products = _count_calls(monkeypatch, divisor.Divisor, "__mul__")
     keys = _count_calls(monkeypatch, classify, "_canonical_key")
+    space_wf = _count_calls(monkeypatch, weights, "is_well_formed_space")
+    div_ok = _count_calls(monkeypatch, weights, "divisibility_condition")
+    restricted = _count_calls(monkeypatch, weights, "restrict")
     analyze(f)
     assert 1 <= len(series) <= 2
     assert len(strata) == 1
     assert products == []
     assert len(keys) == 1
+    assert len(space_wf) == 1
+    assert len(div_ok) == 1
+    assert restricted == []

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -12,6 +14,8 @@ from singlink import (
     WeightSystem,
     analyze,
     characteristic_divisor,
+    divisibility_condition,
+    is_well_formed_space,
     middle_betti,
     milnor_number,
     quasi_degree,
@@ -21,7 +25,6 @@ from singlink.cli import (
     _big_int,
     _big_int_list,
     _row_mu_b2,
-    _scan_rows_generic,
     entry,
     parse_polynomial,
     render_json,
@@ -333,18 +336,34 @@ def pipeline_mu_b2(system):
         return mu, None
 
 
+def reference_scan_rows(max_weight, index, nvars):
+    """The scan by its definition: every nondecreasing tuple, the weights
+    module's well-formedness and divisibility tests, the Fraction pipeline."""
+    for ws in combinations_with_replacement(range(1, max_weight + 1), nvars):
+        if math.gcd(*ws) != 1:
+            continue
+        degree = sum(ws) - index
+        if degree < 1:
+            continue
+        system = WeightSystem(ws, degree)
+        if not is_well_formed_space(system):
+            continue
+        if not divisibility_condition(system):
+            continue
+        mu, b2 = pipeline_mu_b2(system)
+        yield {"weights": list(ws), "degree": degree, "milnor_number": mu, "b2_divisor": b2}
+
+
 def test_scan_fast_path_matches_the_generic_path():
-    """Same tuples as the generic enumerator; mu and b2 as the pipeline has them."""
-    for max_weight, index in ((12, 1), (15, 2)):
-        fast = list(scan_rows(max_weight, index=index, nvars=4))
-        generic = _scan_rows_generic(max_weight, index=index, nvars=4)
-        assert [(r["weights"], r["degree"]) for r in fast] == [
-            (r["weights"], r["degree"]) for r in generic
-        ]
-        assert any(r["b2_divisor"] is not None for r in fast)
-        for row in fast:
-            system = WeightSystem(tuple(row["weights"]), row["degree"])
-            assert (row["milnor_number"], row["b2_divisor"]) == pipeline_mu_b2(system), row
+    """Whole rows, in order, equal the reference scan for every variable count."""
+    with_b2 = 0
+    for nvars, max_weight in ((2, 12), (3, 24), (4, 15), (5, 15), (6, 8)):
+        for index in (-1, 0, 1, 2):
+            rows = list(scan_rows(max_weight, index=index, nvars=nvars))
+            assert rows == list(reference_scan_rows(max_weight, index, nvars)), (nvars, index)
+            assert rows or nvars == 2
+            with_b2 += sum(r["b2_divisor"] is not None for r in rows)
+    assert with_b2 > 0
 
 
 def test_scan_other_variable_counts_use_the_generic_path():
@@ -361,6 +380,17 @@ def test_scan_validates_its_bounds():
         list(scan_rows(0))
     with pytest.raises(BoundExceededError):
         list(scan_rows(5, nvars=1))
+
+
+def test_scan_work_ceiling_is_the_largest_four_variable_scan():
+    # nondecreasing tuples: comb(max_weight + nvars - 1, nvars) <= comb(515, 4)
+    with pytest.raises(BoundExceededError):
+        scan_rows(202, nvars=5)
+    with pytest.raises(BoundExceededError):
+        scan_rows(111, nvars=6)
+    scan_rows(512)
+    scan_rows(201, nvars=5)
+    scan_rows(110, nvars=6)
 
 
 def test_row_mu_b2_nulls_mirror_the_pipeline_rules():
@@ -392,6 +422,13 @@ def test_cli_scan_jsonl_and_out_file(tmp_path, capsys):
 def test_cli_scan_over_the_ceiling_exits_one(capsys):
     assert entry(["scan", "--max-weight", "513"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_scan_over_the_work_ceiling_exits_one_at_once(capsys):
+    assert entry(["scan", "--vars", "5", "--max-weight", "512"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_cli_registry_prints_the_builtin_table(capsys):
