@@ -413,7 +413,7 @@ def analyze(
         strata = singular_strata(f)
         pwf = strata_pair_well_formed(strata, f.nvars)
         order = strata_orbifold_order(strata)
-        torsion = strata_torsion_status(strata, f.nvars, space_wf and div_ok)
+        torsion = strata_torsion_status(strata, f.nvars)
     if any(s.incidence == CONTAINED for s in strata):
         notes.append(
             "a stratum inside the hypersurface contributes its generic isotropy "

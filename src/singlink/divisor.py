@@ -11,9 +11,10 @@ The ring unit <1> is stored as Lambda_1 (Lambda_1 = div(t - 1) = <1>), and
 integers/rationals entering arithmetic are promoted to multiples of it,
 which agrees with scaling because Lambda_1 is the identity.
 
-Coefficients are exact rationals: fractional coefficients appear in the
-Milnor-Orlik factors (Lambda_u / v) and must cancel by the end, so
-integrality is asserted downstream at the pipeline boundary, never here.
+Coefficients are exact rationals, stored as int when integral and as
+Fraction only otherwise: fractional coefficients appear in the Milnor-Orlik
+factors (Lambda_u / v) and must cancel by the end, so integrality is
+asserted downstream at the pipeline boundary, never here.
 """
 
 from __future__ import annotations
@@ -34,20 +35,21 @@ class Divisor:
 
     def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Scalar] = {}
         for n, c in items:
             n = int(n)
             if n < 1:
                 raise NonPositiveIndexError(f"divisor index {n} is not positive")
-            c = Fraction(c)
+            c = c if type(c) is int else Fraction(c)
             if c:
-                acc[n] = acc.get(n, Fraction(0)) + c
-        object.__setattr__(self, "_terms", {n: c for n, c in acc.items() if c})
+                acc[n] = acc.get(n, 0) + c
+        kept = {n: c.numerator if c.denominator == 1 else c for n, c in acc.items() if c}
+        object.__setattr__(self, "_terms", kept)
 
     # -- access ---------------------------------------------------------
 
     @property
-    def terms(self) -> dict[int, Fraction]:
+    def terms(self) -> dict[int, Scalar]:
         """Index -> coefficient mapping (a copy; zero coefficients pruned)."""
         return dict(self._terms)
 
@@ -55,8 +57,8 @@ class Divisor:
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._terms))
 
-    def coefficient(self, n: int) -> Fraction:
-        return self._terms.get(n, Fraction(0))
+    def coefficient(self, n: int) -> Scalar:
+        return self._terms.get(n, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -72,7 +74,7 @@ class Divisor:
             return NotImplemented
         acc = dict(self._terms)
         for n, c in other._terms.items():
-            acc[n] = acc.get(n, Fraction(0)) + c
+            acc[n] = acc.get(n, 0) + c
         return Divisor(acc)
 
     __radd__ = __add__
@@ -94,11 +96,11 @@ class Divisor:
             return Divisor({n: c * other for n, c in self._terms.items()})
         if not isinstance(other, Divisor):
             return NotImplemented
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Scalar] = {}
         for a, ca in self._terms.items():
             for b, cb in other._terms.items():
                 n = math.lcm(a, b)
-                acc[n] = acc.get(n, Fraction(0)) + ca * cb * math.gcd(a, b)
+                acc[n] = acc.get(n, 0) + ca * cb * math.gcd(a, b)
         return Divisor(acc)
 
     __rmul__ = __mul__
@@ -108,22 +110,22 @@ class Divisor:
 
     # -- derived quantities ----------------------------------------------
 
-    def degree(self) -> Fraction:
+    def degree(self) -> Scalar:
         """Total root count: sum c_n * n.
 
         This is the augmentation of the group ring, hence multiplicative:
         degree(x*y) = degree(x)*degree(y).
         """
-        return sum((c * n for n, c in self._terms.items()), Fraction(0))
+        return sum(c * n for n, c in self._terms.items())
 
-    def unit_coefficient(self) -> Fraction:
+    def unit_coefficient(self) -> Scalar:
         """Multiplicity of the root 1: sum of ALL coefficients.
 
         Every Lambda_n contains <1> exactly once, so the multiplicity of 1
         in the root multiset is the coefficient sum, not the stored entry
         at index 1.
         """
-        return sum(self._terms.values(), Fraction(0))
+        return sum(self._terms.values())
 
     # -- comparison and rendering ----------------------------------------
 
@@ -167,7 +169,7 @@ class Divisor:
         return out
 
 
-def _frac_str(c: Fraction) -> str:
+def _frac_str(c: Scalar) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
@@ -175,7 +177,7 @@ def _promote(value: Divisor | Scalar) -> Divisor:
     if isinstance(value, Divisor):
         return value
     if isinstance(value, (int, Fraction)):
-        return Divisor({1: Fraction(value)})
+        return Divisor({1: value})
     return NotImplemented
 
 

@@ -25,7 +25,7 @@ from .errors import (
     DegenerateDegreeError,
     WrongDimensionError,
 )
-from .monodromy import _milnor_fraction
+from .monodromy import milnor_product
 from .weights import WeightSystem, count_monomials
 
 
@@ -61,17 +61,23 @@ class PoincareSeries:
 
 
 @lru_cache(maxsize=None)
-def _series_coefficients(weights: tuple[int, ...], degree: int) -> tuple[int, ...]:
+def _validated_series(w: WeightSystem) -> PoincareSeries:
     coeffs = [1]
-    for j, run in groupby(sorted(degree - w for w in weights)):
+    for j, run in groupby(sorted(w.degree - wi for wi in w.weights)):
         coeffs = mul_binomial_power(coeffs, j, len(list(run)))
-    for w in weights:
-        coeffs = div_binomial(coeffs, w)
-    return tuple(coeffs)
+    for wi in w.weights:
+        coeffs = div_binomial(coeffs, wi)
+    series = PoincareSeries(tuple(coeffs))
+    num, den = milnor_product(w)
+    if series.total() * den != num:
+        raise ConsistencyError(
+            f"series total {series.total()} differs from the Milnor product"
+        )
+    return series
 
 
 def poincare_series(w: WeightSystem) -> PoincareSeries:
-    """Exact Poincare series of the Milnor algebra.
+    """Exact Poincare series of the Milnor algebra, built and checked once.
 
     Requires d > w_i for every i (each partial derivative nonconstant).
     May raise InexactDivision for degree data that is quasi-homogeneous on
@@ -82,12 +88,7 @@ def poincare_series(w: WeightSystem) -> PoincareSeries:
         raise DegenerateDegreeError(
             f"degree {w.degree} does not exceed every weight in {w.weights}"
         )
-    series = PoincareSeries(_series_coefficients(w.weights, w.degree))
-    if series.total() != _milnor_fraction(w):
-        raise ConsistencyError(
-            f"series total {series.total()} differs from the Milnor product"
-        )
-    return series
+    return _validated_series(w)
 
 
 def graded_dim(w: WeightSystem, k: int) -> int:

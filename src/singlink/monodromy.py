@@ -9,10 +9,10 @@ terms,
     div Delta(t) = prod_i (Lambda_{u_i} / v_i - 1)
 
 with the product taken in the divisor ring, in int scaled by prod v_i
-(milnor_orlik_terms, shared with scan).  The divisor's coefficients
-must come out integral; the exponent of Lambda_j is then the exponent of
-(t^j - 1) in a factored form of Delta, which expands to exact integer
-coefficients.
+(milnor_orlik_terms, shared with scan), and mu as prod(d - w_i) / prod w_i
+(milnor_product).  Both must come out integral, a divisibility test; the
+exponent of Lambda_j is then the exponent of (t^j - 1) in a factored form
+of Delta, which expands to exact integer coefficients.
 
 bp_oracle is a deliberately independent second route for exponent sums
 f = z_0^{a_0} + ... + z_n^{a_n}: it enumerates the monodromy eigenvalues as
@@ -43,25 +43,25 @@ from .errors import (
 from .weights import WeightSystem
 
 
-def _milnor_fraction(w: WeightSystem) -> Fraction:
+def milnor_product(w: WeightSystem) -> tuple[int, int]:
+    """prod(d/w_i - 1) as the integer pair (prod(d - w_i), prod(w_i))."""
     if w.degree < max(w.weights):
         raise DegenerateDegreeError(
             f"degree {w.degree} is below the largest weight {max(w.weights)}"
         )
-    return math.prod(
-        (Fraction(w.degree, wi) - 1 for wi in w.weights), start=Fraction(1)
-    )
+    return math.prod(w.degree - wi for wi in w.weights), math.prod(w.weights)
 
 
 def milnor_number(w: WeightSystem) -> int:
     """The exact product prod(d/w_i - 1), asserted a positive integer."""
-    mu = _milnor_fraction(w)
-    if mu.denominator != 1 or mu <= 0:
+    num, den = milnor_product(w)
+    mu, rest = divmod(num, den)
+    if rest or mu <= 0:
         raise NonIntegralMilnorNumberError(
-            f"Milnor product {mu} is not a positive integer; "
+            f"Milnor product {Fraction(num, den)} is not a positive integer; "
             "the weight data is inconsistent with an isolated singularity link"
         )
-    return int(mu)
+    return mu
 
 
 def milnor_orlik_terms(weights: tuple[int, ...], degree: int) -> tuple[dict[int, int], int]:
@@ -86,7 +86,7 @@ def milnor_orlik_terms(weights: tuple[int, ...], degree: int) -> tuple[dict[int,
 
 def characteristic_divisor(w: WeightSystem) -> Divisor:
     """Divisor of the monodromy characteristic polynomial."""
-    mu = _milnor_fraction(w)
+    num, den = milnor_product(w)
     terms, scale = milnor_orlik_terms(w.weights, w.degree)
     bad = {n: Fraction(c, scale) for n, c in terms.items() if c % scale}
     if bad:
@@ -95,8 +95,10 @@ def characteristic_divisor(w: WeightSystem) -> Divisor:
             "the weight data is inconsistent with an isolated singularity link"
         )
     acc = Divisor({n: c // scale for n, c in terms.items()})
-    if acc.degree() != mu:
-        raise ConsistencyError(f"divisor degree {acc.degree()} differs from Milnor product {mu}")
+    if acc.degree() * den != num:
+        raise ConsistencyError(
+            f"divisor degree {acc.degree()} differs from Milnor product {Fraction(num, den)}"
+        )
     return acc
 
 
@@ -177,12 +179,17 @@ class ExpandedPoly:
             count += 1
 
 
-def to_factored(divisor: Divisor) -> FactoredCharPoly:
-    """Reinterpret an integral divisor sum a_j Lambda_j as prod (t^j - 1)^{a_j}."""
+def _integral_terms(divisor: Divisor) -> dict[int, int]:
+    """The divisor's index -> coefficient terms, refused unless all are integers."""
     if not divisor.is_integral():
         bad = {n: c for n, c in divisor.terms.items() if c.denominator != 1}
         raise NonIntegralCoefficientError(f"divisor is not integral at {bad}")
-    return FactoredCharPoly(tuple((n, int(c)) for n, c in divisor.terms.items()))
+    return divisor.terms
+
+
+def to_factored(divisor: Divisor) -> FactoredCharPoly:
+    """Reinterpret an integral divisor sum a_j Lambda_j as prod (t^j - 1)^{a_j}."""
+    return FactoredCharPoly(tuple(_integral_terms(divisor).items()))
 
 
 def expand(p: FactoredCharPoly) -> ExpandedPoly:
@@ -204,13 +211,10 @@ def expand(p: FactoredCharPoly) -> ExpandedPoly:
 
 def middle_betti(divisor: Divisor) -> int:
     """Multiplicity of the eigenvalue 1: the divisor's coefficient sum."""
-    if not divisor.is_integral():
-        bad = {n: c for n, c in divisor.terms.items() if c.denominator != 1}
-        raise NonIntegralCoefficientError(f"divisor is not integral at {bad}")
-    b = divisor.unit_coefficient()
+    b = sum(_integral_terms(divisor).values())
     if b < 0:
         raise IntegralityViolationError(f"root 1 has negative multiplicity {b}")
-    return int(b)
+    return b
 
 
 # -- independent Brieskorn-Pham oracle -----------------------------------

@@ -29,12 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import UnsupportedDimensionError, WrongDimensionError
-from .weights import (
-    WeightedPolynomial,
-    WeightSystem,
-    divisibility_condition,
-    is_well_formed_space,
-)
+from .weights import WeightedPolynomial, WeightSystem
 
 DISJOINT = "disjoint"
 MEETS = "meets"
@@ -119,13 +114,14 @@ def strata_pair_well_formed(strata: tuple[Stratum, ...], nvars: int) -> bool:
     return not any(s.incidence == CONTAINED and len(s.indices) == nvars - 2 for s in strata)
 
 
-def strata_torsion_status(strata: tuple[Stratum, ...], nvars: int, well_formed: bool) -> str:
-    """Randell's criterion, four variables only: well-formedness (of the space,
-    with the divisibility condition) forces torsion-free H2; when its hypotheses
-    fail the status is unknown, never a torsion claim."""
+def strata_torsion_status(strata: tuple[Stratum, ...], nvars: int) -> str:
+    """Randell's criterion, four variables only: well-formedness forces
+    torsion-free H2, else the status is unknown, never a torsion claim.  The
+    strata settle it: singular_strata refuses a space that is not well formed,
+    and an edge whose gcd does not divide d has no monomial, so is contained."""
     if nvars != 4:
         raise WrongDimensionError(f"torsion status needs exactly 4 variables, got {nvars}")
-    return TORSION_FREE if well_formed and strata_pair_well_formed(strata, 4) else TORSION_UNKNOWN
+    return TORSION_FREE if strata_pair_well_formed(strata, 4) else TORSION_UNKNOWN
 
 
 def orbifold_order(f: WeightedPolynomial) -> int:
@@ -140,6 +136,4 @@ def pair_well_formed(f: WeightedPolynomial) -> bool:
 
 def torsion_status(f: WeightedPolynomial) -> str:
     """Randell's criterion on the strata of f; four variables only."""
-    strata, w = singular_strata(f), f.system
-    well_formed = is_well_formed_space(w) and divisibility_condition(w)
-    return strata_torsion_status(strata, w.nvars, well_formed)
+    return strata_torsion_status(singular_strata(f), f.nvars)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -38,6 +39,7 @@ from singlink import (
     smale_type,
     torsion_status,
 )
+from singlink.cli import render_json
 from conftest import F60_SUPPORT, F60_WEIGHTS
 
 
@@ -425,3 +427,24 @@ def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch
     assert len(space_wf) == 1
     assert len(div_ok) == 1
     assert restricted == []
+
+
+@pytest.mark.parametrize("tag", ["DK-1", "DK-2", "DK-3", "fermat_sextic"])
+def test_analyze_and_render_build_no_fraction(tag, monkeypatch):
+    """Milnor number, divisor, series and report stay int from input to output;
+    the series cache is emptied so its one build is covered too."""
+    if tag == "fermat_sextic":
+        f = quasi_degree([tuple(6 * (i == k) for i in range(4)) for k in range(4)], (1,) * 4)
+    else:
+        f = next(e for e in BUILTIN_REGISTRY if e.tag == tag).polynomial()
+    milnor_algebra._validated_series.cache_clear()
+    new = Fraction.__new__
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    render_json(analyze(f))
+    assert built == []

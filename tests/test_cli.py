@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import random
+import threading
 from itertools import combinations_with_replacement
 
 import pytest
@@ -21,6 +23,7 @@ from singlink import (
     quasi_degree,
     registry_dump,
 )
+from singlink import cli
 from singlink.cli import (
     _big_int,
     _big_int_list,
@@ -66,6 +69,9 @@ def test_parse_polynomial_syntax_errors_carry_positions():
         parse_polynomial("z0^")
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("z0 * ")
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_polynomial("z0*z1*z2 *")
+    assert err.value.position == 9
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("z0^z1")
     with pytest.raises(PolynomialSyntaxError):
@@ -293,6 +299,53 @@ def test_cli_batch_writes_to_a_file(tmp_path, capsys):
     assert "ok=1 skipped=0 failed=0" in captured.err
     record = json.loads(dst.read_text(encoding="utf-8"))
     assert record["invariants"]["milnor_number"] == 86
+
+
+def test_cli_batch_refuses_to_overwrite_its_input(tmp_path, capsys):
+    path = tmp_path / "in.jsonl"
+    text = json.dumps({"weights": [9, 15, 17, 20], "degree": 60, "poly": DK1_POLY}) + "\n"
+    path.write_text(text, encoding="utf-8")
+    assert entry(["batch", str(path), "--out", str(path)]) == 1
+    assert "is the input file" in capsys.readouterr().err
+    assert path.read_text(encoding="utf-8") == text
+
+
+def test_cli_batch_streams_its_input(tmp_path, monkeypatch, capsys):
+    """Record 2 is written only after record 1 was analyzed, so a batch that
+    reads its whole input before the first record sees one record, not two."""
+    fifo = tmp_path / "records.fifo"
+    os.mkfifo(fifo)
+    first_analyzed = threading.Event()
+    real_analyze = cli.analyze
+
+    def analyze_and_signal(*args, **kwargs):
+        report = real_analyze(*args, **kwargs)
+        first_analyzed.set()
+        return report
+
+    monkeypatch.setattr(cli, "analyze", analyze_and_signal)
+    records = [
+        {"weights": [9, 15, 17, 20], "degree": 60, "poly": DK1_POLY},
+        {"weights": [1, 1, 1, 1], "degree": 2, "poly": "z0^2 + z1^2 + z2^2 + z3^2"},
+    ]
+
+    def writer():
+        with open(fifo, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(records[0]) + "\n")
+            handle.flush()
+            if first_analyzed.wait(timeout=10):
+                handle.write(json.dumps(records[1]) + "\n")
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    code = entry(["batch", str(fifo)])
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "ok=2 skipped=0 failed=0" in captured.err
+    reports = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r["invariants"]["milnor_number"] for r in reports] == [86, 1]
 
 
 def test_cli_batch_accepts_an_empty_file(tmp_path, capsys):

@@ -117,6 +117,11 @@ def test_access_helpers():
     assert Divisor().is_zero()
     assert (2 * d).is_integral()
     assert d.terms == {2: Fraction(-1), 6: Fraction(1, 2)}
+    # integral coefficients are stored as int, only fractional ones as Fraction
+    assert type(d.coefficient(2)) is int and type(d.coefficient(5)) is int
+    assert type(d.coefficient(6)) is Fraction
+    assert all(type(c) is int for c in (2 * d).terms.values())
+    assert type((d + d).unit_coefficient()) is int
 
 
 def test_invalid_indices_are_rejected():

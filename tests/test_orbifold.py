@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -10,9 +11,12 @@ from singlink import (
     TORSION_UNKNOWN,
     Stratum,
     UnsupportedDimensionError,
+    WeightedPolynomial,
     WeightSystem,
     WrongDimensionError,
+    divisibility_condition,
     fano,
+    is_well_formed_space,
     orbifold_order,
     pair_well_formed,
     quasi_degree,
@@ -201,3 +205,45 @@ def test_torsion_status_requires_four_variables():
     f = quasi_degree([(2, 0), (0, 2)], (1, 1))
     with pytest.raises(WrongDimensionError):
         torsion_status(f)
+
+
+def reference_torsion_status(f):
+    """Randell's criterion with every hypothesis tested: space well-formedness,
+    the divisibility condition and pair well-formedness."""
+    w = f.system
+    well_formed = is_well_formed_space(w) and divisibility_condition(w)
+    return TORSION_FREE if well_formed and pair_well_formed(f) else TORSION_UNKNOWN
+
+
+def edge_supports(weights, max_degree):
+    """Degree d -> every monomial of degree d in at most two variables, d <= max_degree."""
+    out = {d: set() for d in range(1, max_degree + 1)}
+    for i, j in combinations(range(len(weights)), 2):
+        for a in range(max_degree // weights[i] + 1):
+            for b in range((max_degree - a * weights[i]) // weights[j] + 1):
+                if a or b:
+                    m = tuple(a if k == i else b if k == j else 0 for k in range(len(weights)))
+                    out[a * weights[i] + b * weights[j]].add(m)
+    return out
+
+
+def test_torsion_status_needs_only_the_strata():
+    """Each support is the full degree-d support restricted to vertices and
+    edges, the only strata a four-variable singular_strata accepts, so its
+    strata are those of the full support: the support where an edge whose gcd
+    does not divide d would first escape being contained.  Nondecreasing
+    weights stand for their relabelings."""
+    checked = divisibility_fails = 0
+    for ws in combinations_with_replacement(range(1, 11), 4):
+        if math.gcd(*ws) != 1:
+            continue
+        for degree, support in edge_supports(ws, 40).items():
+            f = WeightedPolynomial(frozenset(support), WeightSystem(ws, degree))
+            try:
+                got = torsion_status(f)
+            except UnsupportedDimensionError:
+                continue
+            assert got == reference_torsion_status(f), (ws, degree)
+            checked += 1
+            divisibility_fails += not divisibility_condition(f.system)
+    assert (checked, divisibility_fails) == (14800, 9703)
