@@ -9,11 +9,14 @@ with the 5-manifold classification (classify).  The cli module wraps it
 all for the command line.
 """
 
+import types
+
 from .classify import (
     BUILTIN_REGISTRY,
     CANDIDATE,
     KNOWN_SE,
     NOT_FANO,
+    NOT_QUASI_SMOOTH,
     NOT_WELL_FORMED,
     OBSTRUCTED,
     CheckResult,
@@ -89,8 +92,8 @@ from .weights import (
     count_monomials,
     divisibility_condition,
     is_well_formed_space,
-    missing_variables,
     quasi_degree,
+    quasi_smooth_failure,
     restrict,
     validate_weights,
     weighted_degree,
@@ -98,80 +101,8 @@ from .weights import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_REGISTRY",
-    "BoundExceededError",
-    "CANDIDATE",
-    "CancelledMonomialError",
-    "CheckResult",
-    "ConsistencyError",
-    "CONTAINED",
-    "count_monomials",
-    "DegenerateDegreeError",
-    "DISJOINT",
-    "Divisor",
-    "DuplicateMonomialWarning",
-    "EmptySubsetError",
-    "ExpandedPoly",
-    "FactoredCharPoly",
-    "Fano",
-    "InexactDivisionError",
-    "IntegralityViolationError",
-    "InvariantReport",
-    "KNOWN_SE",
-    "LengthMismatchError",
-    "MEETS",
-    "NOT_FANO",
-    "NOT_WELL_FORMED",
-    "NonIntegralCoefficientError",
-    "NonIntegralMilnorNumberError",
-    "NonPositiveIndexError",
-    "NonPositiveWeightError",
-    "NotNormalizedError",
-    "NotQuasiHomogeneousError",
-    "OBSTRUCTED",
-    "PoincareSeries",
-    "PolynomialSyntaxError",
-    "RegistryEntry",
-    "SinglinkError",
-    "Stratum",
-    "TORSION_FREE",
-    "TORSION_UNKNOWN",
-    "UnsupportedDimensionError",
-    "WeightedPolynomial",
-    "WeightSystem",
-    "WrongDimensionError",
-    "analyze",
-    "bp_oracle",
-    "characteristic_divisor",
-    "cross_checks",
-    "divisibility_condition",
-    "expand",
-    "fano",
-    "genus_branch_curve",
-    "graded_dim",
-    "hodge_numbers",
-    "is_well_formed_space",
-    "lambda_of",
-    "load_registry",
-    "middle_betti",
-    "middle_betti_hodge",
-    "milnor_number",
-    "missing_variables",
-    "orbifold_order",
-    "pair_well_formed",
-    "poincare_series",
-    "quasi_degree",
-    "registry_dump",
-    "registry_lookup",
-    "require_consistent",
-    "restrict",
-    "signature",
-    "singular_strata",
-    "smale_name",
-    "smale_type",
-    "to_factored",
-    "torsion_status",
-    "validate_weights",
-    "weighted_degree",
-]
+# The import lists above are the public API; the submodules are not part of it.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

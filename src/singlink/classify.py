@@ -8,6 +8,10 @@ classification of simply connected spin 5-manifolds: with torsion-free
 second homology the link is S⁵ when b₂ = 0 and a connected sum of b₂
 copies of S²×S³ otherwise.
 
+Only generic coefficients are assumed: isolatedness is decided from the
+support (weights.quasi_smooth_failure), and a support that fails keeps its
+weight-derived invariants but gets no diffeomorphism type or SE status.
+
 Reports are canonical: variables are relabeled so the weights are sorted,
 and the permutation is recorded.  All downstream quantities are invariant
 under relabeling, so this only normalizes the echo of the input.
@@ -58,7 +62,7 @@ from .weights import (
     WeightSystem,
     divisibility_condition,
     is_well_formed_space,
-    missing_variables,
+    quasi_smooth_failure,
     validate_weights,
 )
 
@@ -67,6 +71,7 @@ CANDIDATE = "candidate"
 OBSTRUCTED = "obstructed"
 NOT_FANO = "not_fano"
 NOT_WELL_FORMED = "not_well_formed"
+NOT_QUASI_SMOOTH = "not_quasi_smooth"
 
 
 def _canonical_key(weights: tuple[int, ...], degree: int, support: tuple[Exponents, ...]) -> tuple:
@@ -152,10 +157,20 @@ BUILTIN_REGISTRY: tuple[RegistryEntry, ...] = (
 )
 
 
-def _check_entry(entry: RegistryEntry) -> None:
+def _subset_label(indices: tuple[int, ...]) -> str:
+    return "{" + ", ".join(f"z{i}" for i in indices) + "}"
+
+
+def _check_entry(entry: RegistryEntry, lineno: int | None = None) -> None:
+    f = entry.polynomial()
+    failure = quasi_smooth_failure(f)
+    if failure is not None:  # refused input on a loaded line, a broken built-in otherwise
+        message = f"registry entry {entry.tag} is not quasi-smooth at {_subset_label(failure)}"
+        if lineno is None:
+            raise ConsistencyError(message)
+        raise SinglinkError(f"registry line {lineno}: {message}")
     if entry.obstructed:
         return
-    f = entry.polynomial()
     if not fano(f.system).is_fano or not pair_well_formed(f):
         raise ConsistencyError(
             f"registry entry {entry.tag} claims an SE metric but is not a "
@@ -208,7 +223,7 @@ def load_registry(text: str) -> tuple[RegistryEntry, ...]:
             )
         except (KeyError, TypeError, ValueError, SinglinkError) as exc:
             raise SinglinkError(f"registry line {lineno}: {exc}") from exc
-        _check_entry(entry)
+        _check_entry(entry, lineno)
         if entry.key in seen:
             raise SinglinkError(f"registry line {lineno}: {entry.tag} duplicates {seen[entry.key]}")
         seen[entry.key] = f"{entry.tag} from line {lineno}"
@@ -256,8 +271,7 @@ class InvariantReport:
     degree: int
     support: tuple[Exponents, ...]
     permutation: tuple[int, ...]
-    assumed_isolated: bool
-    normalized: bool
+    quasi_smooth: bool
     space_well_formed: bool
     divisibility_ok: bool
     pair_well_formed: bool
@@ -361,7 +375,6 @@ def _split_variable(f: WeightedPolynomial) -> int | None:
 def analyze(
     f: WeightedPolynomial,
     *,
-    assume_isolated: bool = True,
     registry: tuple[RegistryEntry, ...] = BUILTIN_REGISTRY,
 ) -> InvariantReport:
     """Full invariant report for a four-variable support."""
@@ -372,26 +385,13 @@ def analyze(
     f, permutation = _canonicalize(f)
     w = f.system
 
-    assumptions = []
-    notes = []
-    if assume_isolated:
-        assumptions.append(
-            "the singularity at the origin is assumed isolated; all invariants "
-            "are computed from the weights and monomial support alone"
-        )
-    assumptions.append(
-        "coefficients are assumed generic: incidence decisions use only the support"
+    assumptions = (
+        "coefficients are assumed generic: incidence decisions use only the support",
     )
-    absent = missing_variables(f)
-    if absent:
-        notes.append(
-            "variables "
-            + ", ".join(f"z{i}" for i in absent)
-            + " appear in no monomial, so the singularity cannot be isolated; "
-            "the report describes the weight data only"
-        )
+    notes = []
 
     with _stage("flags"):
+        failure = quasi_smooth_failure(f)
         space_wf = is_well_formed_space(w)
         div_ok = divisibility_condition(w)
         fano_rec = fano(w)
@@ -447,9 +447,20 @@ def analyze(
         notes.append("orbifold order matches the tabulated reference value")
 
     with _stage("classification"):
-        k = smale_type(b2_div, torsion == TORSION_FREE)
+        k = None if failure else smale_type(b2_div, torsion == TORSION_FREE)
         name = smale_name(k) if k is not None else None
-        if k is not None:
+        if failure:
+            notes.append(
+                f"the support is not quasi-smooth at {_subset_label(failure)}: the "
+                "generic member is singular off the origin, so the diffeomorphism "
+                "type and SE status are withheld"
+            )
+        elif k is None:
+            notes.append(
+                "torsion status unknown: any torsion in H2 occurs in pairs "
+                "Z_q + Z_q, but the classification is withheld"
+            )
+        else:
             notes.append(
                 "links of isolated hypersurface singularities are simply "
                 "connected and stably parallelizable, hence spin; the "
@@ -460,14 +471,11 @@ def analyze(
                 "S²×S³ is the real Stiefel manifold V(4,2), the unit tangent "
                 "bundle of the 3-sphere"
             )
-        if torsion != TORSION_FREE:
-            notes.append(
-                "torsion status unknown: any torsion in H2 occurs in pairs "
-                "Z_q + Z_q, but the classification is withheld"
-            )
         if fano_rec.is_fano and fano_rec.index == 1:
             notes.append("Fano index 1: a smooth join with the 3-sphere exists")
-        if entry is not None and entry.obstructed:
+        if failure:
+            status = NOT_QUASI_SMOOTH
+        elif entry is not None and entry.obstructed:
             status = OBSTRUCTED
         elif entry is not None:
             status = KNOWN_SE
@@ -484,8 +492,7 @@ def analyze(
         degree=w.degree,
         support=f.sorted_support,
         permutation=permutation,
-        assumed_isolated=assume_isolated,
-        normalized=True,
+        quasi_smooth=failure is None,
         space_well_formed=space_wf,
         divisibility_ok=div_ok,
         pair_well_formed=pwf,
@@ -510,7 +517,7 @@ def analyze(
         se_status=status,
         registry_tag=entry.tag if entry else None,
         registry_citation=entry.citation if entry else None,
-        assumptions=tuple(assumptions),
+        assumptions=assumptions,
         notes=tuple(notes),
     )
     with _stage("cross checks"):

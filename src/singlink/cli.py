@@ -238,8 +238,7 @@ def report_to_json_dict(report: InvariantReport) -> dict:
             "permutation": list(report.permutation),
         },
         "flags": {
-            "normalized": report.normalized,
-            "assumed_isolated": report.assumed_isolated,
+            "quasi_smooth": report.quasi_smooth,
             "space_well_formed": report.space_well_formed,
             "divisibility_ok": report.divisibility_ok,
             "pair_well_formed": report.pair_well_formed,
@@ -281,10 +280,10 @@ def render_json_line(report: InvariantReport) -> str:
 
 
 def render_text(report: InvariantReport) -> str:
-    flags = [
+    flags = ["quasi-smooth" if report.quasi_smooth else "not quasi-smooth"]
+    flags += [
         name
         for name, value in (
-            ("normalized", report.normalized),
             ("space well formed", report.space_well_formed),
             ("divisibility ok", report.divisibility_ok),
             ("pair well formed", report.pair_well_formed),
@@ -330,7 +329,8 @@ def render_text(report: InvariantReport) -> str:
     if report.diffeomorphism_type is not None:
         lines.append(f"diffeomorphism type: {report.diffeomorphism_type}")
     else:
-        lines.append("diffeomorphism type: undetermined (torsion status unknown)")
+        reason = "torsion status unknown" if report.quasi_smooth else "not quasi-smooth"
+        lines.append(f"diffeomorphism type: undetermined ({reason})")
     return "\n".join(lines) + "\n"
 
 
@@ -369,7 +369,7 @@ def _output(path: str | None):
 def run_analyze(args: argparse.Namespace) -> int:
     registry = _load_registry_arg(args.registry)
     f = _build_polynomial(args.weights, args.poly, args.degree)
-    report = analyze(f, assume_isolated=args.assume_isolated, registry=registry)
+    report = analyze(f, registry=registry)
     if args.format == "json":
         sys.stdout.write(render_json(report))
     else:
@@ -398,9 +398,7 @@ def run_batch(args: argparse.Namespace) -> int:
                 continue
             try:
                 f = _build_polynomial(weights, poly, degree)
-                report = analyze(
-                    f, assume_isolated=args.assume_isolated, registry=registry
-                )
+                report = analyze(f, registry=registry)
             except SinglinkError as exc:
                 failed += 1
                 print(f"line {lineno}: failed ({exc})", file=sys.stderr)
@@ -546,8 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=None,
                    help="weighted degree; inferred from the monomials when omitted")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--assume-isolated", action=argparse.BooleanOptionalAction,
-                   default=True, help="record the isolated-singularity assumption")
     p.add_argument("--registry", default=None, metavar="PATH",
                    help="line-delimited JSON registry replacing the built-in one")
     p.set_defaults(func=run_analyze)
@@ -556,8 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="input file, one {weights, degree, poly} record per line")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write reports here instead of stdout")
-    p.add_argument("--assume-isolated", action=argparse.BooleanOptionalAction,
-                   default=True)
     p.add_argument("--registry", default=None, metavar="PATH")
     p.set_defaults(func=run_batch)
 

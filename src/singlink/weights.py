@@ -10,13 +10,15 @@ since rescaling changes the degree and would mask user errors.
 Polynomials are carried as bare monomial supports (sets of exponent
 vectors).  No invariant computed anywhere in this package depends on
 coefficient values, only on the support, provided the coefficients are
-generic; reports state that assumption explicitly.
+generic; reports state that assumption explicitly.  Whether the singularity
+is isolated is decided from the support too (quasi_smooth_failure).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -180,13 +182,41 @@ def count_monomials(weights: Sequence[int], k: int) -> int:
     return table[k]
 
 
-def missing_variables(f: WeightedPolynomial) -> tuple[int, ...]:
-    """Indices of variables appearing in no monomial.
+@lru_cache(maxsize=None)
+def _subsets(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Nonempty subsets of range(n), by size then in combinations order, with
+    the bitmask of the variables outside each."""
+    sizes = range(1, n + 1)
+    return tuple((~sum(1 << i for i in s), s) for k in sizes for s in combinations(range(n), k))
 
-    A variable absent from every monomial makes an isolated singularity at
-    the origin impossible; callers surface this as a necessary-condition
-    check, not a proof of isolatedness.
+
+def quasi_smooth_failure(f: WeightedPolynomial) -> tuple[int, ...] | None:
+    """First variable subset at which the support fails quasi-smoothness, or None.
+
+    For generic coefficients the singularity is isolated exactly when, for
+    every nonempty variable subset I, either some monomial uses only variables
+    in I, or at least |I| distinct variables e not in I each carry a monomial
+    z_I^m * z_e (Iano-Fletcher, Working with weighted complete intersections,
+    LMS LN 281, Thm 8.1; Kreuzer-Skarke, CMP 150, 1992).  A linear monomial
+    z_e (d = w_e, m = 0) passes every I without e: that germ is not singular
+    at all, and analyze refuses it at the Milnor-number stage since mu = 0.
     """
-    return tuple(
-        i for i in range(f.nvars) if all(m[i] == 0 for m in f.support)
-    )
+    masks = set()
+    heads = []  # (the other variables of a monomial, a variable e it has to power 1)
+    for m in f.support:
+        mask = 0
+        for i, a in enumerate(m):
+            if a:
+                mask |= 1 << i
+        masks.add(mask)
+        heads += [(mask ^ (1 << e), e) for e, a in enumerate(m) if a == 1]
+    for outside, subset in _subsets(f.nvars):
+        for mask in masks:  # a plain loop: all() over a generator costs double
+            if not mask & outside:
+                break
+        else:
+            # each e is outside I: else its monomial would use only I
+            carriers = {e for rest, e in heads if not rest & outside}
+            if len(carriers) < len(subset):
+                return subset
+    return None

@@ -12,6 +12,7 @@ from singlink import (
     KNOWN_SE,
     MEETS,
     NOT_FANO,
+    NOT_QUASI_SMOOTH,
     NOT_WELL_FORMED,
     OBSTRUCTED,
     ConsistencyError,
@@ -65,6 +66,32 @@ def test_registry_rejects_unobstructed_non_fano_claims():
     entry["obstructed"] = True
     loaded = load_registry(json.dumps(entry) + "\n")
     assert len(loaded) == 1 and loaded[0].obstructed
+
+
+# z0^2*z1 + z2^3 + z3^3: Fano with no strata, but singular along the z1-axis
+SINGULAR_AXIS = {
+    "weights": [1, 1, 1, 1],
+    "degree": 3,
+    "support": [[2, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]],
+    "tag": "axis",
+    "citation": "a cubic cone singular along a line",
+}
+
+
+@pytest.mark.parametrize("obstructed", [False, True])
+def test_registry_refuses_an_entry_that_is_not_quasi_smooth(obstructed):
+    record = dict(SINGULAR_AXIS, obstructed=obstructed)
+    entry = RegistryEntry(
+        tuple(record["weights"]), record["degree"], tuple(map(tuple, record["support"])),
+        record["tag"], record["citation"], obstructed,
+    )
+    with pytest.raises(ConsistencyError) as err:
+        classify._check_entry(entry)
+    assert "not quasi-smooth at {z1}" in str(err.value)
+    with pytest.raises(SinglinkError) as err:
+        load_registry(registry_dump() + json.dumps(record) + "\n")
+    assert not isinstance(err.value, ConsistencyError)
+    assert "registry line 4: registry entry axis is not quasi-smooth at {z1}" in str(err.value)
 
 
 def test_registry_reports_the_failing_line():
@@ -151,7 +178,7 @@ def test_report_for_the_degree_60_link(report60):
     assert r.degree == 60
     assert r.support == ((0, 0, 0, 3), (0, 4, 0, 0), (1, 0, 3, 0), (5, 1, 0, 0))
     assert r.permutation == (0, 1, 2, 3)
-    assert r.assumed_isolated and r.normalized
+    assert r.quasi_smooth
     assert r.space_well_formed and r.divisibility_ok and r.pair_well_formed
     assert r.fano.is_fano and r.fano.index == 1
     assert r.milnor_number == 86
@@ -182,14 +209,14 @@ def test_report_for_the_degree_60_link(report60):
     assert r.se_status == KNOWN_SE
     assert r.registry_tag == "DK-1"
     assert "Demailly" in r.registry_citation
-    assert any("assumed isolated" in a for a in r.assumptions)
-    assert any("generic" in a for a in r.assumptions)
+    assert len(r.assumptions) == 1 and "generic" in r.assumptions[0]
     assert any("Fano index 1" in n for n in r.notes)
     assert any("certified by the registry entry" in n for n in r.notes)
 
 
 def test_reports_for_the_degree_256_links(report256_1, report256_2):
     for r, tag, order in ((report256_1, "DK-2", 37191), (report256_2, "DK-3", 36855)):
+        assert r.quasi_smooth
         assert r.milnor_number == 255
         assert r.b2_divisor == 1 and r.b2_hodge == 1
         assert r.signature == 0
@@ -242,25 +269,77 @@ def test_report_for_the_quintic_link():
     assert not any("Fano index 1" in n for n in r.notes)
 
 
+# z0^3 + z1^3 + z0*z2 + z1*z3: quasi-smooth, but its strata lie in the surface
+PAIR_ILL_FORMED = quasi_degree(
+    [(3, 0, 0, 0), (0, 3, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1)], (1, 1, 2, 2)
+)
+# z3*(z0 + z1) on (2, 2, 1, 3): the weight-1 variable is in no monomial
+CONTAINED_EDGE = quasi_degree([(1, 0, 0, 1), (0, 1, 0, 1)], (2, 2, 1, 3))
+# z0^2*z1 + z2^3 + z3^3: singular along the z1-axis
+SINGULAR_AXIS_CUBIC = quasi_degree([(2, 1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)], (1, 1, 1, 1))
+
+
 def test_report_for_a_pair_ill_formed_link():
-    f = quasi_degree([(1, 0, 0, 1), (0, 1, 0, 1)], (2, 2, 1, 3))
-    r = analyze(f)
+    r = analyze(PAIR_ILL_FORMED)
+    assert r.quasi_smooth
+    assert r.milnor_number == 1
+    assert r.b2_divisor == 1 and r.b2_hodge == 1
+    assert not r.pair_well_formed
+    assert r.torsion == TORSION_UNKNOWN
+    assert r.smale_k is None
+    assert r.diffeomorphism_type is None
+    assert r.se_status == NOT_WELL_FORMED
+    assert any("Z_q + Z_q" in n for n in r.notes)
+    assert any("not certified" in n for n in r.notes)
+    assert not any("quasi-smooth" in n for n in r.notes)
+
+
+def test_report_for_a_support_that_is_not_quasi_smooth():
+    r = analyze(CONTAINED_EDGE)
     # the weight-1 variable sorts to the front; notes use canonical labels
     assert r.weights == (1, 2, 2, 3)
     assert r.permutation == (2, 0, 1, 3)
+    assert not r.quasi_smooth
+    # the weight-derived invariants are still reported
     assert r.milnor_number == 6
     assert r.divisor == lambda_of(5) + 1
     assert r.b2_divisor == 2 and r.b2_hodge == 2
     assert r.signature == -1
     assert not r.pair_well_formed
     assert r.torsion == TORSION_UNKNOWN
+    assert r.genus is None
     assert r.smale_k is None
     assert r.diffeomorphism_type is None
-    assert r.se_status == NOT_WELL_FORMED
-    assert r.genus is None
-    assert any("z0 appear in no monomial" in n for n in r.notes)
-    assert any("Z_q + Z_q" in n for n in r.notes)
-    assert any("not certified" in n for n in r.notes)
+    assert r.se_status == NOT_QUASI_SMOOTH
+    assert any("not quasi-smooth at {z0}" in n for n in r.notes)
+    assert not any("Z_q + Z_q" in n for n in r.notes)
+
+
+def test_report_for_a_cubic_singular_along_a_line():
+    r = analyze(SINGULAR_AXIS_CUBIC)
+    assert not r.quasi_smooth
+    assert r.milnor_number == 16 and r.b2_divisor == 6
+    assert r.strata == () and r.pair_well_formed and r.torsion == TORSION_FREE
+    assert r.fano.is_fano and r.fano.index == 1
+    assert r.smale_k is None
+    assert r.diffeomorphism_type is None
+    assert r.se_status == NOT_QUASI_SMOOTH
+    notes = [n for n in r.notes if "quasi-smooth" in n]
+    assert notes == [
+        "the support is not quasi-smooth at {z1}: the generic member is singular "
+        "off the origin, so the diffeomorphism type and SE status are withheld"
+    ]
+    assert not any("connected-sum classification applies" in n for n in r.notes)
+
+
+def test_a_linear_monomial_is_refused_at_the_milnor_number():
+    # z3 is linear: the germ is smooth, so the support passes but mu = 0
+    f = quasi_degree(
+        [(0, 0, 0, 1), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0)], (1, 1, 1, 3)
+    )
+    with pytest.raises(NonIntegralMilnorNumberError) as err:
+        analyze(f)
+    assert "[stage: milnor number]" in str(err.value)
 
 
 def test_analyze_is_equivariant_under_relabeling(report60):
@@ -287,10 +366,9 @@ def test_analyze_is_equivariant_under_relabeling(report60):
 
 
 def test_analyze_without_isolation_assumption(f60):
-    r = analyze(f60, assume_isolated=False)
-    assert not r.assumed_isolated
-    assert not any("assumed isolated" in a for a in r.assumptions)
-    assert any("generic" in a for a in r.assumptions)
+    # isolatedness is decided from the support, so there is no keyword for it
+    with pytest.raises(TypeError):
+        analyze(f60, assume_isolated=False)
 
 
 def test_analyze_with_an_empty_registry(f60):
@@ -358,8 +436,12 @@ TIED_REGISTRY = BUILTIN_REGISTRY + (
         (1, 1, 1, 1), 3, ((0, 0, 1, 2), (0, 0, 3, 0), (3, 0, 0, 0), (0, 3, 0, 0)), "C3", "cubic"
     ),
 )
-CONTAINED_EDGE = quasi_degree([(1, 0, 0, 1), (0, 1, 0, 1)], (2, 2, 1, 3))
-EXAMPLES = {"contained_edge": CONTAINED_EDGE, "fermat_cubic": FERMAT_CUBIC, "tied_cubic": TIED_CUBIC}
+EXAMPLES = {
+    "contained_edge": CONTAINED_EDGE,
+    "pair_ill_formed": PAIR_ILL_FORMED,
+    "fermat_cubic": FERMAT_CUBIC,
+    "tied_cubic": TIED_CUBIC,
+}
 
 
 @pytest.mark.parametrize(
@@ -369,6 +451,7 @@ EXAMPLES = {"contained_edge": CONTAINED_EDGE, "fermat_cubic": FERMAT_CUBIC, "tie
         ("f256_1", "DK-2"),
         ("f256_2", "DK-3"),
         ("contained_edge", None),
+        ("pair_ill_formed", None),
         ("fermat_cubic", "F3"),
         ("tied_cubic", "C3"),
     ],

@@ -167,10 +167,33 @@ def test_cli_analyze_json_matches_the_library(capsys, report60):
 
 
 def test_cli_analyze_reports_undetermined_type(capsys):
-    code = entry(["analyze", "--weights", "2,2,1,3", "--poly", "z0*z3 + z1*z3"])
+    code = entry(["analyze", "--weights", "1,1,2,2", "--poly", "z0^3 + z1^3 + z0*z2 + z1*z3"])
     out = capsys.readouterr().out
     assert code == 0
+    assert "flags: quasi-smooth, space well formed, fano (index 3)\n" in out
+    assert "SE status: not_well_formed\n" in out
     assert out.endswith("diffeomorphism type: undetermined (torsion status unknown)\n")
+
+
+@pytest.mark.parametrize(
+    "weights, poly, subset",
+    [("1,1,1,1", "z0^2*z1 + z2^3 + z3^3", "{z1}"), ("2,2,1,3", "z0*z3 + z1*z3", "{z0}")],
+)
+def test_cli_analyze_reports_a_support_that_is_not_quasi_smooth(capsys, weights, poly, subset):
+    assert entry(["analyze", "--weights", weights, "--poly", poly]) == 0
+    out = capsys.readouterr().out
+    assert "flags: not quasi-smooth, " in out
+    assert "SE status: not_quasi_smooth\n" in out
+    assert f"not quasi-smooth at {subset}: the generic member is singular off the origin" in out
+    assert out.endswith("diffeomorphism type: undetermined (not quasi-smooth)\n")
+    assert entry(["analyze", "--weights", weights, "--poly", poly, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data["flags"])[0] == "quasi_smooth"
+    assert data["flags"]["quasi_smooth"] is False
+    assert data["classification"]["smale_k"] is None
+    assert data["classification"]["diffeomorphism_type"] is None
+    assert data["classification"]["se_status"] == "not_quasi_smooth"
+    assert any(subset in n for n in data["provenance"]["notes"])
 
 
 def test_cli_analyze_rejects_bad_input(capsys):
@@ -499,15 +522,29 @@ def test_cli_registry_round_trips_through_a_file(tmp_path, capsys):
     assert capsys.readouterr().out == registry_dump()
 
 
-def test_cli_assume_isolated_flag(capsys):
-    code = entry(
-        ["analyze", "--weights", "9,15,17,20", "--poly", DK1_POLY,
-         "--no-assume-isolated", "--format", "json"]
-    )
-    data = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert data["flags"]["assumed_isolated"] is False
-    assert not any("assumed isolated" in a for a in data["provenance"]["assumptions"])
+def test_cli_assume_isolated_flag(tmp_path, capsys):
+    # isolatedness is decided from the support: the old flag is a usage error
+    batch = tmp_path / "in.jsonl"
+    batch.write_text("", encoding="utf-8")
+    for flag in ("--assume-isolated", "--no-assume-isolated"):
+        assert entry(["analyze", "--weights", "9,15,17,20", "--poly", DK1_POLY, flag]) == 1
+        assert entry(["batch", str(batch), flag]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_registry_refuses_an_entry_that_is_not_quasi_smooth(tmp_path, capsys):
+    record = {
+        "weights": [1, 1, 1, 1],
+        "degree": 3,
+        "support": [[2, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]],
+        "tag": "axis",
+        "citation": "a cubic cone singular along a line",
+    }
+    path = tmp_path / "registry.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert entry(["registry", "--registry", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "registry line 1: registry entry axis is not quasi-smooth at {z1}" in err
 
 
 def test_cli_degree_option_matches_inference(capsys, report60):

@@ -15,8 +15,8 @@ from singlink import (
     count_monomials,
     divisibility_condition,
     is_well_formed_space,
-    missing_variables,
     quasi_degree,
+    quasi_smooth_failure,
     restrict,
     validate_weights,
     weighted_degree,
@@ -148,6 +148,25 @@ def test_count_monomials_known_values():
 
 
 def test_missing_variables(f60):
-    assert missing_variables(f60) == ()
+    # a variable in no monomial fails the kernel's I = {i} case, first
+    assert quasi_smooth_failure(f60) is None
     f = quasi_degree([(1, 0, 0, 1), (0, 1, 0, 1)], (2, 2, 1, 3))
-    assert missing_variables(f) == (2,)
+    assert quasi_smooth_failure(f) == (2,)
+    g = quasi_degree([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0)], (1, 1, 1, 1))
+    assert quasi_smooth_failure(g) == (3,)
+
+
+def test_quasi_smooth_failure_reads_the_support():
+    def failure(monomials, weights):
+        return quasi_smooth_failure(quasi_degree(monomials, weights))
+
+    # z0^2*z1 + z2^3 + z3^3: z1 has neither a pure power nor a z1^m*z_e
+    assert failure([(2, 1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)], (1, 1, 1, 1)) == (1,)
+    # adding z1^3 mends it; a chain and a loop pass though z0 has no pure power
+    assert failure([(2, 1, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)], (1, 1, 1, 1)) is None
+    assert failure([(2, 1, 0, 0), (0, 2, 1, 0), (0, 0, 2, 1), (0, 0, 0, 3)], (1, 1, 1, 1)) is None
+    assert failure([(2, 1, 0), (0, 2, 1), (1, 0, 2)], (1, 1, 1)) is None
+    # z0^2*z2 + z1^2*z2 + z2^3 + z3^3: {z0, z1} has one carrier, z2, not two
+    assert failure([(2, 0, 1, 0), (0, 2, 1, 0), (0, 0, 3, 0), (0, 0, 0, 3)], (1, 1, 1, 1)) == (0, 1)
+    # a linear monomial makes every subset without it pass
+    assert failure([(0, 0, 0, 1), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0)], (1, 1, 1, 3)) is None
