@@ -1,12 +1,12 @@
 """Exact invariants of links of isolated weighted-homogeneous singularities.
 
 The pipeline, bottom to top: weight systems and monomial supports
-(weights), the divisor ring of roots of unity (divisor), Milnor number and
-monodromy characteristic polynomial (monodromy), graded Milnor-algebra
-dimensions with Hodge numbers, signature and genus (milnor_algebra),
-singular strata and orbifold data (orbifold), and the assembled report
-with the 5-manifold classification (classify).  The cli module wraps it
-all for the command line.
+(weights), the characteristic divisor as an integer Lambda-combination
+(divisor), Milnor number and monodromy characteristic polynomial
+(monodromy), graded Milnor-algebra dimensions with Hodge numbers,
+signature and genus (milnor_algebra), singular strata and orbifold data
+(orbifold), and the assembled report with the 5-manifold classification
+(classify).  The cli module wraps it all for the command line.
 """
 
 import types
@@ -31,7 +31,7 @@ from .classify import (
     smale_name,
     smale_type,
 )
-from .divisor import Divisor, lambda_of
+from .divisor import Divisor
 from .errors import (
     BoundExceededError,
     CancelledMonomialError,
@@ -94,7 +94,6 @@ from .weights import (
     is_well_formed_space,
     quasi_degree,
     quasi_smooth_failure,
-    restrict,
     validate_weights,
     weighted_degree,
 )

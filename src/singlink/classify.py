@@ -87,6 +87,10 @@ def _canonical_key(weights: tuple[int, ...], degree: int, support: tuple[Exponen
     return (tuple(weights[i] for i in order), degree, best)
 
 
+def _subset_label(indices: tuple[int, ...]) -> str:
+    return "{" + ", ".join(f"z{i}" for i in indices) + "}"
+
+
 @dataclass(frozen=True)
 class RegistryEntry:
     """One published existence result, keyed by weights and support."""
@@ -111,8 +115,17 @@ class RegistryEntry:
             "reference_invariants",
             tuple(sorted((str(k), int(v)) for k, v in self.reference_invariants)),
         )
-        # validates quasi-homogeneity of the stated degree
-        WeightedPolynomial(frozenset(support), WeightSystem(ws, self.degree))
+        f = self.polynomial()  # validates quasi-homogeneity of the stated degree
+        failure = quasi_smooth_failure(f)
+        if failure is not None:
+            raise SinglinkError(
+                f"registry entry {self.tag} is not quasi-smooth at {_subset_label(failure)}"
+            )
+        if not self.obstructed and not (fano(f.system).is_fano and pair_well_formed(f)):
+            raise SinglinkError(
+                f"registry entry {self.tag} claims an SE metric but is not a "
+                "well-formed Fano pair"
+            )
         object.__setattr__(self, "key", _canonical_key(ws, self.degree, support))
 
     def polynomial(self) -> WeightedPolynomial:
@@ -157,31 +170,6 @@ BUILTIN_REGISTRY: tuple[RegistryEntry, ...] = (
 )
 
 
-def _subset_label(indices: tuple[int, ...]) -> str:
-    return "{" + ", ".join(f"z{i}" for i in indices) + "}"
-
-
-def _check_entry(entry: RegistryEntry, lineno: int | None = None) -> None:
-    f = entry.polynomial()
-    failure = quasi_smooth_failure(f)
-    if failure is not None:  # refused input on a loaded line, a broken built-in otherwise
-        message = f"registry entry {entry.tag} is not quasi-smooth at {_subset_label(failure)}"
-        if lineno is None:
-            raise ConsistencyError(message)
-        raise SinglinkError(f"registry line {lineno}: {message}")
-    if entry.obstructed:
-        return
-    if not fano(f.system).is_fano or not pair_well_formed(f):
-        raise ConsistencyError(
-            f"registry entry {entry.tag} claims an SE metric but is not a "
-            "well-formed Fano pair"
-        )
-
-
-for _entry in BUILTIN_REGISTRY:
-    _check_entry(_entry)
-
-
 def registry_dump(entries: tuple[RegistryEntry, ...] = BUILTIN_REGISTRY) -> str:
     """Line-delimited JSON, one entry per line, keys in fixed order."""
     lines = []
@@ -223,7 +211,6 @@ def load_registry(text: str) -> tuple[RegistryEntry, ...]:
             )
         except (KeyError, TypeError, ValueError, SinglinkError) as exc:
             raise SinglinkError(f"registry line {lineno}: {exc}") from exc
-        _check_entry(entry, lineno)
         if entry.key in seen:
             raise SinglinkError(f"registry line {lineno}: {entry.tag} duplicates {seen[entry.key]}")
         seen[entry.key] = f"{entry.tag} from line {lineno}"

@@ -210,7 +210,7 @@ def _big_int_list(out: dict, key: str, values: Sequence[int]) -> None:
 
 
 def _divisor_terms(divisor: Divisor) -> list[list[int]]:
-    return [[n, int(divisor.coefficient(n))] for n in sorted(divisor.support, reverse=True)]
+    return [[n, divisor.coefficient(n)] for n in sorted(divisor.support, reverse=True)]
 
 
 def report_to_json_dict(report: InvariantReport) -> dict:

@@ -1,55 +1,45 @@
-"""Exact arithmetic on divisors of roots of unity.
+"""The characteristic divisor as an integer combination of the Lambda_n.
 
 Lambda_n stands for the divisor of t**n - 1: the multiset of all n-th roots
-of unity, each once.  Divisors are rational linear combinations of the
-Lambda_n, multiplied with the group-ring product of C* which on basis
-elements reduces to
-
-    Lambda_a * Lambda_b = gcd(a, b) * Lambda_lcm(a, b)
-
-The ring unit <1> is stored as Lambda_1 (Lambda_1 = div(t - 1) = <1>), and
-integers/rationals entering arithmetic are promoted to multiples of it,
-which agrees with scaling because Lambda_1 is the identity.
-
-Coefficients are exact rationals, stored as int when integral and as
-Fraction only otherwise: fractional coefficients appear in the Milnor-Orlik
-factors (Lambda_u / v) and must cancel by the end, so integrality is
-asserted downstream at the pipeline boundary, never here.
+of unity, each once.  The monodromy characteristic polynomial of a
+weighted-homogeneous isolated singularity has divisor sum_n c_n * Lambda_n
+with integer c_n (Milnor-Orlik), so c_n is the exponent of (t^n - 1) in
+Delta(t).  monodromy.milnor_orlik_terms builds that product in int and
+refuses a fractional result before a Divisor exists; this class only holds
+and renders the integer map, and refuses any coefficient that is not an
+integer.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
-from .errors import NonPositiveIndexError
-
-Scalar = Union[int, Fraction]
+from .errors import NonIntegralCoefficientError, NonPositiveIndexError
 
 
 class Divisor:
-    """Immutable rational combination of Lambda_n basis elements."""
+    """Immutable integer combination of Lambda_n basis elements."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
+    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Scalar] = {}
+        acc: dict[int, int] = {}
         for n, c in items:
             n = int(n)
             if n < 1:
                 raise NonPositiveIndexError(f"divisor index {n} is not positive")
-            c = c if type(c) is int else Fraction(c)
-            if c:
-                acc[n] = acc.get(n, 0) + c
-        kept = {n: c.numerator if c.denominator == 1 else c for n, c in acc.items() if c}
-        object.__setattr__(self, "_terms", kept)
-
-    # -- access ---------------------------------------------------------
+            if type(c) is not int:
+                if getattr(c, "denominator", None) != 1:
+                    raise NonIntegralCoefficientError(
+                        f"divisor coefficient {c} at index {n} is not an integer"
+                    )
+                c = int(c.numerator)
+            acc[n] = acc.get(n, 0) + c
+        object.__setattr__(self, "_terms", {n: c for n, c in acc.items() if c})
 
     @property
-    def terms(self) -> dict[int, Scalar]:
+    def terms(self) -> dict[int, int]:
         """Index -> coefficient mapping (a copy; zero coefficients pruned)."""
         return dict(self._terms)
 
@@ -57,81 +47,14 @@ class Divisor:
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._terms))
 
-    def coefficient(self, n: int) -> Scalar:
+    def coefficient(self, n: int) -> int:
         return self._terms.get(n, 0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self._terms.values())
-
-    # -- ring structure ---------------------------------------------------
-
-    def __add__(self, other: Divisor | Scalar) -> Divisor:
-        other = _promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        acc = dict(self._terms)
-        for n, c in other._terms.items():
-            acc[n] = acc.get(n, 0) + c
-        return Divisor(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Divisor:
-        return Divisor({n: -c for n, c in self._terms.items()})
-
-    def __sub__(self, other: Divisor | Scalar) -> Divisor:
-        other = _promote(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> Divisor:
-        return _promote(other) + (-self)
-
-    def __mul__(self, other: Divisor | Scalar) -> Divisor:
-        if isinstance(other, (int, Fraction)):
-            return Divisor({n: c * other for n, c in self._terms.items()})
-        if not isinstance(other, Divisor):
-            return NotImplemented
-        acc: dict[int, Scalar] = {}
-        for a, ca in self._terms.items():
-            for b, cb in other._terms.items():
-                n = math.lcm(a, b)
-                acc[n] = acc.get(n, 0) + ca * cb * math.gcd(a, b)
-        return Divisor(acc)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: Scalar) -> Divisor:
-        return self * (Fraction(1) / Fraction(scalar))
-
-    # -- derived quantities ----------------------------------------------
-
-    def degree(self) -> Scalar:
-        """Total root count: sum c_n * n.
-
-        This is the augmentation of the group ring, hence multiplicative:
-        degree(x*y) = degree(x)*degree(y).
-        """
+    def degree(self) -> int:
+        """Total root count: sum c_n * n."""
         return sum(c * n for n, c in self._terms.items())
 
-    def unit_coefficient(self) -> Scalar:
-        """Multiplicity of the root 1: sum of ALL coefficients.
-
-        Every Lambda_n contains <1> exactly once, so the multiplicity of 1
-        in the root multiset is the coefficient sum, not the stored entry
-        at index 1.
-        """
-        return sum(self._terms.values())
-
-    # -- comparison and rendering ----------------------------------------
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = _promote(other)
         if not isinstance(other, Divisor):
             return NotImplemented
         return self._terms == other._terms
@@ -140,7 +63,7 @@ class Divisor:
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}: {_frac_str(c)}" for n, c in sorted(self._terms.items()))
+        inner = ", ".join(f"{n}: {c}" for n, c in sorted(self._terms.items()))
         return f"Divisor({{{inner}}})"
 
     def pretty(self) -> str:
@@ -156,33 +79,14 @@ class Divisor:
             sign = "-" if c < 0 else "+"
             c = abs(c)
             if n == 1:
-                body = _frac_str(c)
+                body = str(c)
             elif c == 1:
                 body = f"Λ{n}"
             else:
-                body = f"{_frac_str(c)}·Λ{n}"
+                body = f"{c}·Λ{n}"
             parts.append((sign, body))
         sign, body = parts[0]
         out = body if sign == "+" else f"-{body}"
         for sign, body in parts[1:]:
             out += f" {sign} {body}"
         return out
-
-
-def _frac_str(c: Scalar) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def _promote(value: Divisor | Scalar) -> Divisor:
-    if isinstance(value, Divisor):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Divisor({1: value})
-    return NotImplemented
-
-
-def lambda_of(n: int) -> Divisor:
-    """The basis divisor of t**n - 1 (all n-th roots of unity, once each)."""
-    if n < 1:
-        raise NonPositiveIndexError(f"Lambda index {n} is not positive")
-    return Divisor({n: 1})

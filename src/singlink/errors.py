@@ -66,7 +66,7 @@ class IntegralityViolationError(SinglinkError):
 
 
 class NonIntegralCoefficientError(SinglinkError):
-    """A divisor needed integer coefficients but has a fractional one."""
+    """A divisor coefficient is not an integer."""
 
 
 class InexactDivisionError(SinglinkError):

@@ -8,7 +8,8 @@ terms,
     mu = prod_i (d/w_i - 1)
     div Delta(t) = prod_i (Lambda_{u_i} / v_i - 1)
 
-with the product taken in the divisor ring, in int scaled by prod v_i
+with the product taken in the group ring of roots of unity, Lambda_a * Lambda_b
+= gcd(a, b) * Lambda_lcm(a, b), computed in int scaled by prod v_i
 (milnor_orlik_terms, shared with scan), and mu as prod(d - w_i) / prod w_i
 (milnor_product).  Both must come out integral, a divisibility test; the
 exponent of Lambda_j is then the exponent of (t^j - 1) in a factored form
@@ -37,7 +38,6 @@ from .errors import (
     ConsistencyError,
     DegenerateDegreeError,
     IntegralityViolationError,
-    NonIntegralCoefficientError,
     NonIntegralMilnorNumberError,
 )
 from .weights import WeightSystem
@@ -179,17 +179,9 @@ class ExpandedPoly:
             count += 1
 
 
-def _integral_terms(divisor: Divisor) -> dict[int, int]:
-    """The divisor's index -> coefficient terms, refused unless all are integers."""
-    if not divisor.is_integral():
-        bad = {n: c for n, c in divisor.terms.items() if c.denominator != 1}
-        raise NonIntegralCoefficientError(f"divisor is not integral at {bad}")
-    return divisor.terms
-
-
 def to_factored(divisor: Divisor) -> FactoredCharPoly:
-    """Reinterpret an integral divisor sum a_j Lambda_j as prod (t^j - 1)^{a_j}."""
-    return FactoredCharPoly(tuple(_integral_terms(divisor).items()))
+    """Reinterpret the divisor sum a_j Lambda_j as prod (t^j - 1)^{a_j}."""
+    return FactoredCharPoly(tuple(divisor.terms.items()))
 
 
 def expand(p: FactoredCharPoly) -> ExpandedPoly:
@@ -211,7 +203,7 @@ def expand(p: FactoredCharPoly) -> ExpandedPoly:
 
 def middle_betti(divisor: Divisor) -> int:
     """Multiplicity of the eigenvalue 1: the divisor's coefficient sum."""
-    b = sum(_integral_terms(divisor).values())
+    b = sum(divisor.terms.values())
     if b < 0:
         raise IntegralityViolationError(f"root 1 has negative multiplicity {b}")
     return b

@@ -85,8 +85,9 @@ def weighted_degree(exponents: Sequence[int], w: WeightSystem | Sequence[int]) -
 class WeightedPolynomial:
     """A monomial support set that is quasi-homogeneous for its weight system.
 
-    The support may be empty: restriction to a coordinate subspace uses the
-    empty polynomial to encode f|_S = 0.
+    The support may be empty: that is the zero polynomial, whose degree
+    only the weight system can fix (quasi_degree, which infers the degree
+    from the monomials, refuses it).
     """
 
     support: frozenset[Exponents]
@@ -149,19 +150,6 @@ def divisibility_condition(w: WeightSystem) -> bool:
         if w.degree % math.gcd(*rest) != 0:
             return False
     return True
-
-
-def restrict(f: WeightedPolynomial, subset: Iterable[int]) -> WeightedPolynomial:
-    """Keep exactly the monomials supported inside the index subset."""
-    s = set(subset)
-    if not s:
-        raise EmptySubsetError("restriction needs a nonempty index subset")
-    if not s <= set(range(f.nvars)):
-        raise ValueError(f"subset {sorted(s)} is not within 0..{f.nvars - 1}")
-    kept = frozenset(
-        m for m in f.support if all(a == 0 for i, a in enumerate(m) if i not in s)
-    )
-    return WeightedPolynomial(kept, f.system)
 
 
 def count_monomials(weights: Sequence[int], k: int) -> int:

@@ -26,7 +26,6 @@ from singlink import (
     expand,
     fano,
     graded_dim,
-    lambda_of,
     load_registry,
     middle_betti,
     middle_betti_hodge,
@@ -45,6 +44,7 @@ from conftest import (
     F60_SUPPORT,
     F60_WEIGHTS,
 )
+from divisor_ring import RingDivisor, lambda_of
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -74,8 +74,8 @@ def test_criterion_1_milnor_numbers(all_reports):
 
 def test_criterion_2_characteristic_divisors(all_reports):
     with criterion(2, "characteristic divisors of both families"):
-        d60 = lambda_of(60) + lambda_of(20) + lambda_of(12) - lambda_of(4) - lambda_of(3) + 1
-        d256 = lambda_of(256) - lambda_of(2) + 1
+        d60 = Divisor({60: 1, 20: 1, 12: 1, 4: -1, 3: -1, 1: 1})
+        d256 = Divisor({256: 1, 2: -1, 1: 1})
         assert all_reports[0].divisor == d60
         assert all_reports[1].divisor == d256
         assert all_reports[2].divisor == d256
@@ -251,7 +251,7 @@ def test_criterion_10_invariant_suites():
         rng = random.Random(4)
 
         def random_divisor():
-            return Divisor(
+            return RingDivisor(
                 {
                     rng.randint(1, 12): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                     for _ in range(rng.randint(0, 4))

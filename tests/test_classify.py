@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from singlink import classify, divisor, milnor_algebra, orbifold, weights
+from singlink import classify, milnor_algebra, orbifold, weights
 from singlink import (
     BUILTIN_REGISTRY,
     CANDIDATE,
@@ -17,6 +17,7 @@ from singlink import (
     OBSTRUCTED,
     ConsistencyError,
     DISJOINT,
+    Divisor,
     NonIntegralMilnorNumberError,
     RegistryEntry,
     SinglinkError,
@@ -26,7 +27,6 @@ from singlink import (
     analyze,
     cross_checks,
     hodge_numbers,
-    lambda_of,
     load_registry,
     middle_betti_hodge,
     orbifold_order,
@@ -53,19 +53,37 @@ def test_builtin_registry_round_trips_through_jsonl():
         assert list(record)[:5] == ["weights", "degree", "support", "tag", "citation"]
 
 
+# the Fermat quintic: quasi-smooth, but K = O(1) is not anti-ample
+FERMAT_QUINTIC = {
+    "weights": [1, 1, 1, 1],
+    "degree": 5,
+    "support": [[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 5]],
+    "tag": "bad",
+    "citation": "none",
+}
+
+
+def _entry_from(record, obstructed=False):
+    return RegistryEntry(
+        tuple(record["weights"]), record["degree"], tuple(map(tuple, record["support"])),
+        record["tag"], record["citation"], obstructed,
+    )
+
+
 def test_registry_rejects_unobstructed_non_fano_claims():
-    entry = {
-        "weights": [1, 1, 1, 1],
-        "degree": 5,
-        "support": [[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 5]],
-        "tag": "bad",
-        "citation": "none",
-    }
-    with pytest.raises(ConsistencyError):
-        load_registry(json.dumps(entry) + "\n")
-    entry["obstructed"] = True
+    message = "registry entry bad claims an SE metric but is not a well-formed Fano pair"
+    with pytest.raises(SinglinkError) as err:
+        _entry_from(FERMAT_QUINTIC)
+    assert not isinstance(err.value, ConsistencyError)
+    assert message in str(err.value)
+    with pytest.raises(SinglinkError) as err:
+        load_registry(registry_dump() + json.dumps(FERMAT_QUINTIC) + "\n")
+    assert not isinstance(err.value, ConsistencyError)
+    assert f"registry line 4: {message}" in str(err.value)
+    entry = dict(FERMAT_QUINTIC, obstructed=True)
     loaded = load_registry(json.dumps(entry) + "\n")
     assert len(loaded) == 1 and loaded[0].obstructed
+    assert _entry_from(FERMAT_QUINTIC, obstructed=True) == loaded[0]
 
 
 # z0^2*z1 + z2^3 + z3^3: Fano with no strata, but singular along the z1-axis
@@ -81,17 +99,26 @@ SINGULAR_AXIS = {
 @pytest.mark.parametrize("obstructed", [False, True])
 def test_registry_refuses_an_entry_that_is_not_quasi_smooth(obstructed):
     record = dict(SINGULAR_AXIS, obstructed=obstructed)
-    entry = RegistryEntry(
-        tuple(record["weights"]), record["degree"], tuple(map(tuple, record["support"])),
-        record["tag"], record["citation"], obstructed,
-    )
-    with pytest.raises(ConsistencyError) as err:
-        classify._check_entry(entry)
-    assert "not quasi-smooth at {z1}" in str(err.value)
+    with pytest.raises(SinglinkError) as err:
+        _entry_from(record, obstructed)
+    assert not isinstance(err.value, ConsistencyError)
+    assert "registry entry axis is not quasi-smooth at {z1}" in str(err.value)
     with pytest.raises(SinglinkError) as err:
         load_registry(registry_dump() + json.dumps(record) + "\n")
     assert not isinstance(err.value, ConsistencyError)
     assert "registry line 4: registry entry axis is not quasi-smooth at {z1}" in str(err.value)
+
+
+def test_a_directly_built_entry_is_checked_too():
+    # not only load_registry: the constructor refuses both claims, so no
+    # registry passed to analyze can certify either support
+    for record in (FERMAT_QUINTIC, SINGULAR_AXIS):
+        with pytest.raises(SinglinkError) as err:
+            _entry_from(record)
+        assert not isinstance(err.value, ConsistencyError)
+    quintic = quasi_degree(FERMAT_QUINTIC["support"], FERMAT_QUINTIC["weights"])
+    r = analyze(quintic, registry=())
+    assert r.se_status == NOT_FANO and r.registry_tag is None
 
 
 def test_registry_reports_the_failing_line():
@@ -182,10 +209,7 @@ def test_report_for_the_degree_60_link(report60):
     assert r.space_well_formed and r.divisibility_ok and r.pair_well_formed
     assert r.fano.is_fano and r.fano.index == 1
     assert r.milnor_number == 86
-    assert r.divisor == (
-        lambda_of(60) + lambda_of(20) + lambda_of(12)
-        - lambda_of(4) - lambda_of(3) + 1
-    )
+    assert r.divisor == Divisor({60: 1, 20: 1, 12: 1, 4: -1, 3: -1, 1: 1})
     assert r.factored.as_mapping() == {60: 1, 20: 1, 12: 1, 4: -1, 3: -1, 1: 1}
     assert r.expanded.degree == 86
     assert r.b2_divisor == 2 and r.b2_hodge == 2
@@ -239,7 +263,7 @@ def test_report_for_the_quadric_link():
     )
     r = analyze(f)
     assert r.milnor_number == 1
-    assert r.divisor == 1
+    assert r.divisor == Divisor({1: 1})
     assert r.b2_divisor == 1 and r.b2_hodge == 1
     assert r.signature == 0
     assert r.genus is None  # four pure powers, no unique split variable
@@ -302,7 +326,7 @@ def test_report_for_a_support_that_is_not_quasi_smooth():
     assert not r.quasi_smooth
     # the weight-derived invariants are still reported
     assert r.milnor_number == 6
-    assert r.divisor == lambda_of(5) + 1
+    assert r.divisor == Divisor({5: 1, 1: 1})
     assert r.b2_divisor == 2 and r.b2_hodge == 2
     assert r.signature == -1
     assert not r.pair_well_formed
@@ -479,10 +503,7 @@ def _count_calls(monkeypatch, holder, name):
         calls.append(name)
         return original(*args, **kwargs)
 
-    holders = [holder] if isinstance(holder, type) else [
-        classify, milnor_algebra, orbifold
-    ]
-    for module in holders:
+    for module in (classify, milnor_algebra, orbifold):
         for key, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, key, counted)
@@ -497,19 +518,15 @@ def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch
         f = request.getfixturevalue(name)
     series = _count_calls(monkeypatch, milnor_algebra, "poincare_series")
     strata = _count_calls(monkeypatch, orbifold, "singular_strata")
-    products = _count_calls(monkeypatch, divisor.Divisor, "__mul__")
     keys = _count_calls(monkeypatch, classify, "_canonical_key")
     space_wf = _count_calls(monkeypatch, weights, "is_well_formed_space")
     div_ok = _count_calls(monkeypatch, weights, "divisibility_condition")
-    restricted = _count_calls(monkeypatch, weights, "restrict")
     analyze(f)
     assert 1 <= len(series) <= 2
     assert len(strata) == 1
-    assert products == []
     assert len(keys) == 1
     assert len(space_wf) == 1
     assert len(div_ok) == 1
-    assert restricted == []
 
 
 @pytest.mark.parametrize("tag", ["DK-1", "DK-2", "DK-3", "fermat_sextic"])

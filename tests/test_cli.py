@@ -547,6 +547,25 @@ def test_cli_registry_refuses_an_entry_that_is_not_quasi_smooth(tmp_path, capsys
     assert "registry line 1: registry entry axis is not quasi-smooth at {z1}" in err
 
 
+def test_cli_registry_refuses_a_non_fano_se_claim(tmp_path, capsys):
+    # refused input like any other bad line: exit 1 with the line number, not 2
+    record = {
+        "weights": [1, 1, 1, 1],
+        "degree": 5,
+        "support": [[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 5]],
+        "tag": "quintic",
+        "citation": "none",
+    }
+    path = tmp_path / "registry.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert entry(["registry", "--registry", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: registry line 1: registry entry quintic claims an SE metric"
+    )
+
+
 def test_cli_degree_option_matches_inference(capsys, report60):
     code = entry(
         ["analyze", "--weights", "9,15,17,20", "--poly", DK1_POLY,

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from singlink import Divisor, NonPositiveIndexError, lambda_of
+from singlink import Divisor, NonIntegralCoefficientError, NonPositiveIndexError
+from divisor_ring import RingDivisor, lambda_of
 
 
 def rotations(div):
@@ -36,7 +37,7 @@ def random_divisor(rng, max_index=12, max_terms=4):
         n = rng.randint(1, max_index)
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         terms[n] = terms.get(n, Fraction(0)) + c
-    return Divisor(terms)
+    return RingDivisor(terms)
 
 
 def test_basis_product_rule():
@@ -67,7 +68,7 @@ def test_ring_axioms_on_random_divisors():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a * one == a
-        assert a - a == Divisor()
+        assert a - a == RingDivisor()
 
 
 def test_scalar_promotion_and_arithmetic():
@@ -76,10 +77,10 @@ def test_scalar_promotion_and_arithmetic():
     assert 1 + d == lambda_of(5)
     assert 2 - lambda_of(1) == lambda_of(1)
     assert (3 * lambda_of(2)) / 3 == lambda_of(2)
-    assert lambda_of(2) * Fraction(1, 2) == Divisor({2: Fraction(1, 2)})
+    assert lambda_of(2) * Fraction(1, 2) == RingDivisor({2: Fraction(1, 2)})
     assert lambda_of(3) == lambda_of(3) + 0
-    assert Divisor({1: 4}) == 4
-    assert Divisor() == 0
+    assert RingDivisor({1: 4}) == 4
+    assert RingDivisor() == 0
 
 
 def test_degree_is_multiplicative():
@@ -108,13 +109,13 @@ def test_unit_coefficient_matches_rotation_zero_multiplicity():
 
 
 def test_access_helpers():
-    d = Divisor({6: Fraction(1, 2), 2: -1, 3: 0})
+    d = RingDivisor({6: Fraction(1, 2), 2: -1, 3: 0})
     assert d.support == (2, 6)
     assert d.coefficient(6) == Fraction(1, 2)
     assert d.coefficient(5) == 0
     assert not d.is_zero()
     assert not d.is_integral()
-    assert Divisor().is_zero()
+    assert RingDivisor().is_zero()
     assert (2 * d).is_integral()
     assert d.terms == {2: Fraction(-1), 6: Fraction(1, 2)}
     # integral coefficients are stored as int, only fractional ones as Fraction
@@ -136,20 +137,61 @@ def test_equality_and_hash_ignore_zero_terms():
     b = Divisor({2: 1})
     assert a == b
     assert hash(a) == hash(b)
-    assert a != lambda_of(3)
+    assert a != Divisor({3: 1})
     assert a != "Λ2"
+    # the same map built in another order hashes equally
+    c = Divisor({60: 1, 20: 1, 12: 1, 4: -1, 3: -1, 1: 1})
+    d = Divisor([(1, 1), (3, -1), (4, -1), (12, 1), (20, 1), (60, 1)])
+    assert c == d and hash(c) == hash(d)
+    # no scalar promotion: an integer is not a divisor
+    assert Divisor({1: 1}) != 1
+    assert Divisor() != 0
 
 
 def test_pretty_rendering():
-    d = lambda_of(60) + lambda_of(20) + lambda_of(12) - lambda_of(4) - lambda_of(3) + 1
+    d = Divisor({60: 1, 20: 1, 12: 1, 4: -1, 3: -1, 1: 1})
     assert d.pretty() == "Λ60 + Λ20 + Λ12 - Λ4 - Λ3 + 1"
     assert Divisor().pretty() == "0"
-    assert (-lambda_of(2)).pretty() == "-Λ2"
-    assert Divisor({4: Fraction(1, 3), 1: -2}).pretty() == "1/3·Λ4 - 2"
+    assert Divisor({2: -1}).pretty() == "-Λ2"
+    assert Divisor({1: -1}).pretty() == "-1"
+    assert Divisor({1: 1}).pretty() == "1"
+    assert Divisor({6: -3, 2: 2, 1: -4}).pretty() == "-3·Λ6 + 2·Λ2 - 4"
+    assert RingDivisor({4: Fraction(1, 3), 1: -2}).pretty() == "1/3·Λ4 - 2"
+
+
+def test_repr_lists_the_terms_by_index():
+    assert repr(Divisor()) == "Divisor({})"
+    assert repr(Divisor({6: -3, 1: 1, 2: 0})) == "Divisor({1: 1, 6: -3})"
+    assert repr(Divisor({1: -1})) == "Divisor({1: -1})"
+
+
+def test_integer_divisor_stores_only_integers():
+    for bad in (Fraction(1, 2), 0.5):
+        with pytest.raises(NonIntegralCoefficientError):
+            Divisor({2: bad})
+    d = Divisor({2: Fraction(4, 2), 3: 1})
+    assert d.terms == {2: 2, 3: 1}
+    assert type(d.coefficient(2)) is int and type(d.coefficient(5)) is int
+    assert d.degree() == 7 and type(d.degree()) is int
+
+
+def test_integer_divisor_prunes_zero_terms():
+    d = Divisor({4: 0, 2: 1, 1: 0})
+    assert d.terms == {2: 1}
+    assert d.support == (2,)
+    assert Divisor([(3, 2), (3, -2)]).terms == {}
+    assert Divisor([(3, 2), (3, -2)]) == Divisor()
+
+
+def test_integer_divisor_has_no_arithmetic():
+    with pytest.raises(TypeError):
+        Divisor({2: 1}) + Divisor({3: 1})
+    with pytest.raises(TypeError):
+        Divisor({2: 1}) * Divisor({3: 1})
 
 
 def test_division_by_scalar_only():
     d = lambda_of(4) / 2
-    assert d == Divisor({4: Fraction(1, 2)})
+    assert d == RingDivisor({4: Fraction(1, 2)})
     with pytest.raises((TypeError, ValueError)):
         lambda_of(4) / lambda_of(2)

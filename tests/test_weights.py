@@ -17,7 +17,6 @@ from singlink import (
     is_well_formed_space,
     quasi_degree,
     quasi_smooth_failure,
-    restrict,
     validate_weights,
     weighted_degree,
 )
@@ -115,17 +114,6 @@ def test_divisibility_condition_checks_delete_two_gcds():
     assert not divisibility_condition(WeightSystem((2, 2, 1, 1), 5))
     # fewer than 3 weights: vacuous
     assert divisibility_condition(WeightSystem((2, 3), 5))
-
-
-def test_restrict_keeps_only_monomials_inside_the_subset(f60):
-    g = restrict(f60, {0, 1})
-    assert g.support == {(5, 1, 0, 0), (0, 4, 0, 0)}
-    assert restrict(f60, {3}).support == {(0, 0, 0, 3)}
-    assert restrict(f60, {2}).support == set()
-    with pytest.raises(EmptySubsetError):
-        restrict(f60, set())
-    with pytest.raises(ValueError):
-        restrict(f60, {0, 7})
 
 
 def test_count_monomials_matches_brute_force_enumeration():
