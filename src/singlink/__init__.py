@@ -56,7 +56,6 @@ from .errors import (
 from .milnor_algebra import (
     PoincareSeries,
     genus_branch_curve,
-    graded_dim,
     hodge_numbers,
     middle_betti_hodge,
     poincare_series,

@@ -30,10 +30,10 @@ from .errors import ConsistencyError, SinglinkError, WrongDimensionError
 from .milnor_algebra import (
     PoincareSeries,
     genus_branch_curve,
+    hodge_numbers,
+    middle_betti_hodge,
     poincare_series,
-    series_hodge_numbers,
-    series_middle_betti,
-    series_signature,
+    signature,
 )
 from .monodromy import (
     ExpandedPoly,
@@ -50,11 +50,10 @@ from .orbifold import (
     Fano,
     Stratum,
     fano,
+    orbifold_order,
     pair_well_formed,
     singular_strata,
-    strata_orbifold_order,
-    strata_pair_well_formed,
-    strata_torsion_status,
+    torsion_status,
 )
 from .weights import (
     Exponents,
@@ -63,6 +62,7 @@ from .weights import (
     divisibility_condition,
     is_well_formed_space,
     quasi_smooth_failure,
+    require_ints,
     validate_weights,
 )
 
@@ -107,21 +107,20 @@ class RegistryEntry:
     def __post_init__(self) -> None:
         ws = validate_weights(self.weights)
         object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "degree", int(self.degree))
-        support = tuple(sorted(tuple(int(a) for a in m) for m in self.support))
+        support = tuple(sorted(require_ints(m, "exponents") for m in self.support))
         object.__setattr__(self, "support", support)
-        object.__setattr__(
-            self,
-            "reference_invariants",
-            tuple(sorted((str(k), int(v)) for k, v in self.reference_invariants)),
-        )
-        f = self.polynomial()  # validates quasi-homogeneity of the stated degree
+        references = tuple(sorted((str(k), v) for k, v in self.reference_invariants))
+        require_ints((v for _, v in references), "reference invariants")
+        object.__setattr__(self, "reference_invariants", references)
+        f = self.polynomial()  # validates the degree and quasi-homogeneity
         failure = quasi_smooth_failure(f)
         if failure is not None:
             raise SinglinkError(
                 f"registry entry {self.tag} is not quasi-smooth at {_subset_label(failure)}"
             )
-        if not self.obstructed and not (fano(f.system).is_fano and pair_well_formed(f)):
+        if not self.obstructed and not (
+            fano(f.system).is_fano and pair_well_formed(singular_strata(f), f.nvars)
+        ):
             raise SinglinkError(
                 f"registry entry {self.tag} claims an SE metric but is not a "
                 "well-formed Fano pair"
@@ -392,15 +391,15 @@ def analyze(
         b2_div = middle_betti(divisor)
     with _stage("hodge numbers"):
         series = poincare_series(w)
-        hodge = tuple(sorted(series_hodge_numbers(series, w).items()))
-        b2_hodge = series_middle_betti(series, w)
-        tau = series_signature(series, w)
+        hodge = tuple(sorted(hodge_numbers(series).items()))
+        b2_hodge = middle_betti_hodge(series)
+        tau = signature(series)
 
     with _stage("strata"):
         strata = singular_strata(f)
-        pwf = strata_pair_well_formed(strata, f.nvars)
-        order = strata_orbifold_order(strata)
-        torsion = strata_torsion_status(strata, f.nvars)
+        pwf = pair_well_formed(strata, f.nvars)
+        order = orbifold_order(strata)
+        torsion = torsion_status(strata, f.nvars)
     if any(s.incidence == CONTAINED for s in strata):
         notes.append(
             "a stratum inside the hypersurface contributes its generic isotropy "

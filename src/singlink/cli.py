@@ -51,9 +51,11 @@ from .weights import (
     WeightedPolynomial,
     WeightSystem,
     quasi_degree,
+    require_ints,
 )
 
 SCAN_MAX_WEIGHT_CEILING = 512
+SCAN_MAX_VARS = 100
 
 _JSON_SAFE = 1 << 53
 
@@ -389,9 +391,11 @@ def run_batch(args: argparse.Namespace) -> int:
                 continue
             try:
                 record = json.loads(line)
-                weights = tuple(int(w) for w in record["weights"])
-                degree = int(record["degree"])
-                poly = str(record["poly"])
+                numbers = (*record["weights"], record["degree"])
+                *weights, degree = require_ints(numbers, "weights and degree")
+                poly = record["poly"]
+                if not isinstance(poly, str):
+                    raise TypeError(f"poly must be a string, got {poly!r}")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 skipped += 1
                 print(f"line {lineno}: skipped ({exc})", file=sys.stderr)
@@ -485,6 +489,8 @@ def scan_rows(
         raise BoundExceededError("max weight must be at least 1")
     if nvars < 2:
         raise BoundExceededError("scan needs at least 2 variables")
+    if nvars > SCAN_MAX_VARS:
+        raise BoundExceededError(f"{nvars} variables exceed the scan ceiling {SCAN_MAX_VARS}")
     tuples = math.comb(max_weight + nvars - 1, nvars)
     ceiling = math.comb(SCAN_MAX_WEIGHT_CEILING + 3, 4)
     if tuples > ceiling:
@@ -559,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-weight", type=int, required=True,
                    help=f"largest weight to try (ceiling {SCAN_MAX_WEIGHT_CEILING})")
     p.add_argument("--index", type=int, default=1, help="Fano index |w| - d")
-    p.add_argument("--vars", type=int, default=4, help="number of variables")
+    p.add_argument("--vars", type=int, default=4,
+                   help=f"number of variables (ceiling {SCAN_MAX_VARS})")
     p.add_argument("--format", choices=("jsonl", "text"), default="jsonl")
     p.add_argument("--out", default=None, metavar="FILE")
     p.set_defaults(func=run_scan)

@@ -31,14 +31,15 @@ class LengthMismatchError(SinglinkError):
 
 
 class NotQuasiHomogeneousError(SinglinkError):
-    """Monomials do not share a single weighted degree."""
+    """Monomials do not share a single weighted degree, or not the stated one."""
 
-    def __init__(self, degrees):
+    def __init__(self, degrees, stated: int | None = None):
         self.degrees = tuple(sorted(set(degrees)))
-        super().__init__(
-            "monomials have distinct weighted degrees: "
-            + ", ".join(str(d) for d in self.degrees)
-        )
+        listed = ", ".join(str(d) for d in self.degrees)
+        message = f"monomials have distinct weighted degrees: {listed}"
+        if stated is not None:
+            message = f"monomials have weighted degrees {listed}; the stated degree is {stated}"
+        super().__init__(message)
 
 
 class EmptySubsetError(SinglinkError):

@@ -9,8 +9,9 @@ out in degrees d - w_i, so its Poincare series is the closed product
 a symmetric polynomial with top degree T = sum_i (d - 2 w_i) and P(1) equal
 to the Milnor number.  Every consumer here is a coefficient lookup:
 primitive Hodge numbers h^{i, n-i-1} at (i+1)d - |w|, the surface signature,
-and the genus of the branch curve of a z3-power split.  The series_* rules
-read a series already built, so one series serves a whole report.
+and the genus of the branch curve of a z3-power split.  The series carries
+its weight system, and the rules read a series already built, so one series
+serves a whole report.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from .weights import WeightSystem, count_monomials
 
 @dataclass(frozen=True)
 class PoincareSeries:
-    """Dense graded dimensions p_0 ... p_T, validated symmetric."""
+    """Dense graded dimensions p_0 ... p_T of the algebra of `system`,
+    validated symmetric."""
 
+    system: WeightSystem
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -61,13 +64,25 @@ class PoincareSeries:
 
 
 @lru_cache(maxsize=None)
-def _validated_series(w: WeightSystem) -> PoincareSeries:
+def poincare_series(w: WeightSystem) -> PoincareSeries:
+    """Exact Poincare series of the Milnor algebra, built and checked once.
+
+    Requires d > w_i for every i (each partial derivative nonconstant); a
+    refused w is not cached, so it raises on every call.  May raise
+    InexactDivision for degree data that is quasi-homogeneous on paper but
+    belongs to no isolated singularity (the closed product is then not a
+    polynomial).
+    """
+    if any(w.degree <= wi for wi in w.weights):
+        raise DegenerateDegreeError(
+            f"degree {w.degree} does not exceed every weight in {w.weights}"
+        )
     coeffs = [1]
     for j, run in groupby(sorted(w.degree - wi for wi in w.weights)):
         coeffs = mul_binomial_power(coeffs, j, len(list(run)))
     for wi in w.weights:
         coeffs = div_binomial(coeffs, wi)
-    series = PoincareSeries(tuple(coeffs))
+    series = PoincareSeries(w, tuple(coeffs))
     num, den = milnor_product(w)
     if series.total() * den != num:
         raise ConsistencyError(
@@ -76,61 +91,28 @@ def _validated_series(w: WeightSystem) -> PoincareSeries:
     return series
 
 
-def poincare_series(w: WeightSystem) -> PoincareSeries:
-    """Exact Poincare series of the Milnor algebra, built and checked once.
-
-    Requires d > w_i for every i (each partial derivative nonconstant).
-    May raise InexactDivision for degree data that is quasi-homogeneous on
-    paper but belongs to no isolated singularity (the closed product is
-    then not a polynomial).
-    """
-    if any(w.degree <= wi for wi in w.weights):
-        raise DegenerateDegreeError(
-            f"degree {w.degree} does not exceed every weight in {w.weights}"
-        )
-    return _validated_series(w)
-
-
-def graded_dim(w: WeightSystem, k: int) -> int:
-    """dim of the Milnor algebra in weighted degree k; 0 outside [0, T]."""
-    return poincare_series(w).coefficient(k)
-
-
-def series_hodge_numbers(series: PoincareSeries, w: WeightSystem) -> dict[tuple[int, int], int]:
+def hodge_numbers(series: PoincareSeries) -> dict[tuple[int, int], int]:
     """Primitive Hodge numbers of the middle fiber cohomology: h^{i, n-i-1} is
     the graded dimension at (i+1)d - |w|, for i = 0 .. n-1 and n+1 variables."""
+    w = series.system
     n = w.nvars - 1
     if n < 1:
         raise WrongDimensionError("at least two variables are required")
     return {(i, n - i - 1): series.coefficient((i + 1) * w.degree - w.total) for i in range(n)}
 
 
-def series_middle_betti(series: PoincareSeries, w: WeightSystem) -> int:
+def middle_betti_hodge(series: PoincareSeries) -> int:
     """Middle Betti number of the link as a sum of Hodge numbers."""
-    return sum(series_hodge_numbers(series, w).values())
+    return sum(hodge_numbers(series).values())
 
 
-def series_signature(series: PoincareSeries, w: WeightSystem) -> int:
+def signature(series: PoincareSeries) -> int:
     """Milnor fiber signature of a surface: 1 + 2 dim M_{d-|w|} - dim M_{2d-|w|}."""
+    w = series.system
     if w.nvars != 4:
         raise WrongDimensionError(f"signature needs exactly 4 variables, got {w.nvars}")
     k = w.degree - w.total
     return 1 + 2 * series.coefficient(k) - series.coefficient(k + w.degree)
-
-
-def hodge_numbers(w: WeightSystem) -> dict[tuple[int, int], int]:
-    """Primitive Hodge numbers of the middle fiber cohomology."""
-    return series_hodge_numbers(poincare_series(w), w)
-
-
-def middle_betti_hodge(w: WeightSystem) -> int:
-    """Middle Betti number of the link as a sum of Hodge numbers."""
-    return series_middle_betti(poincare_series(w), w)
-
-
-def signature(w: WeightSystem) -> int:
-    """Signature of the Milnor fiber intersection form, surface case only."""
-    return series_signature(poincare_series(w), w)
 
 
 def genus_branch_curve(w3: WeightSystem) -> int:
@@ -146,7 +128,7 @@ def genus_branch_curve(w3: WeightSystem) -> int:
             f"branch-curve genus needs exactly 3 weights, got {w3.nvars}"
         )
     k = w3.degree - w3.total
-    g = graded_dim(w3, k)
+    g = poincare_series(w3).coefficient(k)
     if k < min(w3.degree - wi for wi in w3.weights):
         raw = count_monomials(w3.weights, k)
         if g != raw:

@@ -102,38 +102,23 @@ def singular_strata(f: WeightedPolynomial) -> tuple[Stratum, ...]:
     return tuple(out)
 
 
-def strata_orbifold_order(strata: tuple[Stratum, ...]) -> int:
-    """lcm of isotropy orders over strata the hypersurface touches (the strata_*
-    rules read the tuple one singular_strata call gives)."""
+def orbifold_order(strata: tuple[Stratum, ...]) -> int:
+    """lcm of isotropy orders over strata the hypersurface touches (the rules
+    here read the tuple one singular_strata call gives)."""
     return math.lcm(*(s.isotropy_order for s in strata if s.incidence in (MEETS, CONTAINED)))
 
 
-def strata_pair_well_formed(strata: tuple[Stratum, ...], nvars: int) -> bool:
+def pair_well_formed(strata: tuple[Stratum, ...], nvars: int) -> bool:
     """No singular stratum of complex codimension 2 (nvars - 2 indices: edges
     for four variables) lies inside the hypersurface."""
     return not any(s.incidence == CONTAINED and len(s.indices) == nvars - 2 for s in strata)
 
 
-def strata_torsion_status(strata: tuple[Stratum, ...], nvars: int) -> str:
+def torsion_status(strata: tuple[Stratum, ...], nvars: int) -> str:
     """Randell's criterion, four variables only: well-formedness forces
     torsion-free H2, else the status is unknown, never a torsion claim.  The
     strata settle it: singular_strata refuses a space that is not well formed,
     and an edge whose gcd does not divide d has no monomial, so is contained."""
     if nvars != 4:
         raise WrongDimensionError(f"torsion status needs exactly 4 variables, got {nvars}")
-    return TORSION_FREE if strata_pair_well_formed(strata, 4) else TORSION_UNKNOWN
-
-
-def orbifold_order(f: WeightedPolynomial) -> int:
-    """lcm of isotropy orders over strata the hypersurface touches."""
-    return strata_orbifold_order(singular_strata(f))
-
-
-def pair_well_formed(f: WeightedPolynomial) -> bool:
-    """No singular stratum of complex codimension 2 lies inside the hypersurface."""
-    return strata_pair_well_formed(singular_strata(f), f.nvars)
-
-
-def torsion_status(f: WeightedPolynomial) -> str:
-    """Randell's criterion on the strata of f; four variables only."""
-    return strata_torsion_status(singular_strata(f), f.nvars)
+    return TORSION_FREE if pair_well_formed(strata, 4) else TORSION_UNKNOWN

@@ -34,9 +34,19 @@ from .errors import (
 Exponents = tuple[int, ...]
 
 
+def require_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The values as a tuple; a value whose type is not int (a float, a bool)
+    is refused, never truncated."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"{what} must be of type int; {v!r} is a {type(v).__name__}")
+    return values
+
+
 def validate_weights(weights: Iterable[int]) -> tuple[int, ...]:
     """Check positivity and normalization; return the weights as a tuple."""
-    ws = tuple(int(w) for w in weights)
+    ws = require_ints(weights, "weights")
     if not ws:
         raise NonPositiveWeightError("empty weight sequence")
     for w in ws:
@@ -57,7 +67,7 @@ class WeightSystem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", validate_weights(self.weights))
-        object.__setattr__(self, "degree", int(self.degree))
+        require_ints((self.degree,), "the degree")
         if self.degree < 1:
             raise DegenerateDegreeError(f"degree {self.degree} is not positive")
 
@@ -94,7 +104,7 @@ class WeightedPolynomial:
     system: WeightSystem
 
     def __post_init__(self) -> None:
-        support = frozenset(tuple(int(a) for a in m) for m in self.support)
+        support = frozenset(require_ints(m, "exponents") for m in self.support)
         object.__setattr__(self, "support", support)
         degrees = set()
         for m in support:
@@ -106,7 +116,7 @@ class WeightedPolynomial:
                 raise ValueError(f"monomial {m} has a negative exponent")
             degrees.add(weighted_degree(m, self.system))
         if degrees and degrees != {self.system.degree}:
-            raise NotQuasiHomogeneousError(degrees)
+            raise NotQuasiHomogeneousError(degrees, self.system.degree)
 
     @property
     def nvars(self) -> int:
@@ -120,7 +130,7 @@ class WeightedPolynomial:
 
 def quasi_degree(monomials: Iterable[Sequence[int]], weights: Sequence[int]) -> WeightedPolynomial:
     """Build a WeightedPolynomial, inferring the degree from the monomials."""
-    support = frozenset(tuple(int(a) for a in m) for m in monomials)
+    support = frozenset(require_ints(m, "exponents") for m in monomials)
     if not support:
         raise EmptySubsetError("a polynomial needs at least one monomial")
     ws = validate_weights(weights)

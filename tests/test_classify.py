@@ -31,11 +31,13 @@ from singlink import (
     middle_betti_hodge,
     orbifold_order,
     pair_well_formed,
+    poincare_series,
     quasi_degree,
     registry_dump,
     registry_lookup,
     require_consistent,
     signature,
+    singular_strata,
     smale_name,
     smale_type,
     torsion_status,
@@ -128,6 +130,24 @@ def test_registry_reports_the_failing_line():
     assert "registry line 2" in str(err.value)
     with pytest.raises(SinglinkError):
         load_registry('{"weights": [2, 4], "degree": 4, "support": [], "tag": "x", "citation": "y"}')
+
+
+def test_registry_refuses_non_integer_numbers():
+    # a degree of 60.9 used to load as 60
+    line = json.dumps(dict(json.loads(registry_dump().splitlines()[0]), degree=60.9))
+    with pytest.raises(SinglinkError) as err:
+        load_registry(line + "\n")
+    assert str(err.value).startswith("registry line 1: ")
+    assert "60.9 is a float" in str(err.value)
+    dk1 = BUILTIN_REGISTRY[0]
+    with pytest.raises(TypeError):
+        dataclasses.replace(dk1, degree=60.0)
+    with pytest.raises(TypeError):
+        dataclasses.replace(dk1, weights=(9.0, 15, 17, 20))
+    with pytest.raises(TypeError):
+        dataclasses.replace(dk1, support=((5.0, 1, 0, 0),) + dk1.support[1:])
+    with pytest.raises(TypeError):
+        dataclasses.replace(dk1, reference_invariants=(("orbifold_order", 765.0),))
 
 
 def test_registry_refuses_a_relabeled_duplicate():
@@ -484,12 +504,14 @@ def test_public_functions_agree_with_the_report(name, tag, request):
     f = EXAMPLES.get(name) or request.getfixturevalue(name)
     r = analyze(f, registry=TIED_REGISTRY)
     w = f.system
-    assert hodge_numbers(w) == r.hodge_map()
-    assert middle_betti_hodge(w) == r.b2_hodge
-    assert signature(w) == r.signature
-    assert pair_well_formed(f) == r.pair_well_formed
-    assert orbifold_order(f) == r.orbifold_order
-    assert torsion_status(f) == r.torsion
+    series = poincare_series(w)
+    strata = singular_strata(f)
+    assert hodge_numbers(series) == r.hodge_map()
+    assert middle_betti_hodge(series) == r.b2_hodge
+    assert signature(series) == r.signature
+    assert pair_well_formed(strata, f.nvars) == r.pair_well_formed
+    assert orbifold_order(strata) == r.orbifold_order
+    assert torsion_status(strata, f.nvars) == r.torsion
     entry = registry_lookup(f, TIED_REGISTRY)
     assert (entry.tag if entry else None) == r.registry_tag == tag
 
@@ -537,7 +559,7 @@ def test_analyze_and_render_build_no_fraction(tag, monkeypatch):
         f = quasi_degree([tuple(6 * (i == k) for i in range(4)) for k in range(4)], (1,) * 4)
     else:
         f = next(e for e in BUILTIN_REGISTRY if e.tag == tag).polynomial()
-    milnor_algebra._validated_series.cache_clear()
+    milnor_algebra.poincare_series.cache_clear()
     new = Fraction.__new__
     built = []
 

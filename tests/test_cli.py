@@ -308,6 +308,44 @@ def test_cli_batch_counts_skipped_and_failed_records(tmp_path, capsys):
     assert "line 4: failed" in captured.err
 
 
+def test_cli_batch_skips_non_integer_numbers_and_a_non_string_poly(tmp_path, capsys):
+    # the first record used to be truncated to DK-1 and analyzed (ok=1)
+    path = tmp_path / "batch.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps(r) + "\n"
+            for r in [
+                {"weights": [9.9, 15, 17, 20], "degree": 60.7, "poly": DK1_POLY},
+                {"weights": [9, 15, 17, 20], "degree": 60.0, "poly": DK1_POLY},
+                {"weights": [True, 15, 17, 20], "degree": 60, "poly": DK1_POLY},
+                {"weights": [9, 15, 17, 20], "degree": 60, "poly": 5},
+            ]
+        ),
+        encoding="utf-8",
+    )
+    assert entry(["batch", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "ok=0 skipped=4 failed=0"
+    refused = "skipped (weights and degree must be of type int;"
+    assert f"line 1: {refused} 9.9 is a float)" in captured.err
+    assert f"line 2: {refused} 60.0 is a float)" in captured.err
+    assert f"line 3: {refused} True is a bool)" in captured.err
+    assert "line 4: skipped (poly must be a string, got 5)" in captured.err
+
+
+def test_cli_wrong_stated_degree_is_named(tmp_path, capsys):
+    quadric = "z0^2 + z1^2 + z2^2 + z3^2"
+    assert entry(["analyze", "--weights", "1,1,1,1", "--poly", quadric, "--degree", "3"]) == 1
+    message = "monomials have weighted degrees 2; the stated degree is 3"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    path = tmp_path / "batch.jsonl"
+    path.write_text(json.dumps({"weights": [1, 1, 1, 1], "degree": 3, "poly": quadric}) + "\n",
+                    encoding="utf-8")
+    assert entry(["batch", str(path)]) == 0
+    assert f"line 1: failed ({message})" in capsys.readouterr().err
+
+
 def test_cli_batch_writes_to_a_file(tmp_path, capsys):
     src = tmp_path / "in.jsonl"
     src.write_text(
@@ -414,7 +452,8 @@ def pipeline_mu_b2(system):
 
 def reference_scan_rows(max_weight, index, nvars):
     """The scan by its definition: every nondecreasing tuple, the weights
-    module's well-formedness and divisibility tests, the Fraction pipeline."""
+    module's well-formedness and divisibility tests, and the library's
+    milnor_number and characteristic_divisor (pipeline_mu_b2)."""
     for ws in combinations_with_replacement(range(1, max_weight + 1), nvars):
         if math.gcd(*ws) != 1:
             continue
@@ -456,6 +495,15 @@ def test_scan_validates_its_bounds():
         list(scan_rows(0))
     with pytest.raises(BoundExceededError):
         list(scan_rows(5, nvars=1))
+
+
+def test_scan_bounds_its_variable_count():
+    # one tuple passes the tuple ceiling; 1200 variables used to overflow the recursion
+    with pytest.raises(BoundExceededError):
+        scan_rows(1, nvars=cli.SCAN_MAX_VARS + 1)
+    with pytest.raises(BoundExceededError):
+        scan_rows(1, nvars=1200)
+    assert [len(r["weights"]) for r in scan_rows(1, nvars=cli.SCAN_MAX_VARS)] == [100]
 
 
 def test_scan_work_ceiling_is_the_largest_four_variable_scan():
@@ -505,6 +553,14 @@ def test_cli_scan_over_the_work_ceiling_exits_one_at_once(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_cli_scan_over_the_variable_ceiling_exits_one(capsys):
+    assert entry(["scan", "--vars", "1200", "--max-weight", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_registry_prints_the_builtin_table(capsys):

@@ -12,7 +12,6 @@ from singlink import (
     characteristic_divisor,
     count_monomials,
     genus_branch_curve,
-    graded_dim,
     hodge_numbers,
     middle_betti,
     middle_betti_hodge,
@@ -74,6 +73,20 @@ def test_series_rejects_degree_not_above_every_weight():
         poincare_series(WeightSystem((5, 1), 5))
 
 
+def test_a_refused_weight_system_raises_on_every_call_and_is_not_cached():
+    w = WeightSystem((2, 1, 1, 1), 2)
+    size = poincare_series.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(DegenerateDegreeError):
+            poincare_series(w)
+    assert poincare_series.cache_info().currsize == size
+
+
+def test_series_carries_its_weight_system():
+    w = WeightSystem((9, 15, 17, 20), 60)
+    assert poincare_series(w).system == w
+
+
 def test_series_raises_on_data_with_no_algebra():
     # (2, 3) at degree 7: the closed product is not a polynomial
     with pytest.raises(InexactDivisionError):
@@ -82,12 +95,12 @@ def test_series_raises_on_data_with_no_algebra():
 
 def test_poincare_series_validation():
     with pytest.raises(ValueError):
-        PoincareSeries(())
+        PoincareSeries(WeightSystem((1, 1), 3), ())
     with pytest.raises(ValueError):
-        PoincareSeries((1, -1, 1))
+        PoincareSeries(WeightSystem((1, 1), 3), (1, -1, 1))
     with pytest.raises(ValueError):
-        PoincareSeries((1, 2, 2))
-    s = PoincareSeries((1, 2, 1))
+        PoincareSeries(WeightSystem((1, 1), 3), (1, 2, 2))
+    s = PoincareSeries(WeightSystem((1, 1), 3), (1, 2, 1))
     assert s.top == 2
     assert s.total() == 4
     assert s.coefficient(1) == 2
@@ -97,14 +110,14 @@ def test_poincare_series_validation():
 
 def test_graded_dims_of_the_degree_60_link(f60):
     w = f60.system
-    assert graded_dim(w, 59) == 2
-    assert graded_dim(w, -1) == 0
-    assert graded_dim(w, 119) == 0
-    assert graded_dim(w, 0) == 1
+    assert poincare_series(w).coefficient(59) == 2
+    assert poincare_series(w).coefficient(-1) == 0
+    assert poincare_series(w).coefficient(119) == 0
+    assert poincare_series(w).coefficient(0) == 1
 
 
 def test_graded_dim_of_the_second_degree_256_link(f256_2):
-    assert graded_dim(f256_2.system, 255) == 1
+    assert poincare_series(f256_2.system).coefficient(255) == 1
 
 
 def test_graded_dim_matches_monomial_count_in_low_degrees():
@@ -121,14 +134,14 @@ def test_graded_dim_matches_monomial_count_in_low_degrees():
         # below every partial degree d - w_i the Jacobian ideal is empty
         cutoff = min(degree - wi for wi in ws)
         for k in range(cutoff):
-            assert graded_dim(w, k) == count_monomials(ws, k), (ws, degree, k)
+            assert poincare_series(w).coefficient(k) == count_monomials(ws, k), (ws, degree, k)
         seen += 1
 
 
 def test_hodge_numbers_of_the_reference_links(f60, f256_1, f256_2):
-    assert hodge_numbers(f60.system) == {(0, 2): 0, (1, 1): 2, (2, 0): 0}
-    assert hodge_numbers(f256_1.system) == {(0, 2): 0, (1, 1): 1, (2, 0): 0}
-    assert hodge_numbers(f256_2.system) == {(0, 2): 0, (1, 1): 1, (2, 0): 0}
+    assert hodge_numbers(poincare_series(f60.system)) == {(0, 2): 0, (1, 1): 2, (2, 0): 0}
+    assert hodge_numbers(poincare_series(f256_1.system)) == {(0, 2): 0, (1, 1): 1, (2, 0): 0}
+    assert hodge_numbers(poincare_series(f256_2.system)) == {(0, 2): 0, (1, 1): 1, (2, 0): 0}
 
 
 def test_hodge_route_agrees_with_divisor_route_for_middle_betti():
@@ -140,25 +153,25 @@ def test_hodge_route_agrees_with_divisor_route_for_middle_betti():
             continue
         degree = math.lcm(*ws) * rng.randint(2, 3)
         w = WeightSystem(ws, degree)
-        assert middle_betti_hodge(w) == middle_betti(characteristic_divisor(w))
+        assert middle_betti_hodge(poincare_series(w)) == middle_betti(characteristic_divisor(w))
         seen += 1
 
 
 def test_hodge_numbers_of_the_quintic_threefold():
     w = WeightSystem((1, 1, 1, 1), 5)
-    assert hodge_numbers(w) == {(0, 2): 4, (1, 1): 44, (2, 0): 4}
-    assert middle_betti_hodge(w) == 52
+    assert hodge_numbers(poincare_series(w)) == {(0, 2): 4, (1, 1): 44, (2, 0): 4}
+    assert middle_betti_hodge(poincare_series(w)) == 52
     with pytest.raises(WrongDimensionError):
-        hodge_numbers(WeightSystem((1,), 2))
+        hodge_numbers(poincare_series(WeightSystem((1,), 2)))
 
 
 def test_signature_values():
-    assert signature(WeightSystem((9, 15, 17, 20), 60)) == -1
-    assert signature(WeightSystem((11, 49, 69, 128), 256)) == 0
-    assert signature(WeightSystem((13, 35, 81, 128), 256)) == 0
-    assert signature(WeightSystem((1, 1, 1, 1), 2)) == 0
+    assert signature(poincare_series(WeightSystem((9, 15, 17, 20), 60))) == -1
+    assert signature(poincare_series(WeightSystem((11, 49, 69, 128), 256))) == 0
+    assert signature(poincare_series(WeightSystem((13, 35, 81, 128), 256))) == 0
+    assert signature(poincare_series(WeightSystem((1, 1, 1, 1), 2))) == 0
     with pytest.raises(WrongDimensionError):
-        signature(WeightSystem((1, 1, 1), 3))
+        signature(poincare_series(WeightSystem((1, 1, 1), 3)))
 
 
 def test_signature_is_one_minus_betti_below_the_anticanonical_degree():
@@ -172,9 +185,9 @@ def test_signature_is_one_minus_betti_below_the_anticanonical_degree():
     ):
         w = WeightSystem(ws, d)
         assert d < w.total
-        h = hodge_numbers(w)
+        h = hodge_numbers(poincare_series(w))
         assert h[(0, 2)] == 0 and h[(2, 0)] == 0
-        assert signature(w) == 1 - middle_betti_hodge(w)
+        assert signature(poincare_series(w)) == 1 - middle_betti_hodge(poincare_series(w))
 
 
 def test_genus_of_the_branch_curves():

@@ -49,9 +49,9 @@ def test_strata_of_the_degree_60_link(f60):
         (0, 1): (3, MEETS),
         (1, 3): (5, MEETS),
     }
-    assert orbifold_order(f60) == math.lcm(9, 17, 3, 5) == 765
-    assert pair_well_formed(f60)
-    assert torsion_status(f60) == TORSION_FREE
+    assert orbifold_order(singular_strata(f60)) == math.lcm(9, 17, 3, 5) == 765
+    assert pair_well_formed(singular_strata(f60), f60.nvars)
+    assert torsion_status(singular_strata(f60), f60.nvars) == TORSION_FREE
 
 
 def test_strata_of_the_first_degree_256_link(f256_1):
@@ -62,9 +62,9 @@ def test_strata_of_the_first_degree_256_link(f256_1):
         (2,): (69, CONTAINED),
         (3,): (128, DISJOINT),
     }
-    assert orbifold_order(f256_1) == math.lcm(11, 49, 69) == 37191
-    assert pair_well_formed(f256_1)
-    assert torsion_status(f256_1) == TORSION_FREE
+    assert orbifold_order(singular_strata(f256_1)) == math.lcm(11, 49, 69) == 37191
+    assert pair_well_formed(singular_strata(f256_1), f256_1.nvars)
+    assert torsion_status(singular_strata(f256_1), f256_1.nvars) == TORSION_FREE
 
 
 def test_strata_of_the_second_degree_256_link(f256_2):
@@ -74,17 +74,17 @@ def test_strata_of_the_second_degree_256_link(f256_2):
         (2,): (81, CONTAINED),
         (3,): (128, DISJOINT),
     }
-    assert orbifold_order(f256_2) == math.lcm(13, 35, 81) == 36855
-    assert pair_well_formed(f256_2)
-    assert torsion_status(f256_2) == TORSION_FREE
+    assert orbifold_order(singular_strata(f256_2)) == math.lcm(13, 35, 81) == 36855
+    assert pair_well_formed(singular_strata(f256_2), f256_2.nvars)
+    assert torsion_status(singular_strata(f256_2), f256_2.nvars) == TORSION_FREE
 
 
 def test_smooth_space_has_no_strata():
     f = quasi_degree([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)], (1, 1, 1, 1))
     assert singular_strata(f) == ()
-    assert orbifold_order(f) == 1
-    assert pair_well_formed(f)
-    assert torsion_status(f) == TORSION_FREE
+    assert orbifold_order(singular_strata(f)) == 1
+    assert pair_well_formed(singular_strata(f), f.nvars)
+    assert torsion_status(singular_strata(f), f.nvars) == TORSION_FREE
 
 
 def test_contained_edge_blocks_pair_well_formedness():
@@ -96,9 +96,9 @@ def test_contained_edge_blocks_pair_well_formedness():
         (3,): (3, CONTAINED),
         (0, 1): (2, CONTAINED),
     }
-    assert orbifold_order(f) == 6
-    assert not pair_well_formed(f)
-    assert torsion_status(f) == TORSION_UNKNOWN
+    assert orbifold_order(singular_strata(f)) == 6
+    assert not pair_well_formed(singular_strata(f), f.nvars)
+    assert torsion_status(singular_strata(f), f.nvars) == TORSION_UNKNOWN
 
 
 def test_disjoint_strata_contribute_nothing_to_the_order():
@@ -112,9 +112,9 @@ def test_disjoint_strata_contribute_nothing_to_the_order():
         (3,): (3, DISJOINT),
         (0, 1): (2, MEETS),
     }
-    assert orbifold_order(f) == 2
-    assert pair_well_formed(f)
-    assert torsion_status(f) == TORSION_FREE
+    assert orbifold_order(singular_strata(f)) == 2
+    assert pair_well_formed(singular_strata(f), f.nvars)
+    assert torsion_status(singular_strata(f), f.nvars) == TORSION_FREE
 
 
 def test_single_monomial_on_an_edge_counts_as_disjoint():
@@ -127,8 +127,8 @@ def test_single_monomial_on_an_edge_counts_as_disjoint():
         (3,): (3, DISJOINT),
         (0, 1): (2, DISJOINT),
     }
-    assert orbifold_order(f) == 2
-    assert pair_well_formed(f)
+    assert orbifold_order(singular_strata(f)) == 2
+    assert pair_well_formed(singular_strata(f), f.nvars)
 
 
 def test_vertex_incidence_follows_pure_powers(f60):
@@ -165,9 +165,9 @@ def test_three_variable_curves_are_supported():
     m = strata_map(f)
     assert m[(0, 1)] == (3, MEETS)
     assert m[(2,)] == (2, DISJOINT)
-    assert orbifold_order(f) == 3
+    assert orbifold_order(singular_strata(f)) == 3
     with pytest.raises(WrongDimensionError):
-        torsion_status(f)
+        torsion_status(singular_strata(f), f.nvars)
 
 
 def test_strata_are_equivariant_under_variable_permutation(f60):
@@ -182,14 +182,15 @@ def test_strata_are_equivariant_under_variable_permutation(f60):
         for s in singular_strata(f60)
     }
     assert strata_map(g) == expected
-    assert orbifold_order(g) == orbifold_order(f60)
-    assert pair_well_formed(g) == pair_well_formed(f60)
-    assert torsion_status(g) == torsion_status(f60)
+    sg, sf = singular_strata(g), singular_strata(f60)
+    assert orbifold_order(sg) == orbifold_order(sf)
+    assert pair_well_formed(sg, 4) == pair_well_formed(sf, 4)
+    assert torsion_status(sg, 4) == torsion_status(sf, 4)
 
 
 def test_orbifold_order_divides_the_weight_lcm(f60, f256_1, f256_2):
     for f in (f60, f256_1, f256_2):
-        assert math.lcm(*f.system.weights) % orbifold_order(f) == 0
+        assert math.lcm(*f.system.weights) % orbifold_order(singular_strata(f)) == 0
 
 
 def test_stratum_validation():
@@ -204,7 +205,7 @@ def test_stratum_validation():
 def test_torsion_status_requires_four_variables():
     f = quasi_degree([(2, 0), (0, 2)], (1, 1))
     with pytest.raises(WrongDimensionError):
-        torsion_status(f)
+        torsion_status(singular_strata(f), f.nvars)
 
 
 def reference_torsion_status(f):
@@ -212,7 +213,8 @@ def reference_torsion_status(f):
     the divisibility condition and pair well-formedness."""
     w = f.system
     well_formed = is_well_formed_space(w) and divisibility_condition(w)
-    return TORSION_FREE if well_formed and pair_well_formed(f) else TORSION_UNKNOWN
+    pwf = pair_well_formed(singular_strata(f), f.nvars)
+    return TORSION_FREE if well_formed and pwf else TORSION_UNKNOWN
 
 
 def edge_supports(weights, max_degree):
@@ -240,7 +242,7 @@ def test_torsion_status_needs_only_the_strata():
         for degree, support in edge_supports(ws, 40).items():
             f = WeightedPolynomial(frozenset(support), WeightSystem(ws, degree))
             try:
-                got = torsion_status(f)
+                got = torsion_status(singular_strata(f), f.nvars)
             except UnsupportedDimensionError:
                 continue
             assert got == reference_torsion_status(f), (ws, degree)

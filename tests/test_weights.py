@@ -76,6 +76,37 @@ def test_weighted_polynomial_validates_uniform_degree():
     assert err.value.degrees == (2, 3)
 
 
+def test_a_stated_degree_no_monomial_has_is_named():
+    # a quadric stated at degree 3: the message names both degrees
+    w = WeightSystem((1, 1, 1, 1), 3)
+    with pytest.raises(NotQuasiHomogeneousError) as err:
+        WeightedPolynomial(frozenset({(2, 0, 0, 0), (0, 2, 0, 0)}), w)
+    assert err.value.degrees == (2,)
+    assert str(err.value) == "monomials have weighted degrees 2; the stated degree is 3"
+    with pytest.raises(NotQuasiHomogeneousError) as err:
+        quasi_degree([(1, 0), (0, 2)], (1, 1))
+    assert str(err.value) == "monomials have distinct weighted degrees: 1, 2"
+
+
+def test_non_integer_numbers_are_refused_not_truncated():
+    # each of these used to be truncated by int(): (1.7, 1, 1, 1), 2.9 became (1, 1, 1, 1), 2
+    with pytest.raises(TypeError):
+        WeightSystem((1.7, 1, 1, 1), 2.9)
+    with pytest.raises(TypeError):
+        WeightSystem((1, 1, 1, 1), 2.0)
+    with pytest.raises(TypeError):
+        WeightSystem((True, 1), 2)
+    with pytest.raises(TypeError):
+        validate_weights([9.9, 15, 17, 20])
+    w = WeightSystem((1, 1), 2)
+    with pytest.raises(TypeError):
+        WeightedPolynomial(frozenset({(2.0, 0)}), w)
+    with pytest.raises(TypeError):
+        quasi_degree([(2.5, 0), (0, 2)], (1, 1))
+    with pytest.raises(TypeError):
+        quasi_degree([(2, 0), (0, 2)], (1.0, 1))
+
+
 def test_weighted_polynomial_rejects_negative_exponents_and_bad_length():
     w = WeightSystem((1, 1), 2)
     with pytest.raises(ValueError):
