@@ -105,6 +105,9 @@ class RegistryEntry:
     key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name, kind in (("tag", str), ("citation", str), ("obstructed", bool)):
+            if type(getattr(self, name)) is not kind:
+                raise TypeError(f"{name} must be a {kind.__name__}, not {getattr(self, name)!r}")
         ws = validate_weights(self.weights)
         object.__setattr__(self, "weights", ws)
         support = tuple(sorted(require_ints(m, "exponents") for m in self.support))
@@ -201,14 +204,12 @@ def load_registry(text: str) -> tuple[RegistryEntry, ...]:
                 weights=tuple(record["weights"]),
                 degree=record["degree"],
                 support=tuple(tuple(m) for m in record["support"]),
-                tag=str(record["tag"]),
-                citation=str(record["citation"]),
-                obstructed=bool(record.get("obstructed", False)),
-                reference_invariants=tuple(
-                    (k, v) for k, v in record.get("invariants", {}).items()
-                ),
+                tag=record["tag"],
+                citation=record["citation"],
+                obstructed=record.get("obstructed", False),
+                reference_invariants=tuple(record.get("invariants", {}).items()),
             )
-        except (KeyError, TypeError, ValueError, SinglinkError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, SinglinkError) as exc:
             raise SinglinkError(f"registry line {lineno}: {exc}") from exc
         if entry.key in seen:
             raise SinglinkError(f"registry line {lineno}: {entry.tag} duplicates {seen[entry.key]}")

@@ -27,7 +27,7 @@ from .errors import (
     WrongDimensionError,
 )
 from .monodromy import milnor_product
-from .weights import WeightSystem, count_monomials
+from .weights import WeightSystem, count_monomials, require_ints
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class PoincareSeries:
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coefficients)
+        coeffs = require_ints(self.coefficients, "graded dimensions")
         if not coeffs:
             raise ValueError("a Poincare series has at least the degree-0 entry")
         if any(c < 0 for c in coeffs):

@@ -40,7 +40,7 @@ from .errors import (
     IntegralityViolationError,
     NonIntegralMilnorNumberError,
 )
-from .weights import WeightSystem
+from .weights import WeightSystem, require_ints
 
 
 def milnor_product(w: WeightSystem) -> tuple[int, int]:
@@ -109,7 +109,8 @@ class FactoredCharPoly:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted((int(j), int(e)) for j, e in self.factors if e))
+        pairs = [require_ints((j, e), "factor indices and exponents") for j, e in self.factors]
+        canon = tuple(sorted(pair for pair in pairs if pair[1]))
         if any(j < 1 for j, _ in canon):
             raise ValueError("factor exponents t^j - 1 need j >= 1")
         if len({j for j, _ in canon}) != len(canon):
@@ -144,7 +145,7 @@ class ExpandedPoly:
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coefficients)
+        coeffs = require_ints(self.coefficients, "coefficients")
         if not coeffs or coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
         object.__setattr__(self, "coefficients", coeffs)
@@ -245,11 +246,7 @@ def bp_oracle(a: Sequence[int], bound: int = 5000) -> ExpandedPoly:
         by_order.setdefault(order, {})[r // g if g else 0] = c
     factors: list[list[int]] = []
     for order, residues in sorted(by_order.items()):
-        expected = (
-            {0}
-            if order == 1
-            else {x for x in range(1, order) if math.gcd(x, order) == 1}
-        )
+        expected = {x for x in range(order) if math.gcd(x, order) == 1}  # {0} at order 1
         if set(residues) != expected or len(set(residues.values())) != 1:
             raise ConsistencyError(
                 f"roots of order {order} do not fill Galois orbits evenly: {residues}"
@@ -260,14 +257,20 @@ def bp_oracle(a: Sequence[int], bound: int = 5000) -> ExpandedPoly:
 
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> list[int]:
-    """Coefficients of the n-th cyclotomic polynomial, constant first."""
+    """Coefficients of Phi_n, constant first.  With p the largest prime factor of
+    n and m = n / p: Phi_n(t) = Phi_m(t^p) if p | m, else Phi_m(t^p) / Phi_m(t)."""
     if n == 1:
         return [-1, 1]
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _exact_div(poly, _cyclotomic(d))
-    return poly
+    p, k = n, 2  # divide out the smallest factors: the largest prime is left
+    while k * k <= p:
+        if p % k:
+            k += 1
+        else:
+            p //= k
+    inner = _cyclotomic(n // p)
+    spread = [0] * (p * (len(inner) - 1) + 1)
+    spread[::p] = inner
+    return spread if n // p % p == 0 else _exact_div(spread, inner)
 
 
 def _exact_div(num: list[int], den: list[int]) -> list[int]:
@@ -305,25 +308,21 @@ def _product_tree(factors: list[list[int]]) -> list[int]:
 def _kronecker_mul(p: list[int], q: list[int]) -> list[int]:
     """Exact polynomial product via one big-integer multiplication.
 
-    Coefficients are packed in a base large enough that balanced digits
-    recover the (possibly negative) convolution exactly.
+    Coefficients are packed in power-of-two slots wide enough that balanced
+    digits recover the (possibly negative) convolution exactly; unpacking
+    masks each slot and carries one into the next when a digit is negative.
     """
     limit = min(len(p), len(q)) * max(map(abs, p)) * max(map(abs, q))
-    base = 1 << (2 * limit).bit_length()
-    packed_p = 0
-    for c in reversed(p):
-        packed_p = packed_p * base + c
-    packed_q = 0
-    for c in reversed(q):
-        packed_q = packed_q * base + c
-    packed = packed_p * packed_q
-    out = []
+    shift = (2 * limit).bit_length()
+    base = 1 << shift
+    mask, half = base - 1, base >> 1
+    packed = math.prod(sum(c << i * shift for i, c in enumerate(r)) for r in (p, q))
+    out, carry = [], 0
     for _ in range(len(p) + len(q) - 1):
-        digit = packed % base
-        if digit > base // 2:
-            digit -= base
-        out.append(digit)
-        packed = (packed - digit) // base
-    if packed:
+        digit = (packed & mask) + carry
+        carry = digit > half
+        out.append(digit - base if carry else digit)
+        packed >>= shift
+    if packed + carry:
         raise ConsistencyError("packed product decoding did not terminate")
     return out

@@ -150,6 +150,28 @@ def test_registry_refuses_non_integer_numbers():
         dataclasses.replace(dk1, reference_invariants=(("orbifold_order", 765.0),))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # "false" used to load as obstructed=True through bool(...)
+        ("obstructed", "false", "obstructed must be a bool, not 'false'"),
+        ("obstructed", 0, "obstructed must be a bool, not 0"),
+        # 5 used to load as the tag '5' through str(...)
+        ("tag", 5, "tag must be a str, not 5"),
+        ("citation", None, "citation must be a str, not None"),
+        ("invariants", [], "'list' object has no attribute 'items'"),
+    ],
+)
+def test_registry_refuses_fields_of_the_wrong_type(field, value, message):
+    line = json.dumps(dict(json.loads(registry_dump().splitlines()[0]), **{field: value}))
+    with pytest.raises(SinglinkError) as err:
+        load_registry(line + "\n")
+    assert str(err.value) == f"registry line 1: {message}"
+    if field != "invariants":
+        with pytest.raises(TypeError):
+            dataclasses.replace(BUILTIN_REGISTRY[0], **{field: value})
+
+
 def test_registry_refuses_a_relabeled_duplicate():
     dk1 = BUILTIN_REGISTRY[0]
     perm = (2, 0, 3, 1)

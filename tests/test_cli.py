@@ -622,6 +622,16 @@ def test_cli_registry_refuses_a_non_fano_se_claim(tmp_path, capsys):
     )
 
 
+def test_cli_registry_refuses_a_string_obstructed_flag(tmp_path, capsys):
+    record = dict(json.loads(registry_dump().splitlines()[0]), obstructed="false")
+    path = tmp_path / "registry.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert entry(["registry", "--registry", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: registry line 1: obstructed must be a bool, not 'false'\n"
+
+
 def test_cli_degree_option_matches_inference(capsys, report60):
     code = entry(
         ["analyze", "--weights", "9,15,17,20", "--poly", DK1_POLY,

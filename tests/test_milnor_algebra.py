@@ -100,6 +100,9 @@ def test_poincare_series_validation():
         PoincareSeries(WeightSystem((1, 1), 3), (1, -1, 1))
     with pytest.raises(ValueError):
         PoincareSeries(WeightSystem((1, 1), 3), (1, 2, 2))
+    # a float used to be truncated: (1.5, 2, 1.5) was stored as (1, 2, 1)
+    with pytest.raises(TypeError, match="1.5 is a float"):
+        PoincareSeries(WeightSystem((1, 1), 3), (1.5, 2, 1.5))
     s = PoincareSeries(WeightSystem((1, 1), 3), (1, 2, 1))
     assert s.top == 2
     assert s.total() == 4

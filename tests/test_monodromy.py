@@ -293,6 +293,20 @@ def test_expanded_poly_validation_and_evaluation():
     assert ExpandedPoly((1, 1)).multiplicity_at_one() == 0
 
 
+def test_factored_and_expanded_polys_refuse_non_integers():
+    # each used to be truncated: (2.7, 1) -> (2, 1) and (1.5, 1) -> (1, 1)
+    with pytest.raises(TypeError, match="2.7 is a float"):
+        FactoredCharPoly(((2.7, 1),))
+    with pytest.raises(TypeError, match="1.5 is a float"):
+        FactoredCharPoly(((3, 1), (2, 1.5)))
+    with pytest.raises(TypeError, match="0.0 is a float"):
+        FactoredCharPoly(((2, 0.0),))
+    with pytest.raises(TypeError, match="1.5 is a float"):
+        ExpandedPoly((1.5, 1))
+    with pytest.raises(TypeError, match="True is a bool"):
+        ExpandedPoly((-1, True))
+
+
 def test_expansion_matches_grouped_product_for_degree_60_link(f60):
     expanded = expand(to_factored(characteristic_divisor(f60.system)))
     grouped = naive_product(
@@ -375,6 +389,80 @@ def test_bp_oracle_degree_and_symmetry():
     # product of cyclotomics over a closed root multiset: palindromic up to sign
     coeffs = p.coefficients
     assert coeffs in (tuple(reversed(coeffs)), tuple(-c for c in reversed(coeffs)))
+
+
+def _mobius(n):
+    sign, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            sign = -sign
+        k += 1
+    return -sign if n > 1 else sign
+
+
+def _times_binomial(poly, d):
+    """poly * (t^d - 1)."""
+    return [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+
+
+def _over_binomial(poly, d):
+    """poly / (t^d - 1), asserted exact."""
+    quotient = [0] * (len(poly) - d)
+    for i in range(len(quotient)):
+        quotient[i] = (quotient[i - d] if i >= d else 0) - poly[i]
+    assert ([0] * d + quotient)[len(quotient):] == poly[len(quotient):], "inexact"
+    return quotient
+
+
+# the largest order bp_oracle meets on the benchmark's oracle workload
+# (all quadruples with prod(a_i - 1) <= 300)
+CYCLOTOMIC_ORDERS = 1110
+
+
+def test_cyclotomic_table_matches_the_mobius_product():
+    """Phi_n = prod_{d | n} (t^d - 1)^{mu(n/d)}, for every n up to 1,110."""
+    for n in range(1, CYCLOTOMIC_ORDERS + 1):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        poly = [1]
+        for d in divisors:
+            if _mobius(n // d) == 1:
+                poly = _times_binomial(poly, d)
+        for d in divisors:
+            if _mobius(n // d) == -1:
+                poly = _over_binomial(poly, d)
+        assert monodromy._cyclotomic(n) == poly, n
+
+
+def test_kronecker_mul_matches_schoolbook_convolution():
+    rng = random.Random(2011)
+    cases = []
+    for _ in range(300):
+        bits = rng.choice((1, 3, 8, 30, 70))
+        p, q = (
+            [rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(1, 12))]
+            for _ in range(2)
+        )
+        p[-1] = p[-1] or -1
+        q[-1] = q[-1] or 1
+        cases.append((p, q))
+    # length-1 operands, a negative leading coefficient, interior zeros
+    cases += [([7], [-3]), ([-1], [2, 0, -5]), ([4, -4, 0, 9], [-6]), ([1, 0, 0, -1], [-1, 0, 1])]
+    # |coefficient| reaches the bound min(len) * max|p| * max|q| = 3 * 5 * 17 = 255,
+    # one below the slot's half 256: alone, with either sign, and next to each
+    # other in both orders (a borrow into a full digit, and out of one)
+    for q in ([17, 17, 17], [-17, -17, -17], [17, -17, 17, -17], [-17, 17, -17, 17]):
+        cases.append(([5, -5, 5] if len(q) == 4 else [5, 5, 5], q))
+    extremes, neighbours = set(), set()
+    for p, q in cases:
+        got = monodromy._kronecker_mul(p, q)
+        assert got == naive_mul(p, q), (p, q)
+        extremes.update(c for c in got if abs(c) == 255)
+        neighbours.update(pair for pair in zip(got, got[1:]) if {abs(c) for c in pair} == {255})
+    assert extremes == {255, -255}
+    assert neighbours == {(255, -255), (-255, 255)}
 
 
 def test_expand_matches_the_reference_on_brieskorn_pham_quadruples():
@@ -464,4 +552,13 @@ def test_multiplicity_at_one_calls_no_kernel(monkeypatch, f60):
     expanded = expand(to_factored(characteristic_divisor(f60.system)))
     calls = _count_kernel_calls(monkeypatch)
     assert expanded.multiplicity_at_one() == 2
+    assert calls == []
+
+
+def test_bp_oracle_calls_no_kernel(monkeypatch):
+    # the oracle builds its cyclotomic table with its own arithmetic, so it
+    # shares no failure mode with expand
+    monodromy._cyclotomic.cache_clear()
+    calls = _count_kernel_calls(monkeypatch)
+    assert bp_oracle((4, 6, 9, 10)).degree == 3 * 5 * 8 * 9
     assert calls == []
