@@ -63,7 +63,6 @@ from .milnor_algebra import (
 )
 from .monodromy import (
     ExpandedPoly,
-    FactoredCharPoly,
     bp_oracle,
     characteristic_divisor,
     expand,

@@ -37,7 +37,6 @@ from .milnor_algebra import (
 )
 from .monodromy import (
     ExpandedPoly,
-    FactoredCharPoly,
     characteristic_divisor,
     expand,
     middle_betti,
@@ -101,7 +100,7 @@ class RegistryEntry:
     tag: str
     citation: str
     obstructed: bool = False
-    reference_invariants: tuple[tuple[str, int], ...] = ()
+    reference_order: int | None = None
     key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -112,9 +111,8 @@ class RegistryEntry:
         object.__setattr__(self, "weights", ws)
         support = tuple(sorted(require_ints(m, "exponents") for m in self.support))
         object.__setattr__(self, "support", support)
-        references = tuple(sorted((str(k), v) for k, v in self.reference_invariants))
-        require_ints((v for _, v in references), "reference invariants")
-        object.__setattr__(self, "reference_invariants", references)
+        if self.reference_order is not None:
+            require_ints((self.reference_order,), "the reference orbifold order")
         f = self.polynomial()  # validates the degree and quasi-homogeneity
         failure = quasi_smooth_failure(f)
         if failure is not None:
@@ -134,9 +132,6 @@ class RegistryEntry:
         return WeightedPolynomial(
             frozenset(self.support), WeightSystem(self.weights, self.degree)
         )
-
-    def reference(self, name: str) -> int | None:
-        return dict(self.reference_invariants).get(name)
 
 
 _DK_CITATION = (
@@ -159,7 +154,7 @@ BUILTIN_REGISTRY: tuple[RegistryEntry, ...] = (
         support=((17, 0, 1, 0), (1, 5, 0, 0), (0, 1, 3, 0), (0, 0, 0, 2)),
         tag="DK-2",
         citation=_DK_CITATION,
-        reference_invariants=(("orbifold_order", 37191),),
+        reference_order=37191,
     ),
     RegistryEntry(
         weights=(13, 35, 81, 128),
@@ -167,7 +162,7 @@ BUILTIN_REGISTRY: tuple[RegistryEntry, ...] = (
         support=((17, 1, 0, 0), (1, 0, 3, 0), (0, 5, 1, 0), (0, 0, 0, 2)),
         tag="DK-3",
         citation=_DK_CITATION,
-        reference_invariants=(("orbifold_order", 36855),),
+        reference_order=36855,
     ),
 )
 
@@ -185,8 +180,8 @@ def registry_dump(entries: tuple[RegistryEntry, ...] = BUILTIN_REGISTRY) -> str:
         }
         if e.obstructed:
             record["obstructed"] = True
-        if e.reference_invariants:
-            record["invariants"] = dict(e.reference_invariants)
+        if e.reference_order is not None:
+            record["invariants"] = {"orbifold_order": e.reference_order}
         lines.append(json.dumps(record, ensure_ascii=False))
     return "".join(line + "\n" for line in lines)
 
@@ -200,6 +195,10 @@ def load_registry(text: str) -> tuple[RegistryEntry, ...]:
             continue
         try:
             record = json.loads(line)
+            invariants = dict(record.get("invariants", {}).items())
+            reference_order = invariants.pop("orbifold_order", None)
+            if invariants:
+                raise ValueError(f"unknown reference invariants {sorted(invariants)}")
             entry = RegistryEntry(
                 weights=tuple(record["weights"]),
                 degree=record["degree"],
@@ -207,7 +206,7 @@ def load_registry(text: str) -> tuple[RegistryEntry, ...]:
                 tag=record["tag"],
                 citation=record["citation"],
                 obstructed=record.get("obstructed", False),
-                reference_invariants=tuple(record.get("invariants", {}).items()),
+                reference_order=reference_order,
             )
         except (AttributeError, KeyError, TypeError, ValueError, SinglinkError) as exc:
             raise SinglinkError(f"registry line {lineno}: {exc}") from exc
@@ -265,7 +264,6 @@ class InvariantReport:
     fano: Fano
     milnor_number: int
     divisor: Divisor
-    factored: FactoredCharPoly
     expanded: ExpandedPoly
     b2_divisor: int
     series: PoincareSeries
@@ -387,20 +385,19 @@ def analyze(
         mu = milnor_number(w)
     with _stage("characteristic divisor"):
         divisor = characteristic_divisor(w)
-        factored = to_factored(divisor)
-        expanded = expand(factored)
+        expanded = expand(to_factored(divisor))
         b2_div = middle_betti(divisor)
     with _stage("hodge numbers"):
         series = poincare_series(w)
-        hodge = tuple(sorted(hodge_numbers(series).items()))
-        b2_hodge = middle_betti_hodge(series)
+        hodge_map = hodge_numbers(series)
+        b2_hodge = middle_betti_hodge(hodge_map)
         tau = signature(series)
 
     with _stage("strata"):
         strata = singular_strata(f)
         pwf = pair_well_formed(strata, f.nvars)
         order = orbifold_order(strata)
-        torsion = torsion_status(strata, f.nvars)
+        torsion = torsion_status(pwf, f.nvars)
     if any(s.incidence == CONTAINED for s in strata):
         notes.append(
             "a stratum inside the hypersurface contributes its generic isotropy "
@@ -423,7 +420,7 @@ def analyze(
 
     with _stage("registry"):
         entry = registry_lookup(f, registry)
-    reference_order = entry.reference("orbifold_order") if entry else None
+    reference_order = entry.reference_order if entry else None
     order_source = "reference" if reference_order is not None else "derived"
     if reference_order is None:
         notes.append(
@@ -486,12 +483,11 @@ def analyze(
         fano=fano_rec,
         milnor_number=mu,
         divisor=divisor,
-        factored=factored,
         expanded=expanded,
         b2_divisor=b2_div,
         series=series,
         b2_hodge=b2_hodge,
-        hodge=hodge,
+        hodge=tuple(sorted(hodge_map.items())),
         signature=tau,
         genus=genus,
         strata=strata,

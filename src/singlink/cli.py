@@ -185,7 +185,7 @@ def parse_polynomial(text: str, nvars: int | None = None) -> frozenset[Exponents
 
 def render_polynomial(support: Iterable[Sequence[int]]) -> str:
     """Canonical text form: monomials in descending lexicographic order."""
-    vectors = sorted({tuple(int(a) for a in m) for m in support}, reverse=True)
+    vectors = sorted({require_ints(m, "exponents") for m in support}, reverse=True)
     if not vectors:
         return "0"
     parts = []
@@ -215,13 +215,26 @@ def _divisor_terms(divisor: Divisor) -> list[list[int]]:
     return [[n, divisor.coefficient(n)] for n in sorted(divisor.support, reverse=True)]
 
 
+def _factored_pretty(divisor: Divisor) -> str:
+    """Delta(t) = prod (t^j - 1)^{a_j} as numerator over denominator, largest j first."""
+
+    def fmt(j: int, e: int) -> str:
+        base = "(t-1)" if j == 1 else f"(t^{j}-1)"
+        return base if e == 1 else f"{base}^{e}"
+
+    terms = _divisor_terms(divisor)
+    top = "".join(fmt(j, e) for j, e in terms if e > 0) or "1"
+    den = "".join(fmt(j, -e) for j, e in terms if e < 0)
+    return f"{top} / {den}" if den else top
+
+
 def report_to_json_dict(report: InvariantReport) -> dict:
     invariants: dict = {}
     _big_int(invariants, "milnor_number", report.milnor_number)
     invariants["characteristic_divisor"] = report.divisor.pretty()
     invariants["divisor_terms"] = _divisor_terms(report.divisor)
-    invariants["factored"] = [list(fe) for fe in report.factored.factors]
-    invariants["factored_pretty"] = report.factored.pretty()
+    invariants["factored"] = _divisor_terms(report.divisor)[::-1]
+    invariants["factored_pretty"] = _factored_pretty(report.divisor)
     invariants["expanded_degree"] = report.expanded.degree
     _big_int_list(invariants, "expanded_coefficients", report.expanded.coefficients)
     invariants["b2_divisor"] = report.b2_divisor
@@ -301,7 +314,7 @@ def render_text(report: InvariantReport) -> str:
         f"flags: {', '.join(flags)}",
         f"Milnor number: {report.milnor_number}",
         f"characteristic divisor: {report.divisor.pretty()}",
-        f"factored: {report.factored.pretty()}",
+        f"factored: {_factored_pretty(report.divisor)}",
         f"b2: {report.b2_divisor} (divisor route), {report.b2_hodge} (Hodge route)",
         "hodge numbers: "
         + "  ".join(f"h^{{{i},{j}}} = {value}" for (i, j), value in report.hodge),

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .errors import NonIntegralCoefficientError, NonPositiveIndexError
+from .weights import require_ints
 
 
 class Divisor:
@@ -26,7 +27,7 @@ class Divisor:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, int] = {}
         for n, c in items:
-            n = int(n)
+            require_ints((n,), "divisor indices")
             if n < 1:
                 raise NonPositiveIndexError(f"divisor index {n} is not positive")
             if type(c) is not int:

@@ -7,7 +7,8 @@ out in degrees d - w_i, so its Poincare series is the closed product
     P(t) = prod_i (t^{d - w_i} - 1) / (t^{w_i} - 1)
 
 a symmetric polynomial with top degree T = sum_i (d - 2 w_i) and P(1) equal
-to the Milnor number.  Every consumer here is a coefficient lookup:
+to the Milnor number, expanded by monodromy.expand as the characteristic
+polynomial is.  Every consumer here is a coefficient lookup:
 primitive Hodge numbers h^{i, n-i-1} at (i+1)d - |w|, the surface signature,
 and the genus of the branch curve of a z3-power split.  The series carries
 its weight system, and the rules read a series already built, so one series
@@ -18,15 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
-from ._intpoly import div_binomial, mul_binomial_power
 from .errors import (
     ConsistencyError,
     DegenerateDegreeError,
     WrongDimensionError,
 )
-from .monodromy import milnor_product
+from .monodromy import expand, milnor_product
 from .weights import WeightSystem, count_monomials, require_ints
 
 
@@ -65,7 +64,7 @@ class PoincareSeries:
 
 @lru_cache(maxsize=None)
 def poincare_series(w: WeightSystem) -> PoincareSeries:
-    """Exact Poincare series of the Milnor algebra, built and checked once.
+    """Exact Poincare series of the Milnor algebra, expanded and checked once.
 
     Requires d > w_i for every i (each partial derivative nonconstant); a
     refused w is not cached, so it raises on every call.  May raise
@@ -77,12 +76,8 @@ def poincare_series(w: WeightSystem) -> PoincareSeries:
         raise DegenerateDegreeError(
             f"degree {w.degree} does not exceed every weight in {w.weights}"
         )
-    coeffs = [1]
-    for j, run in groupby(sorted(w.degree - wi for wi in w.weights)):
-        coeffs = mul_binomial_power(coeffs, j, len(list(run)))
-    for wi in w.weights:
-        coeffs = div_binomial(coeffs, wi)
-    series = PoincareSeries(w, tuple(coeffs))
+    factors = [(w.degree - wi, 1) for wi in w.weights] + [(wi, -1) for wi in w.weights]
+    series = PoincareSeries(w, expand(factors).coefficients)
     num, den = milnor_product(w)
     if series.total() * den != num:
         raise ConsistencyError(
@@ -101,9 +96,9 @@ def hodge_numbers(series: PoincareSeries) -> dict[tuple[int, int], int]:
     return {(i, n - i - 1): series.coefficient((i + 1) * w.degree - w.total) for i in range(n)}
 
 
-def middle_betti_hodge(series: PoincareSeries) -> int:
-    """Middle Betti number of the link as a sum of Hodge numbers."""
-    return sum(hodge_numbers(series).values())
+def middle_betti_hodge(hodge: dict[tuple[int, int], int]) -> int:
+    """Middle Betti number of the link: the sum of hodge_numbers' values."""
+    return sum(hodge.values())
 
 
 def signature(series: PoincareSeries) -> int:

@@ -12,8 +12,10 @@ with the product taken in the group ring of roots of unity, Lambda_a * Lambda_b
 = gcd(a, b) * Lambda_lcm(a, b), computed in int scaled by prod v_i
 (milnor_orlik_terms, shared with scan), and mu as prod(d - w_i) / prod w_i
 (milnor_product).  Both must come out integral, a divisibility test; the
-exponent of Lambda_j is then the exponent of (t^j - 1) in a factored form
-of Delta, which expands to exact integer coefficients.
+coefficient of Lambda_j is then the exponent of (t^j - 1) in Delta, so the
+divisor's (j, a_j) pairs (to_factored) are its factored form.  expand is the
+one expander of such binomial quotients: Delta here, and the Poincare series
+of milnor_algebra.
 
 bp_oracle is a deliberately independent second route for exponent sums
 f = z_0^{a_0} + ... + z_n^{a_n}: it enumerates the monodromy eigenvalues as
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._intpoly import div_binomial, mul_binomial_power
 from .divisor import Divisor
@@ -103,42 +105,6 @@ def characteristic_divisor(w: WeightSystem) -> Divisor:
 
 
 @dataclass(frozen=True)
-class FactoredCharPoly:
-    """Delta(t) = prod (t^j - 1)^{e_j}, as a sorted (j, e_j) tuple."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        pairs = [require_ints((j, e), "factor indices and exponents") for j, e in self.factors]
-        canon = tuple(sorted(pair for pair in pairs if pair[1]))
-        if any(j < 1 for j, _ in canon):
-            raise ValueError("factor exponents t^j - 1 need j >= 1")
-        if len({j for j, _ in canon}) != len(canon):
-            raise ValueError("duplicate factor index")
-        object.__setattr__(self, "factors", canon)
-        if self.degree() < 0:
-            raise ValueError("factored form has negative total degree")
-
-    def degree(self) -> int:
-        return sum(j * e for j, e in self.factors)
-
-    def as_mapping(self) -> dict[int, int]:
-        return dict(self.factors)
-
-    def pretty(self) -> str:
-        """Numerator over denominator, largest factor first."""
-
-        def fmt(j: int, e: int) -> str:
-            base = "(t-1)" if j == 1 else f"(t^{j}-1)"
-            return base if e == 1 else f"{base}^{e}"
-
-        num = [fmt(j, e) for j, e in sorted(self.factors, reverse=True) if e > 0]
-        den = [fmt(j, -e) for j, e in sorted(self.factors, reverse=True) if e < 0]
-        top = "".join(num) if num else "1"
-        return f"{top} / {''.join(den)}" if den else top
-
-
-@dataclass(frozen=True)
 class ExpandedPoly:
     """Dense exact integer coefficients, constant term first."""
 
@@ -180,23 +146,30 @@ class ExpandedPoly:
             count += 1
 
 
-def to_factored(divisor: Divisor) -> FactoredCharPoly:
-    """Reinterpret the divisor sum a_j Lambda_j as prod (t^j - 1)^{a_j}."""
-    return FactoredCharPoly(tuple(divisor.terms.items()))
+def to_factored(divisor: Divisor) -> tuple[tuple[int, int], ...]:
+    """Reinterpret the divisor sum a_j Lambda_j as the ascending (j, a_j) pairs
+    of prod (t^j - 1)^{a_j}."""
+    return tuple(sorted(divisor.terms.items()))
 
 
-def expand(p: FactoredCharPoly) -> ExpandedPoly:
-    """Multiply the numerator binomials, then divide the denominators exactly.
+def expand(factors: Iterable[tuple[int, int]]) -> ExpandedPoly:
+    """prod (t^j - 1)^e over (j, e) pairs: multiply the numerator binomials,
+    then divide the denominators exactly.
 
-    Each numerator factor (t^j - 1)^e is one binomial-theorem product of
-    e + 1 slice updates over the coefficients so far; each unit of a
-    denominator exponent is one linear exact division.
+    Exponents of a repeated j add up.  Each numerator factor (t^j - 1)^e is one
+    binomial-theorem product of e + 1 slice updates over the coefficients so
+    far; each unit of a denominator exponent is one linear exact division.
     """
+    exponents: dict[int, int] = {}
+    for pair in factors:
+        j, e = require_ints(pair, "factor indices and exponents")
+        exponents[j] = exponents.get(j, 0) + e
+    ascending = sorted(exponents.items())
     coeffs = [1]
-    for j, e in p.factors:
+    for j, e in ascending:
         if e > 0:
             coeffs = mul_binomial_power(coeffs, j, e)
-    for j, e in p.factors:
+    for j, e in ascending:
         for _ in range(max(-e, 0)):
             coeffs = div_binomial(coeffs, j)
     return ExpandedPoly(tuple(coeffs))
@@ -223,7 +196,7 @@ def bp_oracle(a: Sequence[int], bound: int = 5000) -> ExpandedPoly:
     tracked as an exact rotation number k/L with L = lcm(a); grouping by
     exact order gives the multiset of cyclotomic factors.
     """
-    exps = [int(x) for x in a]
+    exps = require_ints(a, "exponents")
     if not exps or any(x < 2 for x in exps):
         raise ValueError("all exponents must be >= 2")
     total = math.prod(x - 1 for x in exps)

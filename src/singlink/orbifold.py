@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import UnsupportedDimensionError, WrongDimensionError
-from .weights import WeightedPolynomial, WeightSystem
+from .weights import WeightedPolynomial, WeightSystem, require_ints
 
 DISJOINT = "disjoint"
 MEETS = "meets"
@@ -54,7 +54,8 @@ class Stratum:
     incidence: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(sorted(int(i) for i in self.indices)))
+        indices = require_ints(self.indices, "stratum indices")
+        object.__setattr__(self, "indices", tuple(sorted(indices)))
         if self.isotropy_order < 2:
             raise ValueError("strata are listed only for isotropy order > 1")
         if self.incidence not in (DISJOINT, MEETS, CONTAINED):
@@ -114,11 +115,11 @@ def pair_well_formed(strata: tuple[Stratum, ...], nvars: int) -> bool:
     return not any(s.incidence == CONTAINED and len(s.indices) == nvars - 2 for s in strata)
 
 
-def torsion_status(strata: tuple[Stratum, ...], nvars: int) -> str:
+def torsion_status(pair_well_formed: bool, nvars: int) -> str:
     """Randell's criterion, four variables only: well-formedness forces
     torsion-free H2, else the status is unknown, never a torsion claim.  The
-    strata settle it: singular_strata refuses a space that is not well formed,
-    and an edge whose gcd does not divide d has no monomial, so is contained."""
+    strata's pair flag settles it: singular_strata refuses a space that is not
+    well formed, and an edge whose gcd does not divide d is contained."""
     if nvars != 4:
         raise WrongDimensionError(f"torsion status needs exactly 4 variables, got {nvars}")
-    return TORSION_FREE if pair_well_formed(strata, 4) else TORSION_UNKNOWN
+    return TORSION_FREE if pair_well_formed else TORSION_UNKNOWN

@@ -167,7 +167,7 @@ def count_monomials(weights: Sequence[int], k: int) -> int:
 
     Exact integer dynamic programming, one weight at a time.
     """
-    ws = [int(w) for w in weights]
+    ws = require_ints(weights, "weights")
     if any(w < 1 for w in ws):
         raise NonPositiveWeightError("weights must be positive")
     if k < 0:

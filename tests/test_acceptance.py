@@ -25,6 +25,7 @@ from singlink import (
     count_monomials,
     expand,
     fano,
+    hodge_numbers,
     load_registry,
     middle_betti,
     middle_betti_hodge,
@@ -241,7 +242,7 @@ def test_criterion_10_invariant_suites():
             for k in range(min(cutoff, 12)):
                 assert series.coefficient(k) == count_monomials(system.weights, k)
             if system.nvars == 4:
-                assert middle_betti_hodge(series) == middle_betti(divisor)
+                assert middle_betti_hodge(hodge_numbers(series)) == middle_betti(divisor)
                 if fano(system).is_fano:
                     fano_surfaces += 1
                     assert signature(series) == 1 - middle_betti(divisor)

@@ -147,7 +147,7 @@ def test_registry_refuses_non_integer_numbers():
     with pytest.raises(TypeError):
         dataclasses.replace(dk1, support=((5.0, 1, 0, 0),) + dk1.support[1:])
     with pytest.raises(TypeError):
-        dataclasses.replace(dk1, reference_invariants=(("orbifold_order", 765.0),))
+        dataclasses.replace(dk1, reference_order=765.0)
 
 
 @pytest.mark.parametrize(
@@ -170,6 +170,21 @@ def test_registry_refuses_fields_of_the_wrong_type(field, value, message):
     if field != "invariants":
         with pytest.raises(TypeError):
             dataclasses.replace(BUILTIN_REGISTRY[0], **{field: value})
+
+
+def test_registry_refuses_an_unknown_reference_invariant():
+    # a misspelt name would load silently and leave the reference cross-check unrun
+    record = json.loads(registry_dump().splitlines()[1])
+    assert record["invariants"] == {"orbifold_order": 37191}
+    record["invariants"] = {"orbifold_ordr": 37191}
+    with pytest.raises(SinglinkError) as err:
+        load_registry(json.dumps(record) + "\n")
+    assert str(err.value) == "registry line 1: unknown reference invariants ['orbifold_ordr']"
+    record["invariants"] = {"orbifold_order": 37191, "b2": 1}
+    with pytest.raises(SinglinkError, match="registry line 1: unknown reference invariants"):
+        load_registry(json.dumps(record) + "\n")
+    record["invariants"] = {"orbifold_order": 37191}
+    assert load_registry(json.dumps(record) + "\n") == (BUILTIN_REGISTRY[1],)
 
 
 def test_registry_refuses_a_relabeled_duplicate():
@@ -219,11 +234,10 @@ def test_registry_entry_normalizes_and_validates():
         support=((0, 0, 0, 3), (5, 1, 0, 0), (0, 4, 0, 0), (1, 0, 3, 0)),
         tag="t",
         citation="c",
-        reference_invariants=(("orbifold_order", 765),),
+        reference_order=765,
     )
     assert e.support[0] == (0, 0, 0, 3)
-    assert e.reference("orbifold_order") == 765
-    assert e.reference("missing") is None
+    assert e.reference_order == 765
     with pytest.raises(SinglinkError):
         RegistryEntry((9, 15, 17, 20), 61, ((5, 1, 0, 0),), "t", "c")
 
@@ -252,7 +266,6 @@ def test_report_for_the_degree_60_link(report60):
     assert r.fano.is_fano and r.fano.index == 1
     assert r.milnor_number == 86
     assert r.divisor == Divisor({60: 1, 20: 1, 12: 1, 4: -1, 3: -1, 1: 1})
-    assert r.factored.as_mapping() == {60: 1, 20: 1, 12: 1, 4: -1, 3: -1, 1: 1}
     assert r.expanded.degree == 86
     assert r.b2_divisor == 2 and r.b2_hodge == 2
     assert r.hodge_map() == {(0, 2): 0, (1, 1): 2, (2, 0): 0}
@@ -529,11 +542,11 @@ def test_public_functions_agree_with_the_report(name, tag, request):
     series = poincare_series(w)
     strata = singular_strata(f)
     assert hodge_numbers(series) == r.hodge_map()
-    assert middle_betti_hodge(series) == r.b2_hodge
+    assert middle_betti_hodge(hodge_numbers(series)) == r.b2_hodge
     assert signature(series) == r.signature
     assert pair_well_formed(strata, f.nvars) == r.pair_well_formed
     assert orbifold_order(strata) == r.orbifold_order
-    assert torsion_status(strata, f.nvars) == r.torsion
+    assert torsion_status(pair_well_formed(strata, f.nvars), f.nvars) == r.torsion
     entry = registry_lookup(f, TIED_REGISTRY)
     assert (entry.tag if entry else None) == r.registry_tag == tag
 
@@ -565,12 +578,16 @@ def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch
     keys = _count_calls(monkeypatch, classify, "_canonical_key")
     space_wf = _count_calls(monkeypatch, weights, "is_well_formed_space")
     div_ok = _count_calls(monkeypatch, weights, "divisibility_condition")
+    hodge = _count_calls(monkeypatch, milnor_algebra, "hodge_numbers")
+    pair_flag = _count_calls(monkeypatch, orbifold, "pair_well_formed")
     analyze(f)
     assert 1 <= len(series) <= 2
     assert len(strata) == 1
     assert len(keys) == 1
     assert len(space_wf) == 1
     assert len(div_ok) == 1
+    assert len(hodge) == 1
+    assert len(pair_flag) == 1
 
 
 @pytest.mark.parametrize("tag", ["DK-1", "DK-2", "DK-3", "fermat_sextic"])

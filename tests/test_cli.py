@@ -9,6 +9,7 @@ import pytest
 
 from singlink import (
     BoundExceededError,
+    Divisor,
     CancelledMonomialError,
     DuplicateMonomialWarning,
     PolynomialSyntaxError,
@@ -27,6 +28,7 @@ from singlink import cli
 from singlink.cli import (
     _big_int,
     _big_int_list,
+    _factored_pretty,
     _row_mu_b2,
     entry,
     parse_polynomial,
@@ -95,6 +97,23 @@ def test_render_polynomial_descending_order():
     assert render_polynomial([(0, 0)]) == "1"
 
 
+def test_render_polynomial_refuses_non_integer_exponents():
+    # truncation would print z0*z1^2
+    with pytest.raises(TypeError, match="1.5 is a float"):
+        render_polynomial([(1.5, 2, 0)])
+
+
+def test_factored_pretty_renders_the_binomial_quotient(report60):
+    assert _factored_pretty(Divisor({1: 2})) == "(t-1)^2"
+    assert _factored_pretty(Divisor()) == "1"
+    assert _factored_pretty(Divisor({2: -1, 3: 2})) == "(t^3-1)^2 / (t^2-1)"
+    quotient = "(t^60-1)(t^20-1)(t^12-1)(t-1) / (t^4-1)(t^3-1)"
+    assert _factored_pretty(report60.divisor) == quotient
+    invariants = report_to_json_dict(report60)["invariants"]
+    assert invariants["factored_pretty"] == quotient
+    assert invariants["factored"] == [[1, 1], [3, -1], [4, -1], [12, 1], [20, 1], [60, 1]]
+
+
 def test_parse_render_round_trip():
     rng = random.Random(60)
     for _ in range(40):
@@ -155,6 +174,7 @@ def test_cli_analyze_text_ends_with_the_diffeomorphism_type(capsys):
     assert out.endswith("diffeomorphism type: #2(S²×S³)\n")
     assert "Milnor number: 86" in out
     assert "SE status: known_SE (DK-1)" in out
+    assert "\nfactored: (t^60-1)(t^20-1)(t^12-1)(t-1) / (t^4-1)(t^3-1)\n" in out
 
 
 def test_cli_analyze_json_matches_the_library(capsys, report60):
@@ -238,6 +258,21 @@ def test_cli_wrong_registry_reference_is_a_consistency_failure(tmp_path, capsys)
     assert code == 2
     assert "consistency failure" in err
     assert "orbifold order vs registry reference" in err
+
+
+def test_cli_unknown_registry_reference_exits_one(tmp_path, capsys):
+    record = json.loads(registry_dump().splitlines()[1])
+    record["invariants"] = {"orbifold_ordr": 37191}
+    path = tmp_path / "registry.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code = entry(
+        ["analyze", "--weights", "11,49,69,128", "--poly", DK2_POLY, "--registry", str(path)]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    message = "registry line 1: unknown reference invariants ['orbifold_ordr']"
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cli_duplicate_registry_entries_exit_one(tmp_path, capsys):

@@ -132,6 +132,12 @@ def test_invalid_indices_are_rejected():
         Divisor({-3: 1})
 
 
+def test_non_integer_indices_are_refused():
+    # truncation would give the index 2; a coefficient of Fraction(4, 2) still becomes 2
+    with pytest.raises(TypeError, match="2.5 is a float"):
+        Divisor({2.5: 1})
+
+
 def test_equality_and_hash_ignore_zero_terms():
     a = Divisor({2: 1, 5: 0})
     b = Divisor({2: 1})

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from singlink import _intpoly, milnor_algebra, monodromy
 from singlink import (
     DegenerateDegreeError,
     InexactDivisionError,
@@ -93,6 +94,28 @@ def test_series_raises_on_data_with_no_algebra():
         poincare_series(WeightSystem((2, 3), 7))
 
 
+def test_series_is_one_expand_call(monkeypatch):
+    """P(t) is expanded by monodromy.expand, the one binomial-quotient kernel:
+    milnor_algebra binds no _intpoly function of its own."""
+    assert not [
+        name for name, value in vars(milnor_algebra).items()
+        if getattr(value, "__module__", None) == _intpoly.__name__
+    ]
+    assert milnor_algebra.expand is monodromy.expand
+    calls = []
+
+    def counted(factors):
+        calls.append(factors)
+        return monodromy.expand(factors)
+
+    monkeypatch.setattr(milnor_algebra, "expand", counted)
+    poincare_series.cache_clear()
+    w = WeightSystem((9, 15, 17, 20), 60)
+    assert poincare_series(w).total() == 86
+    assert poincare_series(w) is poincare_series(w)
+    assert len(calls) == 1
+
+
 def test_poincare_series_validation():
     with pytest.raises(ValueError):
         PoincareSeries(WeightSystem((1, 1), 3), ())
@@ -156,14 +179,15 @@ def test_hodge_route_agrees_with_divisor_route_for_middle_betti():
             continue
         degree = math.lcm(*ws) * rng.randint(2, 3)
         w = WeightSystem(ws, degree)
-        assert middle_betti_hodge(poincare_series(w)) == middle_betti(characteristic_divisor(w))
+        hodge = hodge_numbers(poincare_series(w))
+        assert middle_betti_hodge(hodge) == middle_betti(characteristic_divisor(w))
         seen += 1
 
 
 def test_hodge_numbers_of_the_quintic_threefold():
     w = WeightSystem((1, 1, 1, 1), 5)
     assert hodge_numbers(poincare_series(w)) == {(0, 2): 4, (1, 1): 44, (2, 0): 4}
-    assert middle_betti_hodge(poincare_series(w)) == 52
+    assert middle_betti_hodge(hodge_numbers(poincare_series(w))) == 52
     with pytest.raises(WrongDimensionError):
         hodge_numbers(poincare_series(WeightSystem((1,), 2)))
 
@@ -190,7 +214,7 @@ def test_signature_is_one_minus_betti_below_the_anticanonical_degree():
         assert d < w.total
         h = hodge_numbers(poincare_series(w))
         assert h[(0, 2)] == 0 and h[(2, 0)] == 0
-        assert signature(poincare_series(w)) == 1 - middle_betti_hodge(poincare_series(w))
+        assert signature(poincare_series(w)) == 1 - middle_betti_hodge(h)
 
 
 def test_genus_of_the_branch_curves():

@@ -29,6 +29,11 @@ def strata_map(f):
     return {s.indices: (s.isotropy_order, s.incidence) for s in singular_strata(f)}
 
 
+def torsion_of(f):
+    """torsion_status read from the pair flag of f's strata, as analyze does."""
+    return torsion_status(pair_well_formed(singular_strata(f), f.nvars), f.nvars)
+
+
 def test_fano_sign_and_index(f60, f256_1, f256_2):
     for f in (f60, f256_1, f256_2):
         res = fano(f.system)
@@ -51,7 +56,7 @@ def test_strata_of_the_degree_60_link(f60):
     }
     assert orbifold_order(singular_strata(f60)) == math.lcm(9, 17, 3, 5) == 765
     assert pair_well_formed(singular_strata(f60), f60.nvars)
-    assert torsion_status(singular_strata(f60), f60.nvars) == TORSION_FREE
+    assert torsion_of(f60) == TORSION_FREE
 
 
 def test_strata_of_the_first_degree_256_link(f256_1):
@@ -64,7 +69,7 @@ def test_strata_of_the_first_degree_256_link(f256_1):
     }
     assert orbifold_order(singular_strata(f256_1)) == math.lcm(11, 49, 69) == 37191
     assert pair_well_formed(singular_strata(f256_1), f256_1.nvars)
-    assert torsion_status(singular_strata(f256_1), f256_1.nvars) == TORSION_FREE
+    assert torsion_of(f256_1) == TORSION_FREE
 
 
 def test_strata_of_the_second_degree_256_link(f256_2):
@@ -76,7 +81,7 @@ def test_strata_of_the_second_degree_256_link(f256_2):
     }
     assert orbifold_order(singular_strata(f256_2)) == math.lcm(13, 35, 81) == 36855
     assert pair_well_formed(singular_strata(f256_2), f256_2.nvars)
-    assert torsion_status(singular_strata(f256_2), f256_2.nvars) == TORSION_FREE
+    assert torsion_of(f256_2) == TORSION_FREE
 
 
 def test_smooth_space_has_no_strata():
@@ -84,7 +89,7 @@ def test_smooth_space_has_no_strata():
     assert singular_strata(f) == ()
     assert orbifold_order(singular_strata(f)) == 1
     assert pair_well_formed(singular_strata(f), f.nvars)
-    assert torsion_status(singular_strata(f), f.nvars) == TORSION_FREE
+    assert torsion_of(f) == TORSION_FREE
 
 
 def test_contained_edge_blocks_pair_well_formedness():
@@ -98,7 +103,7 @@ def test_contained_edge_blocks_pair_well_formedness():
     }
     assert orbifold_order(singular_strata(f)) == 6
     assert not pair_well_formed(singular_strata(f), f.nvars)
-    assert torsion_status(singular_strata(f), f.nvars) == TORSION_UNKNOWN
+    assert torsion_of(f) == TORSION_UNKNOWN
 
 
 def test_disjoint_strata_contribute_nothing_to_the_order():
@@ -114,7 +119,7 @@ def test_disjoint_strata_contribute_nothing_to_the_order():
     }
     assert orbifold_order(singular_strata(f)) == 2
     assert pair_well_formed(singular_strata(f), f.nvars)
-    assert torsion_status(singular_strata(f), f.nvars) == TORSION_FREE
+    assert torsion_of(f) == TORSION_FREE
 
 
 def test_single_monomial_on_an_edge_counts_as_disjoint():
@@ -167,7 +172,7 @@ def test_three_variable_curves_are_supported():
     assert m[(2,)] == (2, DISJOINT)
     assert orbifold_order(singular_strata(f)) == 3
     with pytest.raises(WrongDimensionError):
-        torsion_status(singular_strata(f), f.nvars)
+        torsion_of(f)
 
 
 def test_strata_are_equivariant_under_variable_permutation(f60):
@@ -185,7 +190,7 @@ def test_strata_are_equivariant_under_variable_permutation(f60):
     sg, sf = singular_strata(g), singular_strata(f60)
     assert orbifold_order(sg) == orbifold_order(sf)
     assert pair_well_formed(sg, 4) == pair_well_formed(sf, 4)
-    assert torsion_status(sg, 4) == torsion_status(sf, 4)
+    assert torsion_of(g) == torsion_of(f60)
 
 
 def test_orbifold_order_divides_the_weight_lcm(f60, f256_1, f256_2):
@@ -202,10 +207,16 @@ def test_stratum_validation():
         Stratum((0,), 2, "touches")
 
 
+def test_stratum_refuses_non_integer_indices():
+    # truncation would store the indices (1, 2)
+    with pytest.raises(TypeError, match="1.7 is a float"):
+        Stratum((1.7, 2.2), 2, MEETS)
+
+
 def test_torsion_status_requires_four_variables():
     f = quasi_degree([(2, 0), (0, 2)], (1, 1))
     with pytest.raises(WrongDimensionError):
-        torsion_status(singular_strata(f), f.nvars)
+        torsion_of(f)
 
 
 def reference_torsion_status(f):
@@ -242,7 +253,7 @@ def test_torsion_status_needs_only_the_strata():
         for degree, support in edge_supports(ws, 40).items():
             f = WeightedPolynomial(frozenset(support), WeightSystem(ws, degree))
             try:
-                got = torsion_status(singular_strata(f), f.nvars)
+                got = torsion_of(f)
             except UnsupportedDimensionError:
                 continue
             assert got == reference_torsion_status(f), (ws, degree)

@@ -166,6 +166,12 @@ def test_count_monomials_known_values():
         count_monomials((0, 1), 3)
 
 
+def test_count_monomials_refuses_non_integer_weights():
+    # truncation would count the monomials of (1, 2): 3 at degree 4
+    with pytest.raises(TypeError, match="1.5 is a float"):
+        count_monomials((1.5, 2), 4)
+
+
 def test_missing_variables(f60):
     # a variable in no monomial fails the kernel's I = {i} case, first
     assert quasi_smooth_failure(f60) is None
