@@ -37,11 +37,9 @@ from .milnor_algebra import (
 )
 from .monodromy import (
     ExpandedPoly,
-    characteristic_divisor,
-    expand,
+    characteristic_polynomial,
     middle_betti,
     milnor_number,
-    to_factored,
 )
 from .orbifold import (
     CONTAINED,
@@ -113,6 +111,10 @@ class RegistryEntry:
         object.__setattr__(self, "support", support)
         if self.reference_order is not None:
             require_ints((self.reference_order,), "the reference orbifold order")
+            if self.reference_order < 1:
+                raise ValueError(
+                    f"the reference orbifold order {self.reference_order} is not positive"
+                )
         f = self.polynomial()  # validates the degree and quasi-homogeneity
         failure = quasi_smooth_failure(f)
         if failure is not None:
@@ -196,6 +198,8 @@ def load_registry(text: str) -> tuple[RegistryEntry, ...]:
         try:
             record = json.loads(line)
             invariants = dict(record.get("invariants", {}).items())
+            if invariants.get("orbifold_order", 1) is None:
+                raise ValueError("the reference orbifold order is null; omit it for no reference")
             reference_order = invariants.pop("orbifold_order", None)
             if invariants:
                 raise ValueError(f"unknown reference invariants {sorted(invariants)}")
@@ -384,8 +388,7 @@ def analyze(
     with _stage("milnor number"):
         mu = milnor_number(w)
     with _stage("characteristic divisor"):
-        divisor = characteristic_divisor(w)
-        expanded = expand(to_factored(divisor))
+        divisor, expanded = characteristic_polynomial(w)
         b2_div = middle_betti(divisor)
     with _stage("hodge numbers"):
         series = poincare_series(w)

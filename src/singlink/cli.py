@@ -190,6 +190,8 @@ def render_polynomial(support: Iterable[Sequence[int]]) -> str:
         return "0"
     parts = []
     for m in vectors:
+        if min(m, default=0) < 0:
+            raise ValueError(f"monomial {m} has a negative exponent")
         factors = [
             f"z{i}^{a}" if a > 1 else f"z{i}" for i, a in enumerate(m) if a > 0
         ]

@@ -17,6 +17,14 @@ divisor's (j, a_j) pairs (to_factored) are its factored form.  expand is the
 one expander of such binomial quotients: Delta here, and the Poincare series
 of milnor_algebra.
 
+The divisor, hence Delta(t) and its eigenvalue-1 multiplicity, depends only
+on the weight system, so there is one validated characteristic polynomial
+per weight system: characteristic_polynomial is cached like
+milnor_algebra.poincare_series (holding the sum of the distinct mu over a
+process), and ExpandedPoly memoizes its exact multiplicity_at_one.
+characteristic_divisor and expand stay uncached, so a sweep over many
+distinct systems keeps no expansion alive.
+
 bp_oracle is a deliberately independent second route for exponent sums
 f = z_0^{a_0} + ... + z_n^{a_n}: it enumerates the monodromy eigenvalues as
 exact rotation numbers and assembles the product of cyclotomic polynomials
@@ -29,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -127,9 +135,13 @@ class ExpandedPoly:
         return acc
 
     def multiplicity_at_one(self) -> int:
-        """Exponent of (t - 1), by repeated exact division.
+        """Exponent of (t - 1), by repeated exact division, computed once per
+        instance (see _multiplicity_at_one)."""
+        return self._multiplicity_at_one
 
-        The prefix sums s_0 .. s_n of the coefficients give both the
+    @cached_property
+    def _multiplicity_at_one(self) -> int:
+        """The prefix sums s_0 .. s_n of the coefficients give both the
         remainder P(1) = s_n and the negated quotient s_0 .. s_{n-1} of
         P / (t - 1).  Each step is one C-level accumulate pass, so the
         check costs O(b2 * mu) big-integer additions.  The quotient keeps
@@ -173,6 +185,15 @@ def expand(factors: Iterable[tuple[int, int]]) -> ExpandedPoly:
         for _ in range(max(-e, 0)):
             coeffs = div_binomial(coeffs, j)
     return ExpandedPoly(tuple(coeffs))
+
+
+@lru_cache(maxsize=None)
+def characteristic_polynomial(w: WeightSystem) -> tuple[Divisor, ExpandedPoly]:
+    """The validated characteristic divisor of w and its expanded Delta(t),
+    built once per weight system; a refused w is not cached, so it raises on
+    every call."""
+    divisor = characteristic_divisor(w)
+    return divisor, expand(to_factored(divisor))
 
 
 def middle_betti(divisor: Divisor) -> int:

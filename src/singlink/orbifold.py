@@ -56,6 +56,7 @@ class Stratum:
     def __post_init__(self) -> None:
         indices = require_ints(self.indices, "stratum indices")
         object.__setattr__(self, "indices", tuple(sorted(indices)))
+        require_ints((self.isotropy_order,), "the isotropy order")
         if self.isotropy_order < 2:
             raise ValueError("strata are listed only for isotropy order > 1")
         if self.incidence not in (DISJOINT, MEETS, CONTAINED):

@@ -1,10 +1,11 @@
 import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from singlink import classify, milnor_algebra, orbifold, weights
+from singlink import classify, milnor_algebra, monodromy, orbifold, weights
 from singlink import (
     BUILTIN_REGISTRY,
     CANDIDATE,
@@ -185,6 +186,25 @@ def test_registry_refuses_an_unknown_reference_invariant():
         load_registry(json.dumps(record) + "\n")
     record["invariants"] = {"orbifold_order": 37191}
     assert load_registry(json.dumps(record) + "\n") == (BUILTIN_REGISTRY[1],)
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [(None, "is null"), (0, "0 is not positive"), (-37191, "-37191 is not positive")],
+)
+def test_registry_refuses_a_reference_order_that_is_not_a_positive_int(value, error):
+    record = json.loads(registry_dump().splitlines()[1])
+    assert record["tag"] == "DK-2"
+    record["invariants"] = {"orbifold_order": value}
+    with pytest.raises(SinglinkError, match=f"^registry line 1: the reference orbifold order.*{error}"):
+        load_registry(json.dumps(record) + "\n")
+    if value is not None:
+        with pytest.raises(ValueError):
+            dataclasses.replace(BUILTIN_REGISTRY[1], reference_order=value)
+    # an absent key still means no reference
+    del record["invariants"]
+    (entry,) = load_registry(json.dumps(record) + "\n")
+    assert entry.reference_order is None
 
 
 def test_registry_refuses_a_relabeled_duplicate():
@@ -560,7 +580,7 @@ def _count_calls(monkeypatch, holder, name):
         calls.append(name)
         return original(*args, **kwargs)
 
-    for module in (classify, milnor_algebra, orbifold):
+    for module in (classify, milnor_algebra, monodromy, orbifold):
         for key, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, key, counted)
@@ -580,6 +600,8 @@ def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch
     div_ok = _count_calls(monkeypatch, weights, "divisibility_condition")
     hodge = _count_calls(monkeypatch, milnor_algebra, "hodge_numbers")
     pair_flag = _count_calls(monkeypatch, orbifold, "pair_well_formed")
+    divisor = _count_calls(monkeypatch, monodromy, "characteristic_divisor")
+    monodromy.characteristic_polynomial.cache_clear()
     analyze(f)
     assert 1 <= len(series) <= 2
     assert len(strata) == 1
@@ -588,17 +610,20 @@ def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch
     assert len(div_ok) == 1
     assert len(hodge) == 1
     assert len(pair_flag) == 1
+    assert len(divisor) == 1
 
 
 @pytest.mark.parametrize("tag", ["DK-1", "DK-2", "DK-3", "fermat_sextic"])
 def test_analyze_and_render_build_no_fraction(tag, monkeypatch):
     """Milnor number, divisor, series and report stay int from input to output;
-    the series cache is emptied so its one build is covered too."""
+    the series and characteristic-polynomial caches are emptied so their one
+    build is covered too."""
     if tag == "fermat_sextic":
         f = quasi_degree([tuple(6 * (i == k) for i in range(4)) for k in range(4)], (1,) * 4)
     else:
         f = next(e for e in BUILTIN_REGISTRY if e.tag == tag).polynomial()
     milnor_algebra.poincare_series.cache_clear()
+    monodromy.characteristic_polynomial.cache_clear()
     new = Fraction.__new__
     built = []
 
@@ -609,3 +634,45 @@ def test_analyze_and_render_build_no_fraction(tag, monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counted)
     render_json(analyze(f))
     assert built == []
+
+
+def test_a_repeated_weight_system_reuses_its_characteristic_polynomial(monkeypatch):
+    """Two labelings of DK-1: Delta(t) is expanded once and its eigenvalue-1
+    multiplicity computed once, and the cached polynomial renders the golden."""
+    relabeled = quasi_degree(
+        [(0, 1, 0, 5), (3, 0, 0, 1), (0, 4, 0, 0), (0, 0, 3, 0)], (17, 15, 20, 9)
+    )
+    expanded, passes = [], []
+
+    def counted_expand(factors):
+        expanded.append(factors)
+        return original_expand(factors)
+
+    def counted_accumulate(values):
+        passes.append(len(values))
+        return original_accumulate(values)
+
+    original_expand, original_accumulate = monodromy.expand, monodromy.accumulate
+    monkeypatch.setattr(monodromy, "expand", counted_expand)
+    monkeypatch.setattr(monodromy, "accumulate", counted_accumulate)
+    monodromy.characteristic_polynomial.cache_clear()
+    first = analyze(relabeled)
+    second = analyze(quasi_degree(F60_SUPPORT, F60_WEIGHTS))
+    assert len(expanded) == 1
+    assert len(passes) == second.b2_divisor + 1 == 3  # one prefix-sum loop
+    assert second.expanded is first.expanded
+    assert first.permutation == (3, 1, 0, 2) and second.permutation == (0, 1, 2, 3)
+    golden = (Path(__file__).parent / "golden" / "report_dk1.json").read_text(encoding="utf-8")
+    assert render_json(second) == golden
+    assert render_json(dataclasses.replace(first, permutation=(0, 1, 2, 3))) == golden
+
+
+def test_the_multiplicity_memo_never_hides_a_wrong_polynomial(report60):
+    name = "eigenvalue-1 multiplicity of expanded vs b2"
+    assert [c.name for c in cross_checks(report60)].count(name) == 1
+    assert report60.expanded.multiplicity_at_one() == 2  # memoized on the instance
+    times_t_minus_1 = monodromy.expand(monodromy.to_factored(report60.divisor) + ((1, 1),))
+    bad = dataclasses.replace(report60, expanded=times_t_minus_1)
+    assert [c.name for c in cross_checks(bad) if not c.passed] == [name]
+    with pytest.raises(ConsistencyError, match="got 3, expected 2"):
+        require_consistent(bad)

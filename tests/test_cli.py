@@ -103,6 +103,14 @@ def test_render_polynomial_refuses_non_integer_exponents():
         render_polynomial([(1.5, 2, 0)])
 
 
+def test_render_polynomial_refuses_negative_exponents():
+    # the negative exponent used to be dropped, printing z1^2
+    with pytest.raises(ValueError, match=r"monomial \(-1, 2\) has a negative exponent"):
+        render_polynomial([(-1, 2)])
+    with pytest.raises(ValueError, match="negative exponent"):
+        render_polynomial([(0, 0, 3), (2, 0, -1)])
+
+
 def test_factored_pretty_renders_the_binomial_quotient(report60):
     assert _factored_pretty(Divisor({1: 2})) == "(t-1)^2"
     assert _factored_pretty(Divisor()) == "1"
@@ -273,6 +281,30 @@ def test_cli_unknown_registry_reference_exits_one(tmp_path, capsys):
     assert captured.out == ""
     message = "registry line 1: unknown reference invariants ['orbifold_ordr']"
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (None, "the reference orbifold order is null; omit it for no reference"),
+        (0, "the reference orbifold order 0 is not positive"),
+        (-37191, "the reference orbifold order -37191 is not positive"),
+    ],
+)
+def test_cli_bad_registry_reference_order_exits_one(value, message, tmp_path, capsys):
+    # each used to load: null as no reference, 0 and -37191 to fail only as exit 2
+    record = json.loads(registry_dump().splitlines()[1])
+    assert record["tag"] == "DK-2"
+    record["invariants"] = {"orbifold_order": value}
+    path = tmp_path / "registry.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code = entry(
+        ["analyze", "--weights", "11,49,69,128", "--poly", DK2_POLY, "--registry", str(path)]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: registry line 1: {message}\n"
 
 
 def test_cli_duplicate_registry_entries_exit_one(tmp_path, capsys):

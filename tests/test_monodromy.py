@@ -20,6 +20,7 @@ from singlink import (
     WeightSystem,
     bp_oracle,
     characteristic_divisor,
+    characteristic_polynomial,
     expand,
     middle_betti,
     milnor_number,
@@ -240,6 +241,36 @@ def test_characteristic_divisor_matches_the_divisor_ring_product():
 def test_characteristic_divisor_rejects_fractional_results():
     with pytest.raises(IntegralityViolationError):
         characteristic_divisor(WeightSystem((2, 3, 5, 7), 16))
+
+
+def test_characteristic_polynomial_is_built_once_per_weight_system(f60):
+    characteristic_polynomial.cache_clear()
+    divisor, expanded = characteristic_polynomial(f60.system)
+    assert divisor == characteristic_divisor(f60.system)
+    assert expanded == expand(to_factored(divisor))
+    assert characteristic_polynomial(WeightSystem((9, 15, 17, 20), 60))[1] is expanded
+    assert characteristic_polynomial.cache_info().misses == 1
+    # a refused system is not cached: it raises on every call
+    for _ in range(2):
+        with pytest.raises(IntegralityViolationError):
+            characteristic_polynomial(WeightSystem((2, 3, 5, 7), 16))
+    assert characteristic_polynomial.cache_info().currsize == 1
+
+
+def test_multiplicity_at_one_is_memoized_per_instance(monkeypatch):
+    passes = []
+
+    def counted(values):
+        passes.append(len(values))
+        return accumulate(values)
+
+    accumulate = monodromy.accumulate
+    monkeypatch.setattr(monodromy, "accumulate", counted)
+    p = ExpandedPoly((1, -2, 1))  # (t - 1)^2
+    assert p.multiplicity_at_one() == p.multiplicity_at_one() == 2
+    assert len(passes) == 3
+    assert ExpandedPoly((1, -2, 1)).multiplicity_at_one() == 2  # an equal instance counts again
+    assert len(passes) == 6
 
 
 def test_quadric_divisor_collapses_to_the_unit():

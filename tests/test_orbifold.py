@@ -213,6 +213,14 @@ def test_stratum_refuses_non_integer_indices():
         Stratum((1.7, 2.2), 2, MEETS)
 
 
+def test_stratum_refuses_a_non_integer_isotropy_order():
+    # it used to be stored as is and fail later inside math.lcm
+    with pytest.raises(TypeError, match="the isotropy order must be of type int; 2.5 is a float"):
+        Stratum((0,), 2.5, MEETS)
+    with pytest.raises(TypeError, match="True is a bool"):
+        Stratum((0,), True, MEETS)
+
+
 def test_torsion_status_requires_four_variables():
     f = quasi_degree([(2, 0), (0, 2)], (1, 1))
     with pytest.raises(WrongDimensionError):
