@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby, permutations, product
 
 from .divisor import Divisor
-from .errors import ConsistencyError, SinglinkError, WrongDimensionError
+from .errors import BoundExceededError, ConsistencyError, SinglinkError, WrongDimensionError
 from .milnor_algebra import (
     PoincareSeries,
     genus_branch_curve,
@@ -69,6 +69,10 @@ OBSTRUCTED = "obstructed"
 NOT_FANO = "not_fano"
 NOT_WELL_FORMED = "not_well_formed"
 NOT_QUASI_SMOOTH = "not_quasi_smooth"
+
+# analyze's work ceiling, checked before Delta(t) and P(t) (mu + 1 big-integer
+# coefficients each) are built: Fermat d = 15 (mu = 38,416) passes, d = 16 not.
+MAX_MU = 50_000
 
 
 def _canonical_key(weights: tuple[int, ...], degree: int, support: tuple[Exponents, ...]) -> tuple:
@@ -387,6 +391,8 @@ def analyze(
 
     with _stage("milnor number"):
         mu = milnor_number(w)
+        if mu > MAX_MU:
+            raise BoundExceededError(f"Milnor number {mu} exceeds the analyze ceiling {MAX_MU}")
     with _stage("characteristic divisor"):
         divisor, expanded = characteristic_polynomial(w)
         b2_div = middle_betti(divisor)

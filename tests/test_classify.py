@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from singlink import classify, milnor_algebra, monodromy, orbifold, weights
 from singlink import (
     BUILTIN_REGISTRY,
+    BoundExceededError,
     CANDIDATE,
     CONTAINED,
     KNOWN_SE,
@@ -439,6 +441,29 @@ def test_a_linear_monomial_is_refused_at_the_milnor_number():
     with pytest.raises(NonIntegralMilnorNumberError) as err:
         analyze(f)
     assert "[stage: milnor number]" in str(err.value)
+
+
+def _fermat(d):
+    return quasi_degree([tuple(d if j == i else 0 for j in range(4)) for i in range(4)], (1, 1, 1, 1))
+
+
+def test_analyze_refuses_a_milnor_number_over_the_ceiling_at_once():
+    # Fermat d = 16: mu = 15^4 = 50,625 > MAX_MU; d = 15 (mu = 38,416) is below it
+    assert 14**4 <= classify.MAX_MU < 15**4
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError) as err:
+        analyze(_fermat(16))
+    assert time.perf_counter() - start < 0.5
+    assert "[stage: milnor number]" in str(err.value)
+    assert "50625" in str(err.value)
+
+
+def test_analyze_ceiling_admits_a_milnor_number_equal_to_it(monkeypatch):
+    monkeypatch.setattr(classify, "MAX_MU", 16)
+    assert analyze(_fermat(3)).milnor_number == 16
+    monkeypatch.setattr(classify, "MAX_MU", 15)
+    with pytest.raises(BoundExceededError):
+        analyze(_fermat(3))
 
 
 def test_analyze_is_equivariant_under_relabeling(report60):

@@ -3,6 +3,7 @@ import math
 import os
 import random
 import threading
+import time
 from itertools import combinations_with_replacement
 
 import pytest
@@ -12,6 +13,7 @@ from singlink import (
     Divisor,
     CancelledMonomialError,
     DuplicateMonomialWarning,
+    InexactDivisionError,
     PolynomialSyntaxError,
     SinglinkError,
     WeightSystem,
@@ -21,6 +23,7 @@ from singlink import (
     is_well_formed_space,
     middle_betti,
     milnor_number,
+    poincare_series,
     quasi_degree,
     registry_dump,
 )
@@ -375,6 +378,35 @@ def test_cli_batch_counts_skipped_and_failed_records(tmp_path, capsys):
     assert "line 4: failed" in captured.err
 
 
+FERMAT_16 = "z0^16 + z1^16 + z2^16 + z3^16"
+
+
+def test_cli_analyze_over_the_milnor_ceiling_exits_one(capsys):
+    start = time.perf_counter()
+    assert entry(["analyze", "--weights", "1,1,1,1", "--poly", FERMAT_16]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "exceeds the analyze ceiling" in captured.err
+
+
+def test_cli_batch_counts_a_record_over_the_milnor_ceiling_as_failed(tmp_path, capsys):
+    path = tmp_path / "batch.jsonl"
+    path.write_text(
+        json.dumps({"weights": [1, 1, 1, 1], "degree": 16, "poly": FERMAT_16}) + "\n"
+        + json.dumps({"weights": [9, 15, 17, 20], "degree": 60, "poly": DK1_POLY}) + "\n",
+        encoding="utf-8",
+    )
+    assert entry(["batch", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert [json.loads(line)["input"]["weights"] for line in captured.out.splitlines()] == [
+        [9, 15, 17, 20]
+    ]
+    assert "line 1: failed" in captured.err
+    assert "ok=1 skipped=0 failed=1" in captured.err
+
+
 def test_cli_batch_skips_non_integer_numbers_and_a_non_string_poly(tmp_path, capsys):
     # the first record used to be truncated to DK-1 and analyzed (ok=1)
     path = tmp_path / "batch.jsonl"
@@ -546,6 +578,76 @@ def test_scan_fast_path_matches_the_generic_path():
             assert rows or nvars == 2
             with_b2 += sum(r["b2_divisor"] is not None for r in rows)
     assert with_b2 > 0
+
+
+def _prefix_residue(row):
+    """K_P = base * prod(base - w) over the prefix, base = d - last weight."""
+    *prefix, last = row["weights"]
+    base = row["degree"] - last
+    return base * math.prod(base - w for w in prefix)
+
+
+def _integral_mu(row):
+    ws, degree = row["weights"], row["degree"]
+    mu, rest = divmod(math.prod(degree - w for w in ws), math.prod(ws))
+    return mu if degree > max(ws) and not rest else None
+
+
+def test_scan_integral_rows_satisfy_the_prefix_residue_lemma():
+    """An integral mu needs the last weight to divide K_P, and the scan's mu is
+    null exactly where the products say it is not integral."""
+    integral = 0
+    for nvars, max_weight in ((3, 30), (4, 20), (5, 12)):
+        for index in (-1, 0, 1, 2):
+            for row in scan_rows(max_weight, index=index, nvars=nvars):
+                mu = _integral_mu(row)
+                assert row["milnor_number"] == mu, row
+                if mu is not None:
+                    integral += 1
+                    assert _prefix_residue(row) % row["weights"][-1] == 0, row
+    assert integral > 100
+
+
+def test_scan_rows_at_max_weight_128_keep_every_integral_mu():
+    """The (128, 4) rows with a Milnor number, counted before the prune: each
+    satisfies the lemma and the library's mu and b2; 25 of the 78 with a b2
+    have no polynomial Poincare product, so the row certifies no isolated
+    singularity."""
+    kept = [r for r in scan_rows(128) if r["milnor_number"] is not None]
+    with_b2 = [r for r in kept if r["b2_divisor"] is not None]
+    assert (len(kept), len(with_b2)) == (425, 78)
+    for row in kept:
+        assert _prefix_residue(row) % row["weights"][-1] == 0, row
+        assert (row["milnor_number"], row["b2_divisor"]) == pipeline_mu_b2(
+            WeightSystem(tuple(row["weights"]), row["degree"])
+        ), row
+    no_series = []
+    for row in with_b2:
+        try:
+            poincare_series(WeightSystem(tuple(row["weights"]), row["degree"]))
+        except InexactDivisionError:
+            no_series.append(row["weights"])
+    assert len(no_series) == 25 and [2, 3, 13, 35] in no_series
+
+
+def test_scan_runs_the_row_kernel_only_where_the_last_weight_divides_k(monkeypatch):
+    calls = []
+    real = cli._row_mu_b2
+
+    def counting(ws, degree):
+        calls.append((ws, degree))
+        return real(ws, degree)
+
+    expected = list(scan_rows(48))
+    monkeypatch.setattr(cli, "_row_mu_b2", counting)
+    assert list(scan_rows(48)) == expected
+    reached = [
+        (tuple(r["weights"]), r["degree"])
+        for r in expected
+        if _prefix_residue(r) % r["weights"][-1] == 0
+    ]
+    assert calls == reached
+    assert len(expected) > 5 * len(reached)
 
 
 def test_scan_other_variable_counts_use_the_generic_path():
