@@ -27,9 +27,12 @@ distinct systems keeps no expansion alive.
 
 bp_oracle is a deliberately independent second route for exponent sums
 f = z_0^{a_0} + ... + z_n^{a_n}: it enumerates the monodromy eigenvalues as
-exact rotation numbers and assembles the product of cyclotomic polynomials
-with its own arithmetic helpers, sharing no failure mode with the divisor
-pipeline.
+exact rotation numbers, groups them into one (Phi_n, c_n) pair per order n,
+and multiplies the pairs as one packed integer: each Phi_n is evaluated once
+at a power of two whose slots exceed a rigorous coefficient bound, raised to
+c_n, multiplied in, and the product is decoded once.  Its cyclotomic table,
+exact division and packing are its own, so it shares no failure mode with
+the divisor pipeline.
 """
 
 from __future__ import annotations
@@ -218,6 +221,7 @@ def bp_oracle(a: Sequence[int], bound: int = 5000) -> ExpandedPoly:
     exact order gives the multiset of cyclotomic factors.
     """
     exps = require_ints(a, "exponents")
+    require_ints((bound,), "the oracle bound")
     if not exps or any(x < 2 for x in exps):
         raise ValueError("all exponents must be >= 2")
     total = math.prod(x - 1 for x in exps)
@@ -238,15 +242,15 @@ def bp_oracle(a: Sequence[int], bound: int = 5000) -> ExpandedPoly:
         g = math.gcd(r, big_l)
         order = big_l // g
         by_order.setdefault(order, {})[r // g if g else 0] = c
-    factors: list[list[int]] = []
+    factors: list[tuple[list[int], int]] = []
     for order, residues in sorted(by_order.items()):
         expected = {x for x in range(order) if math.gcd(x, order) == 1}  # {0} at order 1
         if set(residues) != expected or len(set(residues.values())) != 1:
             raise ConsistencyError(
                 f"roots of order {order} do not fill Galois orbits evenly: {residues}"
             )
-        factors.extend([_cyclotomic(order)] * next(iter(residues.values())))
-    return ExpandedPoly(tuple(_product_tree(factors)))
+        factors.append((_cyclotomic(order), next(iter(residues.values()))))
+    return ExpandedPoly(tuple(_packed_product(factors, total + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -283,40 +287,27 @@ def _exact_div(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def _product_tree(factors: list[list[int]]) -> list[int]:
-    """Balanced product of many small integer polynomials."""
-    if not factors:
-        return [1]
-    layer = list(factors)
-    while len(layer) > 1:
-        nxt = [
-            _kronecker_mul(layer[i], layer[i + 1])
-            for i in range(0, len(layer) - 1, 2)
-        ]
-        if len(layer) % 2:
-            nxt.append(layer[-1])
-        layer = nxt
-    return layer[0]
+def _packed_product(factors: list[tuple[list[int], int]], length: int) -> list[int]:
+    """The `length` coefficients of prod p^e over (p, e) pairs, by Kronecker
+    substitution: each p is evaluated once at 2^(8 * width), the values are
+    raised and multiplied as ints, and the product is decoded once.
 
-
-def _kronecker_mul(p: list[int], q: list[int]) -> list[int]:
-    """Exact polynomial product via one big-integer multiplication.
-
-    Coefficients are packed in power-of-two slots wide enough that balanced
-    digits recover the (possibly negative) convolution exactly; unpacking
-    masks each slot and carries one into the next when a digit is negative.
+    The 1-norm is submultiplicative and bounds the largest coefficient, so
+    prod ||p||_1^e bounds every coefficient of the product.  The slot is
+    whole bytes with half a slot above that bound; adding half to every slot
+    turns the balanced digits into plain bytes.
     """
-    limit = min(len(p), len(q)) * max(map(abs, p)) * max(map(abs, q))
-    shift = (2 * limit).bit_length()
-    base = 1 << shift
-    mask, half = base - 1, base >> 1
-    packed = math.prod(sum(c << i * shift for i, c in enumerate(r)) for r in (p, q))
-    out, carry = [], 0
-    for _ in range(len(p) + len(q) - 1):
-        digit = (packed & mask) + carry
-        carry = digit > half
-        out.append(digit - base if carry else digit)
-        packed >>= shift
-    if packed + carry:
-        raise ConsistencyError("packed product decoding did not terminate")
-    return out
+    limit = math.prod(sum(map(abs, p)) ** e for p, e in factors)
+    width = limit.bit_length() // 8 + 1
+    half = 1 << 8 * width - 1
+    pad = half.to_bytes(width, "little")
+    product = 1
+    for p, e in factors:
+        value = int.from_bytes(b"".join((c + half).to_bytes(width, "little") for c in p), "little")
+        product *= (value - int.from_bytes(pad * len(p), "little")) ** e
+    product += int.from_bytes(pad * length, "little")
+    try:
+        out = product.to_bytes(length * width, "little")
+    except OverflowError:
+        raise ConsistencyError("packed product decoding did not terminate") from None
+    return [int.from_bytes(out[i:i + width], "little") - half for i in range(0, len(out), width)]

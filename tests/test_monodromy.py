@@ -405,10 +405,18 @@ def test_bp_oracle_refuses_non_integer_exponents():
         bp_oracle((2.5, 3))
 
 
+@pytest.mark.parametrize("bound", [2.5, True, 300.0])
+def test_bp_oracle_refuses_a_non_integer_bound(bound):
+    with pytest.raises(TypeError, match="oracle bound"):
+        bp_oracle((2, 3), bound=bound)
+
+
 def test_bp_oracle_agrees_with_divisor_pipeline():
     rng = random.Random(314)
     cases = [(3, 3, 3, 2), (2, 3, 5), (4, 4, 4), (6, 10, 15)]
-    while len(cases) < 16:
+    # the widest packed slots: high powers of few cyclotomic factors
+    cases += [(5, 5, 5, 5), (6, 6, 6, 6), (7, 7, 7, 7), (2, 2, 2, 302)]
+    while len(cases) < 20:
         cases.append(tuple(rng.randint(2, 9) for _ in range(rng.randint(2, 4))))
     for exps in cases:
         big_l = math.lcm(*exps)
@@ -471,33 +479,34 @@ def test_cyclotomic_table_matches_the_mobius_product():
         assert monodromy._cyclotomic(n) == poly, n
 
 
-def test_kronecker_mul_matches_schoolbook_convolution():
+def test_packed_product_matches_a_schoolbook_product_of_powers():
     rng = random.Random(2011)
     cases = []
     for _ in range(300):
         bits = rng.choice((1, 3, 8, 30, 70))
-        p, q = (
-            [rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(1, 12))]
-            for _ in range(2)
-        )
-        p[-1] = p[-1] or -1
-        q[-1] = q[-1] or 1
-        cases.append((p, q))
-    # length-1 operands, a negative leading coefficient, interior zeros
-    cases += [([7], [-3]), ([-1], [2, 0, -5]), ([4, -4, 0, 9], [-6]), ([1, 0, 0, -1], [-1, 0, 1])]
-    # |coefficient| reaches the bound min(len) * max|p| * max|q| = 3 * 5 * 17 = 255,
-    # one below the slot's half 256: alone, with either sign, and next to each
-    # other in both orders (a borrow into a full digit, and out of one)
-    for q in ([17, 17, 17], [-17, -17, -17], [17, -17, 17, -17], [-17, 17, -17, 17]):
-        cases.append(([5, -5, 5] if len(q) == 4 else [5, 5, 5], q))
-    extremes, neighbours = set(), set()
-    for p, q in cases:
-        got = monodromy._kronecker_mul(p, q)
-        assert got == naive_mul(p, q), (p, q)
-        extremes.update(c for c in got if abs(c) == 255)
-        neighbours.update(pair for pair in zip(got, got[1:]) if {abs(c) for c in pair} == {255})
-    assert extremes == {255, -255}
-    assert neighbours == {(255, -255), (-255, 255)}
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            p = [rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(1, 12))]
+            p[-1] = p[-1] or rng.choice((-1, 1))
+            factors.append((p, rng.randint(1, 4)))
+        cases.append(factors)
+    # length-1 factors, a negative leading coefficient, interior zeros
+    cases += [[([7], 1), ([-3], 2)], [([-1], 3), ([2, 0, -5], 1)], [([1, 0, 0, -1], 4), ([-6], 1)]]
+    # the slot's edge: a lone coefficient of exactly +-2^(8k - 1), which needs
+    # k + 1 bytes (+2^(8k - 1) is one past the largest balanced digit of k
+    # bytes), and adjacent coefficients +-c whose 1-norm 2c is exactly
+    # 2^(8k - 1), in both orders
+    for k in (1, 2, 3):
+        edge = 1 << 8 * k - 1
+        cases += [[([edge], 1)], [([-edge], 1)]]
+        cases += [[([edge >> 1, -(edge >> 1)], 1)], [([-(edge >> 1), edge >> 1], 1)]]
+        cases += [[([edge >> 1], 1), ([1, -1], 1)], [([edge >> 1], 1), ([-1, 1], 1)]]
+    for factors in cases:
+        expected = naive_product([p for p, e in factors for _ in range(e)])
+        assert monodromy._packed_product(factors, len(expected)) == expected, factors
+        with pytest.raises(ConsistencyError, match="did not terminate"):
+            monodromy._packed_product(factors, len(expected) - 1)
+    assert monodromy._packed_product([], 1) == [1]
 
 
 def test_expand_matches_the_reference_on_brieskorn_pham_quadruples():
