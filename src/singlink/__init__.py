@@ -1,7 +1,7 @@
 """Exact invariants of links of isolated weighted-homogeneous singularities.
 
 The pipeline, bottom to top: weight systems and monomial supports
-(weights), the characteristic divisor as an integer Lambda-combination
+(weights), the characteristic divisor as its ascending (j, a_j) pairs
 (divisor), Milnor number and monodromy characteristic polynomial
 (monodromy), graded Milnor-algebra dimensions with Hodge numbers,
 signature and genus (milnor_algebra), singular strata and orbifold data
@@ -42,9 +42,7 @@ from .errors import (
     InexactDivisionError,
     IntegralityViolationError,
     LengthMismatchError,
-    NonIntegralCoefficientError,
     NonIntegralMilnorNumberError,
-    NonPositiveIndexError,
     NonPositiveWeightError,
     NotNormalizedError,
     NotQuasiHomogeneousError,

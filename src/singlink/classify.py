@@ -306,7 +306,8 @@ def cross_checks(report: InvariantReport) -> tuple[CheckResult, ...]:
         )
 
     check("b2 routes", middle_betti(report.divisor), report.b2_hodge)
-    check("divisor degree vs milnor number", report.divisor.degree(), report.milnor_number)
+    degree = sum(j * a for j, a in report.divisor)
+    check("divisor degree vs milnor number", degree, report.milnor_number)
     check(
         "eigenvalue-1 multiplicity of expanded vs b2",
         report.expanded.multiplicity_at_one(),

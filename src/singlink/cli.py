@@ -214,7 +214,26 @@ def _big_int_list(out: dict, key: str, values: Sequence[int]) -> None:
 
 
 def _divisor_terms(divisor: Divisor) -> list[list[int]]:
-    return [[n, divisor.coefficient(n)] for n in sorted(divisor.support, reverse=True)]
+    return [[j, a] for j, a in reversed(divisor)]
+
+
+def _divisor_pretty(divisor: Divisor) -> str:
+    """sum a_j Lambda_j with the unit split out, largest j first.
+
+    Example: "Λ60 + Λ20 + Λ12 - Λ4 - Λ3 + 1".
+    """
+    out = ""
+    for j, a in reversed(divisor):
+        if j == 1:
+            body = str(abs(a))
+        elif abs(a) == 1:
+            body = f"Λ{j}"
+        else:
+            body = f"{abs(a)}·Λ{j}"
+        out += f" {'-' if a < 0 else '+'} {body}"
+    if not out:
+        return "0"
+    return out[3:] if out[1] == "+" else f"-{out[3:]}"
 
 
 def _factored_pretty(divisor: Divisor) -> str:
@@ -233,9 +252,9 @@ def _factored_pretty(divisor: Divisor) -> str:
 def report_to_json_dict(report: InvariantReport) -> dict:
     invariants: dict = {}
     _big_int(invariants, "milnor_number", report.milnor_number)
-    invariants["characteristic_divisor"] = report.divisor.pretty()
+    invariants["characteristic_divisor"] = _divisor_pretty(report.divisor)
     invariants["divisor_terms"] = _divisor_terms(report.divisor)
-    invariants["factored"] = _divisor_terms(report.divisor)[::-1]
+    invariants["factored"] = [list(pair) for pair in report.divisor]
     invariants["factored_pretty"] = _factored_pretty(report.divisor)
     invariants["expanded_degree"] = report.expanded.degree
     _big_int_list(invariants, "expanded_coefficients", report.expanded.coefficients)
@@ -315,7 +334,7 @@ def render_text(report: InvariantReport) -> str:
         f"polynomial: {render_polynomial(report.support)}",
         f"flags: {', '.join(flags)}",
         f"Milnor number: {report.milnor_number}",
-        f"characteristic divisor: {report.divisor.pretty()}",
+        f"characteristic divisor: {_divisor_pretty(report.divisor)}",
         f"factored: {_factored_pretty(report.divisor)}",
         f"b2: {report.b2_divisor} (divisor route), {report.b2_hodge} (Hodge route)",
         "hodge numbers: "

@@ -46,10 +46,6 @@ class EmptySubsetError(SinglinkError):
     """A nonempty index subset or monomial set was required."""
 
 
-class NonPositiveIndexError(SinglinkError):
-    """Divisor basis indices must be positive integers."""
-
-
 class DegenerateDegreeError(SinglinkError):
     """The degree is too small relative to the weights for the operation."""
 
@@ -64,10 +60,6 @@ class NonIntegralMilnorNumberError(SinglinkError):
 
 class IntegralityViolationError(SinglinkError):
     """A quantity that must describe an integral root multiset is not one."""
-
-
-class NonIntegralCoefficientError(SinglinkError):
-    """A divisor coefficient is not an integer."""
 
 
 class InexactDivisionError(SinglinkError):

@@ -12,10 +12,10 @@ with the product taken in the group ring of roots of unity, Lambda_a * Lambda_b
 = gcd(a, b) * Lambda_lcm(a, b), computed in int scaled by prod v_i
 (milnor_orlik_terms, shared with scan), and mu as prod(d - w_i) / prod w_i
 (milnor_product).  Both must come out integral, a divisibility test; the
-coefficient of Lambda_j is then the exponent of (t^j - 1) in Delta, so the
-divisor's (j, a_j) pairs (to_factored) are its factored form.  expand is the
-one expander of such binomial quotients: Delta here, and the Poincare series
-of milnor_algebra.
+coefficient a_j of Lambda_j is then the exponent of (t^j - 1) in Delta, so
+characteristic_divisor returns the divisor as its ascending (j, a_j) pairs,
+which are Delta's factored form.  expand is the one expander of such
+binomial quotients: Delta here, and the Poincare series of milnor_algebra.
 
 The divisor, hence Delta(t) and its eigenvalue-1 multiplicity, depends only
 on the weight system, so there is one validated characteristic polynomial
@@ -107,12 +107,13 @@ def characteristic_divisor(w: WeightSystem) -> Divisor:
             f"characteristic divisor has fractional coefficients {bad}; "
             "the weight data is inconsistent with an isolated singularity link"
         )
-    acc = Divisor({n: c // scale for n, c in terms.items()})
-    if acc.degree() * den != num:
+    divisor = Divisor(sorted((n, c // scale) for n, c in terms.items()))
+    degree = sum(j * a for j, a in divisor)
+    if degree * den != num:
         raise ConsistencyError(
-            f"divisor degree {acc.degree()} differs from Milnor product {Fraction(num, den)}"
+            f"divisor degree {degree} differs from Milnor product {Fraction(num, den)}"
         )
-    return acc
+    return divisor
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,9 @@ class ExpandedPoly:
 
 
 def to_factored(divisor: Divisor) -> tuple[tuple[int, int], ...]:
-    """Reinterpret the divisor sum a_j Lambda_j as the ascending (j, a_j) pairs
-    of prod (t^j - 1)^{a_j}."""
-    return tuple(sorted(divisor.terms.items()))
+    """The divisor's (j, a_j) pairs as a plain tuple: the factored form
+    prod (t^j - 1)^{a_j}."""
+    return tuple(divisor)
 
 
 def expand(factors: Iterable[tuple[int, int]]) -> ExpandedPoly:
@@ -196,12 +197,12 @@ def characteristic_polynomial(w: WeightSystem) -> tuple[Divisor, ExpandedPoly]:
     built once per weight system; a refused w is not cached, so it raises on
     every call."""
     divisor = characteristic_divisor(w)
-    return divisor, expand(to_factored(divisor))
+    return divisor, expand(divisor)
 
 
 def middle_betti(divisor: Divisor) -> int:
     """Multiplicity of the eigenvalue 1: the divisor's coefficient sum."""
-    b = sum(divisor.terms.values())
+    b = sum(a for _, a in divisor)
     if b < 0:
         raise IntegralityViolationError(f"root 1 has negative multiplicity {b}")
     return b

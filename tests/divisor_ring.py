@@ -24,8 +24,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from singlink.errors import NonPositiveIndexError
-
 Scalar = Union[int, Fraction]
 
 
@@ -40,7 +38,7 @@ class RingDivisor:
         for n, c in items:
             n = int(n)
             if n < 1:
-                raise NonPositiveIndexError(f"divisor index {n} is not positive")
+                raise ValueError(f"divisor index {n} is not positive")
             c = c if type(c) is int else Fraction(c)
             if c:
                 acc[n] = acc.get(n, 0) + c
@@ -185,5 +183,5 @@ def _promote(value: RingDivisor | Scalar) -> RingDivisor:
 def lambda_of(n: int) -> RingDivisor:
     """The basis divisor of t**n - 1 (all n-th roots of unity, once each)."""
     if n < 1:
-        raise NonPositiveIndexError(f"Lambda index {n} is not positive")
+        raise ValueError(f"Lambda index {n} is not positive")
     return RingDivisor({n: 1})

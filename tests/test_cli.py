@@ -10,7 +10,6 @@ import pytest
 
 from singlink import (
     BoundExceededError,
-    Divisor,
     CancelledMonomialError,
     DuplicateMonomialWarning,
     InexactDivisionError,
@@ -31,6 +30,7 @@ from singlink import cli
 from singlink.cli import (
     _big_int,
     _big_int_list,
+    _divisor_pretty,
     _factored_pretty,
     _row_mu_b2,
     entry,
@@ -114,10 +114,21 @@ def test_render_polynomial_refuses_negative_exponents():
         render_polynomial([(0, 0, 3), (2, 0, -1)])
 
 
+def test_divisor_pretty_renders_the_lambda_combination(report60):
+    assert _divisor_pretty(()) == "0"
+    assert _divisor_pretty(((2, -1),)) == "-Λ2"
+    assert _divisor_pretty(((1, -1),)) == "-1"
+    assert _divisor_pretty(((1, 1),)) == "1"
+    assert _divisor_pretty(((1, -4), (2, 2), (6, -3))) == "-3·Λ6 + 2·Λ2 - 4"
+    assert _divisor_pretty(report60.divisor) == "Λ60 + Λ20 + Λ12 - Λ4 - Λ3 + 1"
+    d256 = characteristic_divisor(WeightSystem((11, 49, 69, 128), 256))
+    assert _divisor_pretty(d256) == "Λ256 - Λ2 + 1"
+
+
 def test_factored_pretty_renders_the_binomial_quotient(report60):
-    assert _factored_pretty(Divisor({1: 2})) == "(t-1)^2"
-    assert _factored_pretty(Divisor()) == "1"
-    assert _factored_pretty(Divisor({2: -1, 3: 2})) == "(t^3-1)^2 / (t^2-1)"
+    assert _factored_pretty(((1, 2),)) == "(t-1)^2"
+    assert _factored_pretty(()) == "1"
+    assert _factored_pretty(((2, -1), (3, 2))) == "(t^3-1)^2 / (t^2-1)"
     quotient = "(t^60-1)(t^20-1)(t^12-1)(t-1) / (t^4-1)(t^3-1)"
     assert _factored_pretty(report60.divisor) == quotient
     invariants = report_to_json_dict(report60)["invariants"]
