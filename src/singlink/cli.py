@@ -24,6 +24,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from typing import Iterable, Iterator, Sequence
@@ -62,36 +63,27 @@ _JSON_SAFE = 1 << 53
 
 # -- polynomial expressions ----------------------------------------------
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch == "z":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise PolynomialSyntaxError("variable needs an index, like z0", i)
-            tokens.append(("var", int(text[i + 1 : j]), i))
-            i = j
-            continue
-        raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
-    return tokens
+# Every non-space character matches, so finditer skips exactly the
+# whitespace; the last group catches what the grammar cannot use.
+_TOKEN = re.compile(r"(\d+)|z(\d+)|([-+*^])|(\S)")
+
+
+def _tokenize(text: str) -> Iterator[tuple[str, object, int]]:
+    for match in _TOKEN.finditer(text):
+        number, index, op, other = match.groups()
+        pos = match.start()
+        if op:
+            yield op, op, pos
+        elif other == "z":
+            raise PolynomialSyntaxError("variable needs an index, like z0", pos)
+        elif other:
+            raise PolynomialSyntaxError(f"unexpected character {other!r}", pos)
+        else:
+            try:
+                value = int(number or index)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise PolynomialSyntaxError("integer has too many digits", pos) from None
+            yield ("int" if number else "var"), value, pos
 
 
 def parse_polynomial(text: str, nvars: int | None = None) -> frozenset[Exponents]:
@@ -100,67 +92,49 @@ def parse_polynomial(text: str, nvars: int | None = None) -> frozenset[Exponents
     Coefficients are accepted and only their signs and cancellations
     matter: duplicate monomials merge with a warning, and a monomial whose
     merged coefficient is zero is an error, since supports are assumed
-    generic.
+    generic.  Without ``nvars`` the width is one past the largest index,
+    at most ``SCAN_MAX_VARS``.
     """
-    tokens = _tokenize(text)
+    tokens = list(_tokenize(text))
     if not tokens:
         raise PolynomialSyntaxError("empty polynomial", 0)
+    tokens.append(("end", None, tokens[-1][2]))
 
     terms: list[tuple[dict[int, int], int, int]] = []
     pos = 0
-    n = len(tokens)
-
-    def peek() -> str | None:
-        return tokens[pos][0] if pos < n else None
-
-    while pos < n:
-        sign = 1
-        while peek() in ("+", "-"):
-            if tokens[pos][0] == "-":
-                sign = -sign
+    while tokens[pos][0] != "end":
+        coefficient = 1
+        while tokens[pos][0] in ("+", "-"):
+            coefficient *= -1 if tokens[pos][0] == "-" else 1
             pos += 1
-        if pos >= n:
-            raise PolynomialSyntaxError(
-                "dangling sign at the end of the expression", tokens[-1][2]
-            )
+        kind, _, term_pos = tokens[pos]
+        if kind == "end":
+            raise PolynomialSyntaxError("dangling sign at the end of the expression", term_pos)
+        if kind == "^":
+            raise PolynomialSyntaxError("expected a term", term_pos)
         exponents: dict[int, int] = {}
-        coefficient = sign
-        term_pos = tokens[pos][2]
-        saw_atom = False
         while True:
-            kind = peek()
-            if kind == "*":
-                pos += 1
-                kind = peek()
-                if kind not in ("int", "var"):
-                    where = tokens[pos][2] if pos < n else tokens[-1][2]
-                    raise PolynomialSyntaxError("'*' needs a following factor", where)
+            kind, value, _ = tokens[pos]
             if kind == "int":
-                coefficient *= int(tokens[pos][1])
-                pos += 1
-                saw_atom = True
+                coefficient *= value
             elif kind == "var":
-                index = int(tokens[pos][1])
-                pos += 1
                 power = 1
-                if peek() == "^":
-                    pos += 1
-                    if peek() != "int":
-                        where = tokens[pos][2] if pos < n else tokens[-1][2]
+                if tokens[pos + 1][0] == "^":
+                    kind, power, where = tokens[pos + 2]
+                    if kind != "int":
                         raise PolynomialSyntaxError("'^' needs an integer exponent", where)
-                    power = int(tokens[pos][1])
-                    pos += 1
-                exponents[index] = exponents.get(index, 0) + power
-                saw_atom = True
-            else:
+                    pos += 2
+                exponents[value] = exponents.get(value, 0) + power
+            elif kind != "*":
                 break
-        if not saw_atom:
-            raise PolynomialSyntaxError("expected a term", tokens[pos][2])
+            elif tokens[pos + 1][0] not in ("int", "var"):
+                raise PolynomialSyntaxError("'*' needs a following factor", tokens[pos + 1][2])
+            pos += 1
         terms.append((exponents, coefficient, term_pos))
 
     width = nvars
     if width is None:
-        width = 1 + max((i for e, _, _ in terms for i in e), default=-1)
+        width = min(1 + max((i for e, _, _ in terms for i in e), default=-1), SCAN_MAX_VARS)
     merged: dict[Exponents, int] = {}
     duplicated = False
     for exponents, coefficient, term_pos in terms:

@@ -5,6 +5,7 @@ import random
 import threading
 import time
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -58,29 +59,50 @@ def test_parse_polynomial_signs_coefficients_and_juxtaposition():
     assert parse_polynomial("z0 - -z1") == frozenset({(1, 0), (0, 1)})
     assert parse_polynomial("z0", nvars=3) == frozenset({(1, 0, 0)})
     assert parse_polynomial("2 + z0") == frozenset({(0,), (1,)})
+    assert parse_polynomial("- -z1") == frozenset({(0, 1)})
+    assert parse_polynomial("2z1") == frozenset({(0, 1)})
+    assert parse_polynomial("z0 z1") == frozenset({(1, 1)})
+    assert parse_polynomial("*z0 + * 3 z1") == frozenset({(1, 0), (0, 1)})
+    assert parse_polynomial("z0\u00a0+\u3000z1 ^ 2") == frozenset({(1, 0), (0, 2)})
+    assert parse_polynomial("z\u0663^\uff12", nvars=4) == frozenset({(0, 0, 0, 2)})
+    assert parse_polynomial("z99") == frozenset({(0,) * 99 + (1,)})
+
+
+# text, nvars, message, position: one row per kind of syntax error
+SYNTAX_ERRORS = [
+    ("", None, "empty polynomial", 0),
+    ("   ", None, "empty polynomial", 0),
+    ("z0 @", None, "unexpected character '@'", 3),
+    ("z3^²", None, "unexpected character '²'", 3),
+    ("z²", None, "variable needs an index, like z0", 0),
+    ("z", None, "variable needs an index, like z0", 0),
+    ("z0 + z ^2", None, "variable needs an index, like z0", 5),
+    ("z0 +", None, "dangling sign at the end of the expression", 3),
+    ("z0 - -", None, "dangling sign at the end of the expression", 5),
+    ("z0 * ", None, "'*' needs a following factor", 3),
+    ("z0*z1*z2 *", None, "'*' needs a following factor", 9),
+    ("z0 * + z1", None, "'*' needs a following factor", 5),
+    ("z0 ** z1", None, "'*' needs a following factor", 4),
+    ("z0^", None, "'^' needs an integer exponent", 2),
+    ("z0^z1", None, "'^' needs an integer exponent", 3),
+    ("z0 ^ -2", None, "'^' needs an integer exponent", 5),
+    ("^2 + z0", None, "expected a term", 0),
+    ("z0 + 3^2", None, "expected a term", 6),
+    ("z0^2^3", None, "expected a term", 4),
+    ("z0^" + "9" * 5000, None, "integer has too many digits", 3),
+    ("z" + "1" * 5000, 4, "integer has too many digits", 0),
+    ("z2", 2, "variable z2 is out of range for 2 variables", 0),
+    ("z0 + z1*z7", 4, "variable z7 is out of range for 4 variables", 5),
+    ("z0 + z20000000", None, "variable z20000000 is out of range for 100 variables", 5),
+]
 
 
 def test_parse_polynomial_syntax_errors_carry_positions():
-    with pytest.raises(PolynomialSyntaxError) as err:
-        parse_polynomial("z0 @")
-    assert err.value.position == 3
-    with pytest.raises(PolynomialSyntaxError):
-        parse_polynomial("")
-    with pytest.raises(PolynomialSyntaxError):
-        parse_polynomial("z")
-    with pytest.raises(PolynomialSyntaxError):
-        parse_polynomial("z0 +")
-    with pytest.raises(PolynomialSyntaxError):
-        parse_polynomial("z0^")
-    with pytest.raises(PolynomialSyntaxError):
-        parse_polynomial("z0 * ")
-    with pytest.raises(PolynomialSyntaxError) as err:
-        parse_polynomial("z0*z1*z2 *")
-    assert err.value.position == 9
-    with pytest.raises(PolynomialSyntaxError):
-        parse_polynomial("z0^z1")
-    with pytest.raises(PolynomialSyntaxError):
-        parse_polynomial("z2", nvars=2)
+    for text, nvars, message, position in SYNTAX_ERRORS:
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text, nvars=nvars)
+        assert str(err.value) == f"{message} (position {position})", text[:20]
+        assert err.value.position == position
 
 
 def test_parse_polynomial_cancellation_and_merging():
@@ -416,6 +438,31 @@ def test_cli_batch_counts_a_record_over_the_milnor_ceiling_as_failed(tmp_path, c
     ]
     assert "line 1: failed" in captured.err
     assert "ok=1 skipped=0 failed=1" in captured.err
+
+
+SUPERSCRIPT_POLY = "z0^3 + z1^3 + z2^3 + z3^²"
+
+
+def test_cli_analyze_refuses_a_superscript_exponent(capsys):
+    assert entry(["analyze", "--weights", "1,1,1,1", "--poly", SUPERSCRIPT_POLY]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unexpected character '²' (position 24)\n"
+
+
+def test_cli_batch_counts_a_superscript_exponent_as_failed_and_goes_on(tmp_path, capsys):
+    path = tmp_path / "batch.jsonl"
+    path.write_text(
+        json.dumps({"weights": [1, 1, 1, 1], "degree": 3, "poly": SUPERSCRIPT_POLY}) + "\n"
+        + json.dumps({"weights": [9, 15, 17, 20], "degree": 60, "poly": DK1_POLY}) + "\n",
+        encoding="utf-8",
+    )
+    assert entry(["batch", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "line 1: failed (unexpected character '²' (position 24))" in captured.err
+    assert captured.err.splitlines()[-1] == "ok=1 skipped=0 failed=1"
+    golden = (Path(__file__).parent / "golden" / "report_dk1.json").read_text(encoding="utf-8")
+    assert [json.loads(line) for line in captured.out.splitlines()] == [json.loads(golden)]
 
 
 def test_cli_batch_skips_non_integer_numbers_and_a_non_string_poly(tmp_path, capsys):
