@@ -37,7 +37,9 @@ from .milnor_algebra import (
 )
 from .monodromy import (
     ExpandedPoly,
+    brief,
     characteristic_polynomial,
+    factored_residue,
     middle_betti,
     milnor_number,
 )
@@ -70,9 +72,10 @@ NOT_FANO = "not_fano"
 NOT_WELL_FORMED = "not_well_formed"
 NOT_QUASI_SMOOTH = "not_quasi_smooth"
 
-# analyze's work ceiling, checked before Delta(t) and P(t) (mu + 1 big-integer
-# coefficients each) are built: Fermat d = 15 (mu = 38,416) passes, d = 16 not.
+# analyze's work ceilings on mu and the socle degree T, checked before Delta(t) (mu + 1
+# coefficients) and P(t) (T + 1) are built: Fermat d = 15 (mu = 38,416) passes, d = 16 not.
 MAX_MU = 50_000
+MAX_SOCLE = 500_000
 
 
 def _canonical_key(weights: tuple[int, ...], degree: int, support: tuple[Exponents, ...]) -> tuple:
@@ -309,9 +312,9 @@ def cross_checks(report: InvariantReport) -> tuple[CheckResult, ...]:
     degree = sum(j * a for j, a in report.divisor)
     check("divisor degree vs milnor number", degree, report.milnor_number)
     check(
-        "eigenvalue-1 multiplicity of expanded vs b2",
-        report.expanded.multiplicity_at_one(),
-        report.b2_divisor,
+        "expanded vs factored Delta(t) mod P",
+        report.expanded.residue,
+        factored_residue(report.divisor),
     )
     if report.fano.is_fano:
         check("signature vs 1 - b2 (Fano)", report.signature, 1 - report.b2_divisor)
@@ -392,8 +395,10 @@ def analyze(
 
     with _stage("milnor number"):
         mu = milnor_number(w)
-        if mu > MAX_MU:
-            raise BoundExceededError(f"Milnor number {mu} exceeds the analyze ceiling {MAX_MU}")
+        socle = sum(w.degree - 2 * wi for wi in w.weights)
+        for what, n, cap in (("Milnor number", mu, MAX_MU), ("socle degree", socle, MAX_SOCLE)):
+            if n > cap:
+                raise BoundExceededError(f"{what} {brief(n)} exceeds the analyze ceiling {cap}")
     with _stage("characteristic divisor"):
         divisor, expanded = characteristic_polynomial(w)
         b2_div = middle_betti(divisor)

@@ -17,22 +17,18 @@ characteristic_divisor returns the divisor as its ascending (j, a_j) pairs,
 which are Delta's factored form.  expand is the one expander of such
 binomial quotients: Delta here, and the Poincare series of milnor_algebra.
 
-The divisor, hence Delta(t) and its eigenvalue-1 multiplicity, depends only
-on the weight system, so there is one validated characteristic polynomial
-per weight system: characteristic_polynomial is cached like
-milnor_algebra.poincare_series (holding the sum of the distinct mu over a
-process), and ExpandedPoly memoizes its exact multiplicity_at_one.
+The divisor, hence Delta(t), depends only on the weight system, so
+characteristic_polynomial is cached like milnor_algebra.poincare_series
+(holding the sum of the distinct mu over a process).  ExpandedPoly memoizes
+its residue Delta(R) mod P, which classify.cross_checks compares with the
+pairs' factored_residue: an O(mu) identity test (Schwartz 1980, Zippel 1979).
 characteristic_divisor and expand stay uncached, so a sweep over many
 distinct systems keeps no expansion alive.
 
 bp_oracle is a deliberately independent second route for exponent sums
-f = z_0^{a_0} + ... + z_n^{a_n}: it enumerates the monodromy eigenvalues as
-exact rotation numbers, groups them into one (Phi_n, c_n) pair per order n,
-and multiplies the pairs as one packed integer: each Phi_n is evaluated once
-at a power of two whose slots exceed a rigorous coefficient bound, raised to
-c_n, multiplied in, and the product is decoded once.  Its cyclotomic table,
-exact division and packing are its own, so it shares no failure mode with
-the divisor pipeline.
+f = z_0^{a_0} + ... + z_n^{a_n}, by root enumeration, with its own
+cyclotomic table, exact division and packed product, so it shares no
+failure mode with the divisor pipeline.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 from ._intpoly import div_binomial, mul_binomial_power
@@ -54,6 +49,14 @@ from .errors import (
     NonIntegralMilnorNumberError,
 )
 from .weights import WeightSystem, require_ints
+
+
+def brief(x: int | Fraction) -> str:
+    """A non-negative x in full, or its power of ten past the int -> str digit limit."""
+    try:
+        return str(x)
+    except ValueError:  # over sys.get_int_max_str_digits()
+        return f"~10^{math.log10(x.numerator) - math.log10(x.denominator):.0f}"
 
 
 def milnor_product(w: WeightSystem) -> tuple[int, int]:
@@ -71,7 +74,7 @@ def milnor_number(w: WeightSystem) -> int:
     mu, rest = divmod(num, den)
     if rest or mu <= 0:
         raise NonIntegralMilnorNumberError(
-            f"Milnor product {Fraction(num, den)} is not a positive integer; "
+            f"Milnor product {brief(Fraction(num, den))} is not a positive integer; "
             "the weight data is inconsistent with an isolated singularity link"
         )
     return mu
@@ -116,6 +119,11 @@ def characteristic_divisor(w: WeightSystem) -> Divisor:
     return divisor
 
 
+# The point and prime of the residue check: 3 has order about 2.6 * 10^17 mod P.
+P = (1 << 61) - 1
+R = 3
+
+
 @dataclass(frozen=True)
 class ExpandedPoly:
     """Dense exact integer coefficients, constant term first."""
@@ -132,34 +140,23 @@ class ExpandedPoly:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def evaluate(self, x):
+    @cached_property
+    def residue(self) -> int:
+        """The value at R mod P, by Horner, computed once per instance."""
         acc = 0
         for c in reversed(self.coefficients):
-            acc = acc * x + c
+            acc = (acc * R + c) % P
         return acc
 
-    def multiplicity_at_one(self) -> int:
-        """Exponent of (t - 1), by repeated exact division, computed once per
-        instance (see _multiplicity_at_one)."""
-        return self._multiplicity_at_one
 
-    @cached_property
-    def _multiplicity_at_one(self) -> int:
-        """The prefix sums s_0 .. s_n of the coefficients give both the
-        remainder P(1) = s_n and the negated quotient s_0 .. s_{n-1} of
-        P / (t - 1).  Each step is one C-level accumulate pass, so the
-        check costs O(b2 * mu) big-integer additions.  The quotient keeps
-        the nonzero leading coefficient up to sign, so the loop ends at
-        degree 0 at the latest.
-        """
-        coeffs = self.coefficients
-        count = 0
-        while True:
-            sums = list(accumulate(coeffs))
-            if sums.pop():
-                return count
-            coeffs = sums
-            count += 1
+def factored_residue(factors: Iterable[tuple[int, int]]) -> int:
+    """prod (R^j - 1)^{a_j} mod P over (j, a_j) pairs; pow inverts a negative a_j."""
+    value = 1
+    for j, a in factors:
+        if not (base := pow(R, j, P) - 1):
+            raise ConsistencyError(f"R^{j} = 1 mod P: the factor (t^{j} - 1) vanishes at R = {R}")
+        value = value * pow(base, a, P) % P
+    return value
 
 
 def to_factored(divisor: Divisor) -> tuple[tuple[int, int], ...]:
@@ -208,11 +205,7 @@ def middle_betti(divisor: Divisor) -> int:
     return b
 
 
-# -- independent Brieskorn-Pham oracle -----------------------------------
-#
-# Everything below is used only to cross-check the divisor pipeline and is
-# kept self-contained on purpose: its own cyclotomic table, its own exact
-# division, its own multiplication.
+# -- independent Brieskorn-Pham oracle (self-contained on purpose) -------
 
 def bp_oracle(a: Sequence[int], bound: int = 5000) -> ExpandedPoly:
     """Characteristic polynomial for f = sum z_i^{a_i}, by root enumeration.

@@ -1,6 +1,8 @@
+from functools import cached_property
+
 import pytest
 
-from singlink import analyze, quasi_degree
+from singlink import ExpandedPoly, analyze, quasi_degree
 
 # The three links carried in the built-in registry, by their defining data.
 F60_SUPPORT = ((5, 1, 0, 0), (1, 0, 3, 0), (0, 4, 0, 0), (0, 0, 0, 3))
@@ -11,6 +13,22 @@ F256_1_WEIGHTS = (11, 49, 69, 128)
 
 F256_2_SUPPORT = ((17, 1, 0, 0), (1, 0, 3, 0), (0, 5, 1, 0), (0, 0, 0, 2))
 F256_2_WEIGHTS = (13, 35, 81, 128)
+
+
+def count_residue_passes(monkeypatch):
+    """Record the degree of each ExpandedPoly whose residue is computed (not
+    read back from its memo)."""
+    passes = []
+    horner = ExpandedPoly.__dict__["residue"].func
+
+    def counted(self):
+        passes.append(self.degree)
+        return horner(self)
+
+    memo = cached_property(counted)
+    memo.__set_name__(ExpandedPoly, "residue")
+    monkeypatch.setattr(ExpandedPoly, "residue", memo)
+    return passes
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +21,7 @@ from singlink import (
     OBSTRUCTED,
     ConsistencyError,
     DISJOINT,
+    ExpandedPoly,
     NonIntegralMilnorNumberError,
     RegistryEntry,
     SinglinkError,
@@ -45,7 +47,7 @@ from singlink import (
     torsion_status,
 )
 from singlink.cli import render_json
-from conftest import F60_SUPPORT, F60_WEIGHTS
+from conftest import F60_SUPPORT, F60_WEIGHTS, count_residue_passes
 
 
 def test_builtin_registry_round_trips_through_jsonl():
@@ -465,6 +467,31 @@ def test_analyze_ceiling_admits_a_milnor_number_equal_to_it(monkeypatch):
         analyze(_fermat(3))
 
 
+def _a2_stabilization(m):
+    """z0^3 + z1^2 + z2*z3 on weights (2m, 3m, 1, 6m - 1): mu = 2 and socle degree T = 2m."""
+    return quasi_degree([(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 1)], (2 * m, 3 * m, 1, 6 * m - 1))
+
+
+def test_analyze_refuses_a_socle_degree_over_the_ceiling_at_once():
+    assert 3_030 < classify.MAX_SOCLE < 2 * 10**7
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError) as err:
+        analyze(_a2_stabilization(10**7))
+    assert time.perf_counter() - start < 0.5
+    assert str(err.value) == (
+        f"[stage: milnor number] socle degree 20000000 exceeds the analyze ceiling {classify.MAX_SOCLE}"
+    )
+
+
+def test_analyze_socle_ceiling_admits_a_socle_degree_equal_to_it(monkeypatch):
+    monkeypatch.setattr(classify, "MAX_SOCLE", 10)
+    r = analyze(_a2_stabilization(5))
+    assert (r.milnor_number, r.series.top) == (2, 10)
+    monkeypatch.setattr(classify, "MAX_SOCLE", 9)
+    with pytest.raises(BoundExceededError, match="socle degree 10 exceeds"):
+        analyze(_a2_stabilization(5))
+
+
 def test_analyze_is_equivariant_under_relabeling(report60):
     permuted = quasi_degree(
         [
@@ -661,29 +688,25 @@ def test_analyze_and_render_build_no_fraction(tag, monkeypatch):
 
 
 def test_a_repeated_weight_system_reuses_its_characteristic_polynomial(monkeypatch):
-    """Two labelings of DK-1: Delta(t) is expanded once and its eigenvalue-1
-    multiplicity computed once, and the cached polynomial renders the golden."""
+    """Two labelings of DK-1: Delta(t) is expanded once and its residue
+    computed once, and the cached polynomial renders the golden."""
     relabeled = quasi_degree(
         [(0, 1, 0, 5), (3, 0, 0, 1), (0, 4, 0, 0), (0, 0, 3, 0)], (17, 15, 20, 9)
     )
-    expanded, passes = [], []
+    expanded = []
 
     def counted_expand(factors):
         expanded.append(factors)
         return original_expand(factors)
 
-    def counted_accumulate(values):
-        passes.append(len(values))
-        return original_accumulate(values)
-
-    original_expand, original_accumulate = monodromy.expand, monodromy.accumulate
+    original_expand = monodromy.expand
     monkeypatch.setattr(monodromy, "expand", counted_expand)
-    monkeypatch.setattr(monodromy, "accumulate", counted_accumulate)
+    passes = count_residue_passes(monkeypatch)
     monodromy.characteristic_polynomial.cache_clear()
     first = analyze(relabeled)
     second = analyze(quasi_degree(F60_SUPPORT, F60_WEIGHTS))
     assert len(expanded) == 1
-    assert len(passes) == second.b2_divisor + 1 == 3  # one prefix-sum loop
+    assert passes == [second.milnor_number] == [86]  # one Horner pass over Delta(t)
     assert second.expanded is first.expanded
     assert first.permutation == (3, 1, 0, 2) and second.permutation == (0, 1, 2, 3)
     golden = (Path(__file__).parent / "golden" / "report_dk1.json").read_text(encoding="utf-8")
@@ -691,12 +714,36 @@ def test_a_repeated_weight_system_reuses_its_characteristic_polynomial(monkeypat
     assert render_json(dataclasses.replace(first, permutation=(0, 1, 2, 3))) == golden
 
 
-def test_the_multiplicity_memo_never_hides_a_wrong_polynomial(report60):
-    name = "eigenvalue-1 multiplicity of expanded vs b2"
-    assert [c.name for c in cross_checks(report60)].count(name) == 1
-    assert report60.expanded.multiplicity_at_one() == 2  # memoized on the instance
+RESIDUE_CHECK = "expanded vs factored Delta(t) mod P"
+
+
+def test_the_residue_memo_never_hides_a_wrong_polynomial(report60):
+    assert [c.name for c in cross_checks(report60)].count(RESIDUE_CHECK) == 1
+    residue = report60.expanded.residue  # memoized on the instance
     times_t_minus_1 = monodromy.expand(report60.divisor + ((1, 1),))
     bad = dataclasses.replace(report60, expanded=times_t_minus_1)
-    assert [c.name for c in cross_checks(bad) if not c.passed] == [name]
-    with pytest.raises(ConsistencyError, match="got 3, expected 2"):
+    assert [c.name for c in cross_checks(bad) if not c.passed] == [RESIDUE_CHECK]
+    bad_residue = residue * (monodromy.R - 1) % monodromy.P
+    with pytest.raises(ConsistencyError, match=f"got {bad_residue}, expected {residue}"):
         require_consistent(bad)
+
+
+def test_one_coefficient_off_by_one_anywhere_fails_the_residue_check(report60):
+    coefficients = report60.expanded.coefficients
+    for k in range(len(coefficients)):
+        for delta in (1, -1):
+            coeffs = list(coefficients)
+            coeffs[k] += delta
+            if not coeffs[-1]:
+                continue  # the leading 1 cannot drop to 0 in an ExpandedPoly
+            bad = dataclasses.replace(report60, expanded=ExpandedPoly(tuple(coeffs)))
+            with pytest.raises(ConsistencyError, match=re.escape(RESIDUE_CHECK)):
+                require_consistent(bad)
+
+
+def test_the_residue_check_refuses_a_point_where_a_factor_vanishes(monkeypatch, report60):
+    # a fresh instance, so no residue at the patched point outlives the test
+    report = dataclasses.replace(report60, expanded=ExpandedPoly(report60.expanded.coefficients))
+    monkeypatch.setattr(monodromy, "R", monodromy.P - 1)  # (-1)^4 = 1: DK-1 has (t^4 - 1)
+    with pytest.raises(ConsistencyError, match="vanishes at R"):
+        require_consistent(report)

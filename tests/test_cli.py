@@ -2,8 +2,10 @@ import json
 import math
 import os
 import random
+import sys
 import threading
 import time
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from singlink import (
     registry_dump,
 )
 from singlink import cli
+from singlink.monodromy import brief
 from singlink.cli import (
     _big_int,
     _big_int_list,
@@ -463,6 +466,65 @@ def test_cli_batch_counts_a_superscript_exponent_as_failed_and_goes_on(tmp_path,
     assert captured.err.splitlines()[-1] == "ok=1 skipped=0 failed=1"
     golden = (Path(__file__).parent / "golden" / "report_dk1.json").read_text(encoding="utf-8")
     assert [json.loads(line) for line in captured.out.splitlines()] == [json.loads(golden)]
+
+
+def _batch_of(tmp_path, capsys, records):
+    """Run `batch` on the records, then DK-1, check that DK-1's golden is the one
+    report, and return the stderr lines."""
+    path = tmp_path / "batch.jsonl"
+    records = [*records, {"weights": [9, 15, 17, 20], "degree": 60, "poly": DK1_POLY}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert entry(["batch", str(path)]) == 0
+    captured = capsys.readouterr()
+    golden = (Path(__file__).parent / "golden" / "report_dk1.json").read_text(encoding="utf-8")
+    assert [json.loads(line) for line in captured.out.splitlines()] == [json.loads(golden)]
+    return captured.err.splitlines()
+
+
+# Milnor products with more digits than int -> str allows (4,300 by default on
+# CPython 3.11+): mu = (E - 1)^4 for E = 1,100 nines, and for E = 1,099 nines
+# then an 8 a product E^3 (E - 3) / 3 that is not an integer.
+HUGE_E = int("9" * 1_100)
+ODD_E = int("9" * 1_099 + "8")
+DIGIT_LIMIT_RECORDS = [
+    {"weights": [1, 1, 1, 1], "degree": HUGE_E,
+     "poly": " + ".join(f"z{i}^{HUGE_E}" for i in range(4))},
+    {"weights": [1, 1, 1, 3], "degree": ODD_E,
+     "poly": f"z0^{ODD_E} + z1^{ODD_E} + z2^{ODD_E} + z0^{ODD_E - 3}*z3"},
+]
+
+
+@pytest.mark.parametrize("record", DIGIT_LIMIT_RECORDS, ids=["mu over the ceiling", "fractional mu"])
+def test_cli_analyze_refuses_a_milnor_product_past_the_digit_limit(record, capsys):
+    weights = ",".join(map(str, record["weights"]))
+    assert entry(["analyze", "--weights", weights, "--poly", record["poly"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [stage: milnor number] Milnor ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_batch_counts_a_milnor_product_past_the_digit_limit_as_failed(tmp_path, capsys):
+    err = _batch_of(tmp_path, capsys, DIGIT_LIMIT_RECORDS)
+    for lineno, line in enumerate(err[:2], start=1):
+        assert line.startswith(f"line {lineno}: failed ([stage: milnor number] Milnor ")
+    assert err[-1] == "ok=1 skipped=0 failed=2"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int -> str digit limit")
+def test_brief_shows_a_number_past_the_digit_limit_as_a_power_of_ten():
+    assert brief(50625) == "50625"
+    assert brief(Fraction(7, 3)) == "7/3"
+    assert brief(10**5000) == "~10^5000"
+    assert brief(Fraction(10**9000 + 1, 10**3000)) == "~10^6000"
+
+
+def test_cli_batch_counts_a_record_over_the_socle_ceiling_as_failed(tmp_path, capsys):
+    m = 10**7  # mu = 2, socle degree 2m
+    record = {"weights": [2 * m, 3 * m, 1, 6 * m - 1], "degree": 6 * m, "poly": "z0^3 + z1^2 + z2*z3"}
+    err = _batch_of(tmp_path, capsys, [record])
+    assert err[0].startswith("line 1: failed ([stage: milnor number] socle degree 20000000 exceeds")
+    assert err[-1] == "ok=1 skipped=0 failed=1"
 
 
 def test_cli_batch_skips_non_integer_numbers_and_a_non_string_poly(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement, permutations
+from itertools import accumulate, combinations_with_replacement, permutations
 
 import pytest
 
@@ -25,6 +25,8 @@ from singlink import (
     milnor_number,
     to_factored,
 )
+from singlink.monodromy import P, R, factored_residue
+from conftest import count_residue_passes
 from divisor_ring import lambda_of
 
 
@@ -61,6 +63,27 @@ def reference_expand(factors):
             )
             coeffs = quotient
     return coeffs
+
+
+def evaluate(p, x):
+    """Exact value of an ExpandedPoly at x, by Horner."""
+    acc = 0
+    for c in reversed(p.coefficients):
+        acc = acc * x + c
+    return acc
+
+
+def multiplicity_at_one(p):
+    """Exponent of (t - 1) in an ExpandedPoly, by repeated exact division: the
+    prefix sums s_0 .. s_n of the coefficients give both the remainder
+    P(1) = s_n and the negated quotient s_0 .. s_{n-1} of P / (t - 1).  This
+    O(b2 * mu) pass is the exact reference for the residue check."""
+    coeffs, count = p.coefficients, 0
+    while True:
+        sums = list(accumulate(coeffs))
+        if sums.pop():
+            return count
+        coeffs, count = sums, count + 1
 
 
 def brieskorn_pham_quadruples(bound):
@@ -262,20 +285,13 @@ def test_characteristic_polynomial_is_built_once_per_weight_system(f60):
     assert characteristic_polynomial.cache_info().currsize == 1
 
 
-def test_multiplicity_at_one_is_memoized_per_instance(monkeypatch):
-    passes = []
-
-    def counted(values):
-        passes.append(len(values))
-        return accumulate(values)
-
-    accumulate = monodromy.accumulate
-    monkeypatch.setattr(monodromy, "accumulate", counted)
+def test_residue_is_memoized_per_instance(monkeypatch):
+    passes = count_residue_passes(monkeypatch)
     p = ExpandedPoly((1, -2, 1))  # (t - 1)^2
-    assert p.multiplicity_at_one() == p.multiplicity_at_one() == 2
-    assert len(passes) == 3
-    assert ExpandedPoly((1, -2, 1)).multiplicity_at_one() == 2  # an equal instance counts again
-    assert len(passes) == 6
+    assert p.residue == p.residue == (R - 1) ** 2
+    assert passes == [2]
+    assert ExpandedPoly((1, -2, 1)).residue == (R - 1) ** 2  # an equal instance counts again
+    assert passes == [2, 2]
 
 
 def test_quadric_divisor_collapses_to_the_unit():
@@ -316,10 +332,11 @@ def test_expanded_poly_validation_and_evaluation():
         ExpandedPoly((1, 0))
     p = ExpandedPoly((-1, 3, -3, 1))  # (t - 1)^3
     assert p.degree == 3
-    assert p.evaluate(1) == 0
-    assert p.evaluate(2) == 1
-    assert p.multiplicity_at_one() == 3
-    assert ExpandedPoly((1, 1)).multiplicity_at_one() == 0
+    assert evaluate(p, 1) == 0
+    assert evaluate(p, 2) == 1
+    assert multiplicity_at_one(p) == 3
+    assert multiplicity_at_one(ExpandedPoly((1, 1))) == 0
+    assert p.residue == (R - 1) ** 3 == factored_residue([(1, 3)])
 
 
 def test_factored_and_expanded_polys_refuse_non_integers():
@@ -349,7 +366,7 @@ def test_expansion_matches_grouped_product_for_degree_60_link(f60):
     )
     assert list(expanded.coefficients) == grouped
     assert expanded.degree == 86
-    assert expanded.multiplicity_at_one() == 2
+    assert multiplicity_at_one(expanded) == 2
 
 
 def test_expansion_matches_grouped_product_for_degree_256_links(f256_1, f256_2):
@@ -358,7 +375,7 @@ def test_expansion_matches_grouped_product_for_degree_256_links(f256_1, f256_2):
         expanded = expand(characteristic_divisor(f.system))
         assert list(expanded.coefficients) == grouped
         assert expanded.degree == 255
-        assert expanded.multiplicity_at_one() == 1
+        assert multiplicity_at_one(expanded) == 1
 
 
 def test_expansion_of_the_eight_fold_cone_point():
@@ -366,8 +383,8 @@ def test_expansion_of_the_eight_fold_cone_point():
     expanded = expand(characteristic_divisor(WeightSystem((2, 2, 2, 3), 6)))
     grouped = naive_product([[1, 1], [1, 1]] + [[1, -1, 1]] * 3)
     assert list(expanded.coefficients) == grouped
-    assert expanded.evaluate(1) == 4
-    assert expanded.multiplicity_at_one() == 0
+    assert evaluate(expanded, 1) == 4
+    assert multiplicity_at_one(expanded) == 0
 
 
 def test_middle_betti_from_the_divisor(f60, f256_1):
@@ -549,15 +566,15 @@ def test_multiplicity_at_one_counts_the_factors_of_t_minus_one():
     rng = random.Random(99)
     for k in range(8):
         coeffs = naive_product([q] + [[-1, 1]] * k)
-        assert ExpandedPoly(tuple(coeffs)).multiplicity_at_one() == k
+        assert multiplicity_at_one(ExpandedPoly(tuple(coeffs))) == k
         if k:
             coeffs[rng.randrange(len(coeffs))] += 1
-            assert ExpandedPoly(tuple(coeffs)).multiplicity_at_one() == 0
+            assert multiplicity_at_one(ExpandedPoly(tuple(coeffs))) == 0
 
 
 def test_multiplicity_at_one_of_t_power_plus_one_is_zero():
     for k in range(1, 12):
-        assert ExpandedPoly(tuple(plus_one(k))).multiplicity_at_one() == 0
+        assert multiplicity_at_one(ExpandedPoly(tuple(plus_one(k)))) == 0
 
 
 def _count_kernel_calls(monkeypatch):
@@ -591,11 +608,49 @@ def test_expand_makes_one_kernel_call_per_factor_and_denominator_unit(monkeypatc
     assert len(calls) <= len(fac) + sum(-e for _, e in fac if e < 0)
 
 
-def test_multiplicity_at_one_calls_no_kernel(monkeypatch, f60):
-    expanded = expand(characteristic_divisor(f60.system))
+def test_residue_calls_no_kernel(monkeypatch, f60):
+    # both sides of the residue check are independent of expand's kernels
+    divisor = characteristic_divisor(f60.system)
+    expanded = expand(divisor)
     calls = _count_kernel_calls(monkeypatch)
-    assert expanded.multiplicity_at_one() == 2
+    assert expanded.residue == factored_residue(divisor)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        WeightSystem((9, 15, 17, 20), 60),
+        WeightSystem((11, 49, 69, 128), 256),
+        WeightSystem((13, 35, 81, 128), 256),
+        *(WeightSystem((1, 1, 1, 1), d) for d in (6, 8, 10)),
+    ],
+    ids=["DK-1", "DK-2", "DK-3", "fermat-6", "fermat-8", "fermat-10"],
+)
+def test_exact_multiplicity_at_one_is_the_divisor_b2(system):
+    divisor, expanded = characteristic_polynomial(system)
+    assert multiplicity_at_one(expanded) == middle_betti(divisor)
+    assert expanded.residue == evaluate(expanded, R) % P == factored_residue(divisor)
+
+
+def test_residue_matches_exact_evaluation_on_big_and_negative_coefficients():
+    rng = random.Random(61)
+    for _ in range(50):
+        coeffs = [rng.randrange(-10 ** 40, 10 ** 40) for _ in range(rng.randint(1, 30))]
+        coeffs[-1] = coeffs[-1] or 1
+        p = ExpandedPoly(tuple(coeffs))
+        assert p.residue == evaluate(p, R) % P
+        assert 0 <= p.residue < P
+
+
+def test_factored_residue_refuses_a_point_where_a_factor_vanishes(monkeypatch, f60):
+    divisor = characteristic_divisor(f60.system)  # j = 1, 3, 4, 12, 20, 60
+    monkeypatch.setattr(monodromy, "R", P - 1)  # R^j = 1 for every even j
+    with pytest.raises(ConsistencyError, match=r"R\^4 = 1 mod P"):
+        factored_residue(divisor)
+    monkeypatch.setattr(monodromy, "R", 1)
+    with pytest.raises(ConsistencyError, match=r"R\^1 = 1 mod P"):
+        factored_residue(divisor)
 
 
 def test_bp_oracle_calls_no_kernel(monkeypatch):
