@@ -23,6 +23,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, groupby, permutations, product
 
 from .divisor import Divisor
@@ -58,6 +59,7 @@ from .weights import (
     Exponents,
     WeightedPolynomial,
     WeightSystem,
+    _variable_masks,
     divisibility_condition,
     is_well_formed_space,
     quasi_smooth_failure,
@@ -231,7 +233,11 @@ def load_registry(text: str) -> tuple[RegistryEntry, ...]:
 def registry_lookup(
     f: WeightedPolynomial, registry: tuple[RegistryEntry, ...] = BUILTIN_REGISTRY
 ) -> RegistryEntry | None:
-    """Match weights, degree and support, all up to one shared relabeling."""
+    """Match weights, degree and support, all up to one shared relabeling.
+    The support's key is built only when some entry has the same weights and degree."""
+    head = (tuple(sorted(f.system.weights)), f.system.degree)
+    if all(entry.key[:2] != head for entry in registry):
+        return None
     key = _canonical_key(f.system.weights, f.system.degree, f.sorted_support)
     return next((entry for entry in registry if entry.key == key), None)
 
@@ -357,16 +363,21 @@ def _canonicalize(f: WeightedPolynomial) -> tuple[WeightedPolynomial, tuple[int,
 
 def _split_variable(f: WeightedPolynomial) -> int | None:
     """Index of the unique variable occurring once, as a pure power."""
-    candidates = []
-    for i in range(f.nvars):
-        touching = [m for m in f.support if m[i] > 0]
-        if len(touching) == 1 and all(
-            a == 0 for j, a in enumerate(touching[0]) if j != i
-        ):
-            candidates.append(i)
-    if len(candidates) == 1:
-        return candidates[0]
-    return None
+    masks = _variable_masks(f)
+    candidates = [i for i in range(f.nvars) if [m for m in masks if m >> i & 1] == [1 << i]]
+    return candidates[0] if len(candidates) == 1 else None
+
+
+@lru_cache(maxsize=None)
+def _weight_facts(w: WeightSystem) -> tuple:
+    """The report fields that read only the weights, once per canonical system:
+    the Poincare series, space well-formedness, divisibility, the Fano record,
+    the Hodge pairs, b2 and the signature.  A refused system is not cached."""
+    series = poincare_series(w)
+    hodge = hodge_numbers(series)
+    flags = (is_well_formed_space(w), divisibility_condition(w), fano(w))
+    hodge_data = (tuple(sorted(hodge.items())), middle_betti_hodge(hodge), signature(series))
+    return series, *flags, *hodge_data
 
 
 def analyze(
@@ -389,9 +400,6 @@ def analyze(
 
     with _stage("flags"):
         failure = quasi_smooth_failure(f)
-        space_wf = is_well_formed_space(w)
-        div_ok = divisibility_condition(w)
-        fano_rec = fano(w)
 
     with _stage("milnor number"):
         mu = milnor_number(w)
@@ -403,10 +411,7 @@ def analyze(
         divisor, expanded = characteristic_polynomial(w)
         b2_div = middle_betti(divisor)
     with _stage("hodge numbers"):
-        series = poincare_series(w)
-        hodge_map = hodge_numbers(series)
-        b2_hodge = middle_betti_hodge(hodge_map)
-        tau = signature(series)
+        series, space_wf, div_ok, fano_rec, hodge, b2_hodge, tau = _weight_facts(w)
 
     with _stage("strata"):
         strata = singular_strata(f)
@@ -502,7 +507,7 @@ def analyze(
         b2_divisor=b2_div,
         series=series,
         b2_hodge=b2_hodge,
-        hodge=tuple(sorted(hodge_map.items())),
+        hodge=hodge,
         signature=tau,
         genus=genus,
         strata=strata,

@@ -175,16 +175,24 @@ def render_polynomial(support: Iterable[Sequence[int]]) -> str:
 
 # -- report rendering ------------------------------------------------------
 
+def _decimals(key: str, values: Sequence[int]) -> list[str]:
+    try:
+        return [str(v) for v in values]
+    except ValueError:  # past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise BoundExceededError(f"{key} exceeds the int -> str limit of {limit} digits") from None
+
+
 def _big_int(out: dict, key: str, value: int) -> None:
     if abs(value) < _JSON_SAFE:
         out[key] = value
-    out[key + "_str"] = str(value)
+    out[key + "_str"] = _decimals(key, [value])[0]
 
 
 def _big_int_list(out: dict, key: str, values: Sequence[int]) -> None:
     if all(abs(v) < _JSON_SAFE for v in values):
         out[key] = list(values)
-    out[key + "_str"] = [str(v) for v in values]
+    out[key + "_str"] = _decimals(key, values)
 
 
 def _divisor_terms(divisor: Divisor) -> list[list[int]]:
@@ -410,12 +418,12 @@ def run_batch(args: argparse.Namespace) -> int:
                 continue
             try:
                 f = _build_polynomial(weights, poly, degree)
-                report = analyze(f, registry=registry)
+                rendered = render_json_line(analyze(f, registry=registry))
             except SinglinkError as exc:
                 failed += 1
                 print(f"line {lineno}: failed ({exc})", file=sys.stderr)
                 continue
-            out.write(render_json_line(report) + "\n")
+            out.write(rendered + "\n")
             ok += 1
     print(f"ok={ok} skipped={skipped} failed={failed}", file=sys.stderr)
     return 0

@@ -234,16 +234,16 @@ def bp_oracle(a: Sequence[int], bound: int = 5000) -> ExpandedPoly:
     by_order: dict[int, dict[int, int]] = {}
     for r, c in counts.items():
         g = math.gcd(r, big_l)
-        order = big_l // g
-        by_order.setdefault(order, {})[r // g if g else 0] = c
+        by_order.setdefault(big_l // g, {})[r // g] = c
     factors: list[tuple[list[int], int]] = []
     for order, residues in sorted(by_order.items()):
-        expected = {x for x in range(order) if math.gcd(x, order) == 1}  # {0} at order 1
-        if set(residues) != expected or len(set(residues.values())) != 1:
+        # the keys r // g are distinct units mod order: all of them iff deg Phi_order many
+        cyclotomic = _cyclotomic(order)
+        if len(residues) != len(cyclotomic) - 1 or len(set(residues.values())) != 1:
             raise ConsistencyError(
                 f"roots of order {order} do not fill Galois orbits evenly: {residues}"
             )
-        factors.append((_cyclotomic(order), next(iter(residues.values()))))
+        factors.append((cyclotomic, next(iter(residues.values()))))
     return ExpandedPoly(tuple(_packed_product(factors, total + 1)))
 
 

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import UnsupportedDimensionError, WrongDimensionError
-from .weights import WeightedPolynomial, WeightSystem, require_ints
+from .weights import WeightedPolynomial, WeightSystem, _variable_masks, require_ints
 
 DISJOINT = "disjoint"
 MEETS = "meets"
@@ -68,29 +69,15 @@ def fano(w: WeightSystem) -> Fano:
     return Fano(is_fano=index > 0, index=index)
 
 
-def _incidence(f: WeightedPolynomial, subset: tuple[int, ...]) -> str:
-    """Vertex or edge incidence from the number of monomials supported inside
-    the subset (a vertex carries at most one, the pure power of its variable)."""
-    others = [i for i in range(f.nvars) if i not in subset]
-    count = sum(not any(m[i] for i in others) for m in f.support)
-    return (CONTAINED, DISJOINT, MEETS)[min(count, 2)]
-
-
-def singular_strata(f: WeightedPolynomial) -> tuple[Stratum, ...]:
-    """All strata with isotropy order > 1, with exact incidence.
-
-    Supports up to four variables; incidence rules exist for vertices and
-    edges only, so a larger subset with nontrivial gcd (possible only when
-    the ambient space is not well formed) is refused too.
-    """
-    if f.nvars > 4:
-        raise UnsupportedDimensionError(
-            f"incidence rules cover at most 4 variables, got {f.nvars}"
-        )
-    ws = f.system.weights
-    out: list[Stratum] = []
-    for size in range(1, f.nvars):
-        for subset in combinations(range(f.nvars), size):
+@lru_cache(maxsize=None)
+def _skeleton(ws: tuple[int, ...]) -> tuple[tuple[int, tuple[Stratum, ...]], ...]:
+    """Per subset with gcd m > 1: the bitmask of the variables outside it and
+    its Stratum for each incidence, indexed by min(monomials inside, 2)."""
+    if len(ws) > 4:
+        raise UnsupportedDimensionError(f"incidence rules cover at most 4 variables, got {len(ws)}")
+    out = []
+    for size in range(1, len(ws)):
+        for subset in combinations(range(len(ws)), size):
             m = math.gcd(*(ws[i] for i in subset))
             if m == 1:
                 continue
@@ -100,8 +87,26 @@ def singular_strata(f: WeightedPolynomial) -> tuple[Stratum, ...]:
                     "incidence rules cover vertices and edges only "
                     "(the ambient space is not well formed)"
                 )
-            out.append(Stratum(subset, m, _incidence(f, subset)))
+            strata = tuple(Stratum(subset, m, c) for c in (CONTAINED, DISJOINT, MEETS))
+            out.append(((1 << len(ws)) - 1 - sum(1 << i for i in subset), strata))
     return tuple(out)
+
+
+def singular_strata(f: WeightedPolynomial) -> tuple[Stratum, ...]:
+    """All strata with isotropy order > 1, with exact incidence.
+
+    Supports up to four variables; incidence rules exist for vertices and
+    edges only, so a larger subset with nontrivial gcd (possible only when
+    the ambient space is not well formed) is refused too.  The subsets and
+    their orders depend only on the weights and are built once per weight
+    tuple; a vertex or edge's incidence counts the monomials whose variable
+    mask lies inside it (a vertex carries at most one, the pure power).
+    """
+    masks = _variable_masks(f)
+    return tuple(
+        by_count[min(sum(not mask & outside for mask in masks), 2)]
+        for outside, by_count in _skeleton(f.system.weights)
+    )
 
 
 def orbifold_order(strata: tuple[Stratum, ...]) -> int:

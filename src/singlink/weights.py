@@ -188,6 +188,11 @@ def _subsets(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple((~sum(1 << i for i in s), s) for k in sizes for s in combinations(range(n), k))
 
 
+def _variable_masks(f: WeightedPolynomial) -> list[int]:
+    """One bitmask per monomial of the variables it uses, in support order."""
+    return [sum(1 << i for i, a in enumerate(m) if a) for m in f.support]
+
+
 def quasi_smooth_failure(f: WeightedPolynomial) -> tuple[int, ...] | None:
     """First variable subset at which the support fails quasi-smoothness, or None.
 
@@ -199,15 +204,10 @@ def quasi_smooth_failure(f: WeightedPolynomial) -> tuple[int, ...] | None:
     z_e (d = w_e, m = 0) passes every I without e: that germ is not singular
     at all, and analyze refuses it at the Milnor-number stage since mu = 0.
     """
-    masks = set()
-    heads = []  # (the other variables of a monomial, a variable e it has to power 1)
-    for m in f.support:
-        mask = 0
-        for i, a in enumerate(m):
-            if a:
-                mask |= 1 << i
-        masks.add(mask)
-        heads += [(mask ^ (1 << e), e) for e, a in enumerate(m) if a == 1]
+    masks = _variable_masks(f)
+    heads = [  # (the other variables of a monomial, a variable e it has to power 1)
+        (mask ^ (1 << e), e) for mask, m in zip(masks, f.support) for e, a in enumerate(m) if a == 1
+    ]
     for outside, subset in _subsets(f.nvars):
         for mask in masks:  # a plain loop: all() over a generator costs double
             if not mask & outside:

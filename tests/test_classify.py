@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import math
+import random
 import re
 import time
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -27,8 +30,13 @@ from singlink import (
     SinglinkError,
     TORSION_FREE,
     TORSION_UNKNOWN,
+    InexactDivisionError,
+    UnsupportedDimensionError,
+    WeightedPolynomial,
+    WeightSystem,
     WrongDimensionError,
     analyze,
+    is_well_formed_space,
     cross_checks,
     hodge_numbers,
     load_registry,
@@ -47,7 +55,7 @@ from singlink import (
     torsion_status,
 )
 from singlink.cli import render_json
-from conftest import F60_SUPPORT, F60_WEIGHTS, count_residue_passes
+from conftest import F60_SUPPORT, F60_WEIGHTS, clear_memos, count_residue_passes
 
 
 def test_builtin_registry_round_trips_through_jsonl():
@@ -640,10 +648,17 @@ def _count_calls(monkeypatch, holder, name):
 
 @pytest.mark.parametrize("name", ["f256_1", "fermat_sextic"])
 def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch):
+    """A cold analyze builds each shared intermediate once, and the registry key
+    only when an entry has the same weights and degree.  A second support on
+    the same weight system reads every weight-only fact back from the memos
+    and computes only its strata anew."""
     if name == "fermat_sextic":
         f = quasi_degree([tuple(6 * (i == k) for i in range(4)) for k in range(4)], (1,) * 4)
+        g = WeightedPolynomial(f.support | {(5, 1, 0, 0)}, f.system)
     else:
         f = request.getfixturevalue(name)
+        g = WeightedPolynomial(f.support - {(17, 0, 1, 0)}, f.system)
+    clear_memos()
     series = _count_calls(monkeypatch, milnor_algebra, "poincare_series")
     strata = _count_calls(monkeypatch, orbifold, "singular_strata")
     keys = _count_calls(monkeypatch, classify, "_canonical_key")
@@ -652,16 +667,93 @@ def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch
     hodge = _count_calls(monkeypatch, milnor_algebra, "hodge_numbers")
     pair_flag = _count_calls(monkeypatch, orbifold, "pair_well_formed")
     divisor = _count_calls(monkeypatch, monodromy, "characteristic_divisor")
-    monodromy.characteristic_polynomial.cache_clear()
     analyze(f)
-    assert 1 <= len(series) <= 2
+    dk2 = name == "f256_1"
+    assert len(series) == 1 + dk2  # DK-2 adds its branch curve's series
     assert len(strata) == 1
-    assert len(keys) == 1
-    assert len(space_wf) == 1
-    assert len(div_ok) == 1
-    assert len(hodge) == 1
-    assert len(pair_flag) == 1
-    assert len(divisor) == 1
+    assert len(keys) == dk2
+    assert len(space_wf) == len(div_ok) == len(hodge) == len(pair_flag) == len(divisor) == 1
+    analyze(g)
+    assert len(series) == 1 + 2 * dk2  # the branch curve's series, read from its cache
+    assert len(strata) == 2
+    assert len(keys) == 2 * dk2
+    assert len(space_wf) == len(div_ok) == len(hodge) == len(divisor) == 1
+    assert len(pair_flag) == 2
+
+
+def _sampled_supports(ws, degree, rng, draws=12):
+    """Up to `draws` random supports of 4 to 6 degree-d monomials that analyze accepts."""
+    ranges = (range(degree // w + 1) for w in ws)
+    monomials = [m for m in product(*ranges) if sum(a * w for a, w in zip(m, ws)) == degree]
+    out = []
+    for _ in range(draws):
+        support = frozenset(rng.sample(monomials, min(len(monomials), rng.randint(4, 6))))
+        f = WeightedPolynomial(support, WeightSystem(ws, degree))
+        try:
+            analyze(f)
+        except SinglinkError:
+            continue
+        if f not in out:
+            out.append(f)
+    return out
+
+
+def test_the_weight_memos_never_leak_support_facts():
+    """Every support of a seeded sample of weight systems is analyzed cold (all
+    memos emptied first) and then warm, in reverse order, so that each warm
+    report reads facts another support put in the memos.  A small search found
+    the first two systems: cubic surfaces, whose supports differ in
+    quasi-smoothness, and quartics on (1, 1, 1, 2), whose supports differ in
+    the incidence of the vertex z3."""
+    rng = random.Random(18)
+    pool = [
+        (ws, degree)
+        for ws in combinations_with_replacement(range(1, 8), 4)
+        if math.gcd(*ws) == 1
+        for degree in range(ws[-1] + 1, 16)
+        if is_well_formed_space(WeightSystem(ws, degree))
+        and math.prod(degree - w for w in ws) % math.prod(ws) == 0
+    ]
+    systems = [((1, 1, 1, 1), 3), ((1, 1, 1, 2), 4), *rng.sample(pool, 8)]
+    cold = []
+    for ws, degree in systems:
+        for f in _sampled_supports(ws, degree, rng):
+            clear_memos()
+            cold.append((f, analyze(f)))
+    by_system = {}
+    for f, report in cold:
+        by_system.setdefault(f.system, []).append(report)
+    cubic, quartic = (by_system[WeightSystem(ws, d)] for ws, d in systems[:2])
+    assert len({r.quasi_smooth for r in cubic}) == 2
+    assert len({r.strata for r in quartic}) > 1
+    assert len(by_system) >= 6
+    for f, report in reversed(cold):
+        assert analyze(f) == report, f
+
+
+def test_a_refused_system_raises_the_same_error_on_every_call():
+    """Refusals inside the weight memo and the strata skeleton are not cached:
+    each call raises afresh, with one stage label."""
+    inexact = quasi_degree([(7, 0, 0, 0), (0, 7, 0, 0), (0, 0, 7, 0), (3, 0, 0, 1)], (1, 1, 1, 4))
+    fermat = [tuple(a * (i == k) for i in range(4)) for k, a in enumerate((6, 3, 3, 3))]
+    ill_formed = quasi_degree(fermat, (1, 2, 2, 2))
+    for f, error, message in (
+        (
+            inexact,
+            InexactDivisionError,
+            "[stage: hodge numbers] division by t^4 - 1 leaves a remainder",
+        ),
+        (
+            ill_formed,
+            UnsupportedDimensionError,
+            "[stage: strata] subset (1, 2, 3) of 3 variables has gcd 2 > 1; incidence rules "
+            "cover vertices and edges only (the ambient space is not well formed)",
+        ),
+    ):
+        for _ in range(2):
+            with pytest.raises(error) as caught:
+                analyze(f)
+            assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("tag", ["DK-1", "DK-2", "DK-3", "fermat_sextic"])
@@ -673,8 +765,7 @@ def test_analyze_and_render_build_no_fraction(tag, monkeypatch):
         f = quasi_degree([tuple(6 * (i == k) for i in range(4)) for k in range(4)], (1,) * 4)
     else:
         f = next(e for e in BUILTIN_REGISTRY if e.tag == tag).polynomial()
-    milnor_algebra.poincare_series.cache_clear()
-    monodromy.characteristic_polynomial.cache_clear()
+    clear_memos()
     new = Fraction.__new__
     built = []
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from singlink import (
     BoundExceededError,
     CancelledMonomialError,
     DuplicateMonomialWarning,
+    ExpandedPoly,
     InexactDivisionError,
     PolynomialSyntaxError,
     SinglinkError,
@@ -40,6 +42,7 @@ from singlink.cli import (
     entry,
     parse_polynomial,
     render_json,
+    render_json_line,
     render_polynomial,
     report_to_json_dict,
     scan_rows,
@@ -517,6 +520,38 @@ def test_brief_shows_a_number_past_the_digit_limit_as_a_power_of_ten():
     assert brief(Fraction(7, 3)) == "7/3"
     assert brief(10**5000) == "~10^5000"
     assert brief(Fraction(10**9000 + 1, 10**3000)) == "~10^6000"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int -> str digit limit")
+def test_rendering_refuses_an_integer_past_the_digit_limit(report60):
+    """No analyze input under MAX_MU has such a coefficient (Fermat d = 15 has
+    well under 1,000 digits), but a report that does is refused by name."""
+    report = dataclasses.replace(report60, expanded=ExpandedPoly((-1, 0, 10**5000)))
+    limit = sys.get_int_max_str_digits()
+    message = f"expanded_coefficients exceeds the int -> str limit of {limit} digits"
+    for render in (render_json, render_json_line):
+        with pytest.raises(BoundExceededError) as caught:
+            render(report)
+        assert str(caught.value) == message
+    with pytest.raises(BoundExceededError, match="^milnor_number exceeds"):
+        _big_int({}, "milnor_number", -(10**5000))
+
+
+def test_cli_batch_counts_a_render_failure_as_failed(tmp_path, capsys, monkeypatch):
+    original = cli.render_json_line
+    rendered = []
+
+    def refuse_the_first(report):
+        rendered.append(report.weights)
+        if len(rendered) == 1:
+            raise BoundExceededError("too many digits")
+        return original(report)
+
+    monkeypatch.setattr(cli, "render_json_line", refuse_the_first)
+    cubic = {"weights": [1, 1, 1, 1], "degree": 3, "poly": "z0^3 + z1^3 + z2^3 + z3^3"}
+    err = _batch_of(tmp_path, capsys, [cubic])
+    assert err == ["line 1: failed (too many digits)", "ok=1 skipped=0 failed=1"]
+    assert rendered == [(1, 1, 1, 1), (9, 15, 17, 20)]
 
 
 def test_cli_batch_counts_a_record_over_the_socle_ceiling_as_failed(tmp_path, capsys):

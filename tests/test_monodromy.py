@@ -660,3 +660,15 @@ def test_bp_oracle_calls_no_kernel(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     assert bp_oracle((4, 6, 9, 10)).degree == 3 * 5 * 8 * 9
     assert calls == []
+
+
+@pytest.mark.parametrize("wrong", [lambda c: c + [0], lambda c: c[1:]], ids=["deg 3", "deg 1"])
+def test_bp_oracle_counts_each_galois_orbit_against_phi(wrong, monkeypatch):
+    """An orbit is full when it holds phi(order) residues, phi(order) being the
+    degree of the oracle's own Phi_order: a table entry of the wrong degree
+    breaks the count at its order."""
+    true = monodromy._cyclotomic
+    monkeypatch.setattr(monodromy, "_cyclotomic", lambda n: wrong(true(n)) if n == 3 else true(n))
+    with pytest.raises(ConsistencyError, match="roots of order 3 do not fill Galois orbits"):
+        bp_oracle((3, 3, 3, 3))
+    assert bp_oracle((2, 2, 2, 2)).coefficients == (-1, 1)  # orders 1 and 2 still pass

@@ -235,6 +235,20 @@ def reference_torsion_status(w, strata):
     return TORSION_FREE if well_formed and pwf else TORSION_UNKNOWN
 
 
+def reference_strata(f):
+    """The per-subset scan singular_strata replaced: every vertex and edge with
+    gcd > 1, its incidence read from the number of monomials using no variable
+    outside it."""
+    out = []
+    for subset in (s for size in (1, 2) for s in combinations(range(f.nvars), size)):
+        m = math.gcd(*(f.system.weights[i] for i in subset))
+        if m > 1:
+            others = [i for i in range(f.nvars) if i not in subset]
+            count = sum(not any(mono[i] for i in others) for mono in f.support)
+            out.append((subset, m, (CONTAINED, DISJOINT, MEETS)[min(count, 2)]))
+    return out
+
+
 def edge_supports(weights, max_degree):
     """Degree d -> every monomial of degree d in at most two variables, d <= max_degree."""
     out = {d: set() for d in range(1, max_degree + 1)}
@@ -248,11 +262,13 @@ def edge_supports(weights, max_degree):
 
 
 def test_torsion_status_needs_only_the_strata():
-    """Each support is the full degree-d support restricted to vertices and
-    edges, the only strata a four-variable singular_strata accepts, so its
-    strata are those of the full support: the support where an edge whose gcd
-    does not divide d would first escape being contained.  Nondecreasing
-    weights stand for their relabelings."""
+    """The strata agree with the per-subset reference scan, and the torsion
+    status read from them with Randell's criterion.  Each support is the full
+    degree-d support restricted to vertices and edges, the only strata a
+    four-variable singular_strata accepts, so its strata are those of the full
+    support: the support where an edge whose gcd does not divide d would first
+    escape being contained.  Nondecreasing weights stand for their
+    relabelings."""
     checked = divisibility_fails = 0
     for ws in combinations_with_replacement(range(1, 11), 4):
         if math.gcd(*ws) != 1:
@@ -263,6 +279,8 @@ def test_torsion_status_needs_only_the_strata():
                 strata = singular_strata(f)
             except UnsupportedDimensionError:
                 continue
+            got = [(s.indices, s.isotropy_order, s.incidence) for s in strata]
+            assert got == reference_strata(f), (ws, degree)
             got = torsion_status(pair_well_formed(strata, f.nvars), f.nvars)
             assert got == reference_torsion_status(f.system, strata), (ws, degree)
             checked += 1
