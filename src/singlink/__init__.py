@@ -63,7 +63,6 @@ from .monodromy import (
     ExpandedPoly,
     bp_oracle,
     characteristic_divisor,
-    characteristic_polynomial,
     expand,
     middle_betti,
     milnor_number,

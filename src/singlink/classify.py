@@ -25,6 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, groupby, permutations, product
+from types import MappingProxyType
 
 from .divisor import Divisor
 from .errors import BoundExceededError, ConsistencyError, SinglinkError, WrongDimensionError
@@ -39,7 +40,8 @@ from .milnor_algebra import (
 from .monodromy import (
     ExpandedPoly,
     brief,
-    characteristic_polynomial,
+    characteristic_divisor,
+    expand,
     factored_residue,
     middle_betti,
     milnor_number,
@@ -111,6 +113,8 @@ class RegistryEntry:
     key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if len(self.weights) != 4:  # analyze matches no other; refused before any enumeration
+            raise WrongDimensionError(f"a registry entry has 4 variables, not {len(self.weights)}")
         for name, kind in (("tag", str), ("citation", str), ("obstructed", bool)):
             if type(getattr(self, name)) is not kind:
                 raise TypeError(f"{name} must be a {kind.__name__}, not {getattr(self, name)!r}")
@@ -369,15 +373,24 @@ def _split_variable(f: WeightedPolynomial) -> int | None:
 
 
 @lru_cache(maxsize=None)
-def _weight_facts(w: WeightSystem) -> tuple:
-    """The report fields that read only the weights, once per canonical system:
-    the Poincare series, space well-formedness, divisibility, the Fano record,
-    the Hodge pairs, b2 and the signature.  A refused system is not cached."""
-    series = poincare_series(w)
-    hodge = hodge_numbers(series)
-    flags = (is_well_formed_space(w), divisibility_condition(w), fano(w))
-    hodge_data = (tuple(sorted(hodge.items())), middle_betti_hodge(hodge), signature(series))
-    return series, *flags, *hodge_data
+def _weight_facts(w: WeightSystem) -> MappingProxyType:
+    """The report fields that read only the weights (Milnor-Orlik), by their
+    InvariantReport names, once per canonical system: Delta(t) as divisor and
+    expansion, the Poincare series, the three weight flags and the Hodge data.
+    The mapping is read-only; a refused system is not cached."""
+    with _stage("characteristic divisor"):
+        divisor = characteristic_divisor(w)
+        facts = dict(divisor=divisor, expanded=expand(divisor), b2_divisor=middle_betti(divisor))
+    with _stage("hodge numbers"):
+        series = poincare_series(w)
+        hodge = hodge_numbers(series)
+        facts.update(
+            series=series, space_well_formed=is_well_formed_space(w),
+            divisibility_ok=divisibility_condition(w), fano=fano(w),
+            hodge=tuple(sorted(hodge.items())), b2_hodge=middle_betti_hodge(hodge),
+            signature=signature(series),
+        )
+    return MappingProxyType(facts)
 
 
 def analyze(
@@ -407,11 +420,8 @@ def analyze(
         for what, n, cap in (("Milnor number", mu, MAX_MU), ("socle degree", socle, MAX_SOCLE)):
             if n > cap:
                 raise BoundExceededError(f"{what} {brief(n)} exceeds the analyze ceiling {cap}")
-    with _stage("characteristic divisor"):
-        divisor, expanded = characteristic_polynomial(w)
-        b2_div = middle_betti(divisor)
-    with _stage("hodge numbers"):
-        series, space_wf, div_ok, fano_rec, hodge, b2_hodge, tau = _weight_facts(w)
+    facts = _weight_facts(w)
+    fano_rec = facts["fano"]
 
     with _stage("strata"):
         strata = singular_strata(f)
@@ -451,7 +461,7 @@ def analyze(
         notes.append("orbifold order matches the tabulated reference value")
 
     with _stage("classification"):
-        k = None if failure else smale_type(b2_div, torsion == TORSION_FREE)
+        k = None if failure else smale_type(facts["b2_divisor"], torsion == TORSION_FREE)
         name = smale_name(k) if k is not None else None
         if failure:
             notes.append(
@@ -497,18 +507,8 @@ def analyze(
         support=f.sorted_support,
         permutation=permutation,
         quasi_smooth=failure is None,
-        space_well_formed=space_wf,
-        divisibility_ok=div_ok,
         pair_well_formed=pwf,
-        fano=fano_rec,
         milnor_number=mu,
-        divisor=divisor,
-        expanded=expanded,
-        b2_divisor=b2_div,
-        series=series,
-        b2_hodge=b2_hodge,
-        hodge=hodge,
-        signature=tau,
         genus=genus,
         strata=strata,
         orbifold_order=order,
@@ -522,6 +522,7 @@ def analyze(
         registry_citation=entry.citation if entry else None,
         assumptions=assumptions,
         notes=tuple(notes),
+        **facts,
     )
     with _stage("cross checks"):
         require_consistent(report)

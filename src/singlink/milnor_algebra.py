@@ -12,13 +12,13 @@ polynomial is.  Every consumer here is a coefficient lookup:
 primitive Hodge numbers h^{i, n-i-1} at (i+1)d - |w|, the surface signature,
 and the genus of the branch curve of a z3-power split.  The series carries
 its weight system, and the rules read a series already built, so one series
-serves a whole report.
+serves a whole report; classify._weight_facts builds it once per weight
+system, and poincare_series itself is uncached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     ConsistencyError,
@@ -62,14 +62,12 @@ class PoincareSeries:
         return sum(self.coefficients)
 
 
-@lru_cache(maxsize=None)
 def poincare_series(w: WeightSystem) -> PoincareSeries:
-    """Exact Poincare series of the Milnor algebra, expanded and checked once.
+    """Exact Poincare series of the Milnor algebra, expanded and checked.
 
-    Requires d > w_i for every i (each partial derivative nonconstant); a
-    refused w is not cached, so it raises on every call.  May raise
-    InexactDivision for degree data that is quasi-homogeneous on paper but
-    belongs to no isolated singularity (the closed product is then not a
+    Requires d > w_i for every i (each partial derivative nonconstant).  May
+    raise InexactDivision for degree data that is quasi-homogeneous on paper
+    but belongs to no isolated singularity (the closed product is then not a
     polynomial).
     """
     if any(w.degree <= wi for wi in w.weights):

@@ -18,12 +18,11 @@ which are Delta's factored form.  expand is the one expander of such
 binomial quotients: Delta here, and the Poincare series of milnor_algebra.
 
 The divisor, hence Delta(t), depends only on the weight system, so
-characteristic_polynomial is cached like milnor_algebra.poincare_series
-(holding the sum of the distinct mu over a process).  ExpandedPoly memoizes
-its residue Delta(R) mod P, which classify.cross_checks compares with the
-pairs' factored_residue: an O(mu) identity test (Schwartz 1980, Zippel 1979).
-characteristic_divisor and expand stay uncached, so a sweep over many
-distinct systems keeps no expansion alive.
+classify._weight_facts builds both once per system; the kernels here stay
+uncached, so a sweep over many distinct systems keeps no expansion alive.
+ExpandedPoly memoizes its residue Delta(R) mod P, which classify.cross_checks
+compares with the pairs' factored_residue: an O(mu) identity test (Schwartz
+1980, Zippel 1979).
 
 bp_oracle is a deliberately independent second route for exponent sums
 f = z_0^{a_0} + ... + z_n^{a_n}, by root enumeration, with its own
@@ -186,15 +185,6 @@ def expand(factors: Iterable[tuple[int, int]]) -> ExpandedPoly:
         for _ in range(max(-e, 0)):
             coeffs = div_binomial(coeffs, j)
     return ExpandedPoly(tuple(coeffs))
-
-
-@lru_cache(maxsize=None)
-def characteristic_polynomial(w: WeightSystem) -> tuple[Divisor, ExpandedPoly]:
-    """The validated characteristic divisor of w and its expanded Delta(t),
-    built once per weight system; a refused w is not cached, so it raises on
-    every call."""
-    divisor = characteristic_divisor(w)
-    return divisor, expand(divisor)
 
 
 def middle_betti(divisor: Divisor) -> int:

@@ -3,7 +3,7 @@ from functools import cached_property
 import pytest
 
 from singlink import ExpandedPoly, analyze, quasi_degree
-from singlink import classify, milnor_algebra, monodromy, orbifold
+from singlink import classify, orbifold
 
 # The three links carried in the built-in registry, by their defining data.
 F60_SUPPORT = ((5, 1, 0, 0), (1, 0, 3, 0), (0, 4, 0, 0), (0, 0, 0, 3))
@@ -19,12 +19,7 @@ F256_2_WEIGHTS = (13, 35, 81, 128)
 def clear_memos():
     """Empty every per-process memo analyze reads, so the next call builds each
     weight-only fact again."""
-    for memo in (
-        classify._weight_facts,
-        orbifold._skeleton,
-        monodromy.characteristic_polynomial,
-        milnor_algebra.poincare_series,
-    ):
+    for memo in (classify._weight_facts, orbifold._skeleton):
         memo.cache_clear()
 
 

@@ -144,6 +144,29 @@ def test_registry_reports_the_failing_line():
         load_registry('{"weights": [2, 4], "degree": 4, "support": [], "tag": "x", "citation": "y"}')
 
 
+@pytest.mark.parametrize("n", [12, 3])
+def test_registry_refuses_an_entry_without_four_variables(n):
+    """analyze covers 4 variables only, so no other entry could ever match.  The
+    count is refused first: an obstructed Fermat quadric in 12 equal weights
+    would otherwise reach the canonical key's 12! relabelings."""
+    record = {
+        "weights": [1] * n,
+        "degree": 2,
+        "support": [[2 * (i == k) for i in range(n)] for k in range(n)],
+        "tag": f"Q{n}",
+        "citation": "none",
+        "obstructed": True,
+    }
+    start = time.perf_counter()
+    with pytest.raises(SinglinkError) as err:
+        load_registry(json.dumps(record) + "\n")
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == f"registry line 1: a registry entry has 4 variables, not {n}"
+    assert isinstance(err.value.__cause__, WrongDimensionError)
+    with pytest.raises(WrongDimensionError):
+        _entry_from(record, obstructed=True)
+
+
 def test_registry_refuses_non_integer_numbers():
     # a degree of 60.9 used to load as 60
     line = json.dumps(dict(json.loads(registry_dump().splitlines()[0]), degree=60.9))
@@ -674,7 +697,7 @@ def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch
     assert len(keys) == dk2
     assert len(space_wf) == len(div_ok) == len(hodge) == len(pair_flag) == len(divisor) == 1
     analyze(g)
-    assert len(series) == 1 + 2 * dk2  # the branch curve's series, read from its cache
+    assert len(series) == 1 + 2 * dk2  # the branch curve's series, built again
     assert len(strata) == 2
     assert len(keys) == 2 * dk2
     assert len(space_wf) == len(div_ok) == len(hodge) == len(divisor) == 1
@@ -790,10 +813,10 @@ def test_a_repeated_weight_system_reuses_its_characteristic_polynomial(monkeypat
         expanded.append(factors)
         return original_expand(factors)
 
-    original_expand = monodromy.expand
-    monkeypatch.setattr(monodromy, "expand", counted_expand)
+    original_expand = classify.expand  # the binding the weight memo expands Delta(t) with
+    monkeypatch.setattr(classify, "expand", counted_expand)
     passes = count_residue_passes(monkeypatch)
-    monodromy.characteristic_polynomial.cache_clear()
+    clear_memos()
     first = analyze(relabeled)
     second = analyze(quasi_degree(F60_SUPPORT, F60_WEIGHTS))
     assert len(expanded) == 1

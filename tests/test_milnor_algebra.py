@@ -76,11 +76,9 @@ def test_series_rejects_degree_not_above_every_weight():
 
 def test_a_refused_weight_system_raises_on_every_call_and_is_not_cached():
     w = WeightSystem((2, 1, 1, 1), 2)
-    size = poincare_series.cache_info().currsize
     for _ in range(2):
         with pytest.raises(DegenerateDegreeError):
             poincare_series(w)
-    assert poincare_series.cache_info().currsize == size
 
 
 def test_series_carries_its_weight_system():
@@ -109,10 +107,8 @@ def test_series_is_one_expand_call(monkeypatch):
         return monodromy.expand(factors)
 
     monkeypatch.setattr(milnor_algebra, "expand", counted)
-    poincare_series.cache_clear()
     w = WeightSystem((9, 15, 17, 20), 60)
     assert poincare_series(w).total() == 86
-    assert poincare_series(w) is poincare_series(w)
     assert len(calls) == 1
 
 

@@ -6,7 +6,7 @@ from itertools import accumulate, combinations_with_replacement, permutations
 
 import pytest
 
-from singlink import _intpoly, monodromy
+from singlink import _intpoly, classify, milnor_algebra, monodromy
 from singlink import (
     BoundExceededError,
     ConsistencyError,
@@ -17,16 +17,17 @@ from singlink import (
     DegenerateDegreeError,
     InexactDivisionError,
     WeightSystem,
+    analyze,
     bp_oracle,
     characteristic_divisor,
-    characteristic_polynomial,
     expand,
     middle_betti,
     milnor_number,
+    quasi_degree,
     to_factored,
 )
 from singlink.monodromy import P, R, factored_residue
-from conftest import count_residue_passes
+from conftest import clear_memos, count_residue_passes
 from divisor_ring import lambda_of
 
 
@@ -271,18 +272,45 @@ def test_characteristic_divisor_rejects_fractional_results():
         characteristic_divisor(WeightSystem((2, 3, 5, 7), 16))
 
 
-def test_characteristic_polynomial_is_built_once_per_weight_system(f60):
-    characteristic_polynomial.cache_clear()
-    divisor, expanded = characteristic_polynomial(f60.system)
-    assert divisor == characteristic_divisor(f60.system)
-    assert expanded == expand(divisor)
-    assert characteristic_polynomial(WeightSystem((9, 15, 17, 20), 60))[1] is expanded
-    assert characteristic_polynomial.cache_info().misses == 1
-    # a refused system is not cached: it raises on every call
+def test_characteristic_polynomial_is_built_once_per_weight_system(f60, monkeypatch):
+    """classify._weight_facts holds Delta(t) once per canonical weight system:
+    two labelings of DK-1 build one divisor, expand it once and take one
+    residue pass.  A refused system raises with its stage label on every call
+    and leaves the memo as it was."""
+    divisor = characteristic_divisor(f60.system)
+    calls = []
+    for name in ("characteristic_divisor", "expand"):
+        original = getattr(monodromy, name)
+
+        def counted(arg, name=name, original=original):
+            calls.append((name, arg))
+            return original(arg)
+
+        for module in (classify, milnor_algebra, monodromy):
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    passes = count_residue_passes(monkeypatch)
+    clear_memos()
+    relabeled = quasi_degree(
+        [(0, 1, 0, 5), (3, 0, 0, 1), (0, 4, 0, 0), (0, 0, 3, 0)], (17, 15, 20, 9)
+    )
+    first, second = analyze(relabeled), analyze(f60)
+    assert [arg for name, arg in calls if name == "characteristic_divisor"] == [f60.system]
+    assert [arg for name, arg in calls if name == "expand" and arg == divisor] == [divisor]
+    assert passes == [86]
+    assert second.divisor == divisor and second.expanded == expand(divisor)
+    assert second.expanded is first.expanded
+    facts = classify._weight_facts(f60.system)
+    with pytest.raises(TypeError):
+        facts["divisor"] = ()  # the memo hands out a read-only mapping
+    assert classify._weight_facts.cache_info().currsize == 1
     for _ in range(2):
-        with pytest.raises(IntegralityViolationError):
-            characteristic_polynomial(WeightSystem((2, 3, 5, 7), 16))
-    assert characteristic_polynomial.cache_info().currsize == 1
+        with pytest.raises(IntegralityViolationError) as err:
+            classify._weight_facts(WeightSystem((2, 3, 5, 7), 16))
+        assert str(err.value).startswith(
+            "[stage: characteristic divisor] characteristic divisor has fractional coefficients"
+        )
+    assert classify._weight_facts.cache_info().currsize == 1
 
 
 def test_residue_is_memoized_per_instance(monkeypatch):
@@ -628,7 +656,8 @@ def test_residue_calls_no_kernel(monkeypatch, f60):
     ids=["DK-1", "DK-2", "DK-3", "fermat-6", "fermat-8", "fermat-10"],
 )
 def test_exact_multiplicity_at_one_is_the_divisor_b2(system):
-    divisor, expanded = characteristic_polynomial(system)
+    divisor = characteristic_divisor(system)
+    expanded = expand(divisor)
     assert multiplicity_at_one(expanded) == middle_betti(divisor)
     assert expanded.residue == evaluate(expanded, R) % P == factored_residue(divisor)
 
