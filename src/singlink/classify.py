@@ -20,7 +20,6 @@ under relabeling, so this only normalizes the echo of the input.
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -61,7 +60,6 @@ from .weights import (
     Exponents,
     WeightedPolynomial,
     WeightSystem,
-    _variable_masks,
     divisibility_condition,
     is_well_formed_space,
     quasi_smooth_failure,
@@ -367,8 +365,7 @@ def _canonicalize(f: WeightedPolynomial) -> tuple[WeightedPolynomial, tuple[int,
 
 def _split_variable(f: WeightedPolynomial) -> int | None:
     """Index of the unique variable occurring once, as a pure power."""
-    masks = _variable_masks(f)
-    candidates = [i for i in range(f.nvars) if [m for m in masks if m >> i & 1] == [1 << i]]
+    candidates = [i for i in range(f.nvars) if [m for m in f.masks if m >> i & 1] == [1 << i]]
     return candidates[0] if len(candidates) == 1 else None
 
 
@@ -377,7 +374,8 @@ def _weight_facts(w: WeightSystem) -> MappingProxyType:
     """The report fields that read only the weights (Milnor-Orlik), by their
     InvariantReport names, once per canonical system: Delta(t) as divisor and
     expansion, the Poincare series, the three weight flags and the Hodge data.
-    The mapping is read-only; a refused system is not cached."""
+    The mapping is read-only; a system refused here is not cached, but one the
+    strata stage refuses later keeps its entry."""
     with _stage("characteristic divisor"):
         divisor = characteristic_divisor(w)
         facts = dict(divisor=divisor, expanded=expand(divisor), b2_divisor=middle_betti(divisor))
@@ -440,13 +438,7 @@ def analyze(
         split = _split_variable(f)
         if split is not None:
             rest = tuple(ww for i, ww in enumerate(w.weights) if i != split)
-            if math.gcd(*rest) == 1:
-                genus = genus_branch_curve(WeightSystem(rest, w.degree))
-            else:
-                notes.append(
-                    "pure-power split found but the remaining weights share a "
-                    "factor; no branch-curve genus is reported"
-                )
+            genus = genus_branch_curve(WeightSystem(rest, w.degree))
 
     with _stage("registry"):
         entry = registry_lookup(f, registry)

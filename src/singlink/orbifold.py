@@ -27,10 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import UnsupportedDimensionError, WrongDimensionError
-from .weights import WeightedPolynomial, WeightSystem, _variable_masks, require_ints
+from .weights import WeightedPolynomial, WeightSystem, _subsets, require_ints
 
 DISJOINT = "disjoint"
 MEETS = "meets"
@@ -71,24 +70,24 @@ def fano(w: WeightSystem) -> Fano:
 
 @lru_cache(maxsize=None)
 def _skeleton(ws: tuple[int, ...]) -> tuple[tuple[int, tuple[Stratum, ...]], ...]:
-    """Per subset with gcd m > 1: the bitmask of the variables outside it and
-    its Stratum for each incidence, indexed by min(monomials inside, 2)."""
+    """Per subset with gcd m > 1, in weights._subsets order: the bitmask of the
+    variables outside it and its Stratum for each incidence, indexed by
+    min(monomials inside, 2)."""
     if len(ws) > 4:
         raise UnsupportedDimensionError(f"incidence rules cover at most 4 variables, got {len(ws)}")
     out = []
-    for size in range(1, len(ws)):
-        for subset in combinations(range(len(ws)), size):
-            m = math.gcd(*(ws[i] for i in subset))
-            if m == 1:
-                continue
-            if size > 2:
-                raise UnsupportedDimensionError(
-                    f"subset {subset} of {size} variables has gcd {m} > 1; "
-                    "incidence rules cover vertices and edges only "
-                    "(the ambient space is not well formed)"
-                )
-            strata = tuple(Stratum(subset, m, c) for c in (CONTAINED, DISJOINT, MEETS))
-            out.append(((1 << len(ws)) - 1 - sum(1 << i for i in subset), strata))
+    for outside, subset in _subsets(len(ws)):
+        m = math.gcd(*(ws[i] for i in subset))
+        if m == 1:  # always so for the full set: the weights are normalized
+            continue
+        if len(subset) > 2:
+            raise UnsupportedDimensionError(
+                f"subset {subset} of {len(subset)} variables has gcd {m} > 1; "
+                "incidence rules cover vertices and edges only "
+                "(the ambient space is not well formed)"
+            )
+        strata = tuple(Stratum(subset, m, c) for c in (CONTAINED, DISJOINT, MEETS))
+        out.append((outside, strata))
     return tuple(out)
 
 
@@ -99,12 +98,11 @@ def singular_strata(f: WeightedPolynomial) -> tuple[Stratum, ...]:
     edges only, so a larger subset with nontrivial gcd (possible only when
     the ambient space is not well formed) is refused too.  The subsets and
     their orders depend only on the weights and are built once per weight
-    tuple; a vertex or edge's incidence counts the monomials whose variable
-    mask lies inside it (a vertex carries at most one, the pure power).
+    tuple; a vertex or edge's incidence counts the monomials whose mask in
+    f.masks lies inside it (a vertex carries at most one, the pure power).
     """
-    masks = _variable_masks(f)
     return tuple(
-        by_count[min(sum(not mask & outside for mask in masks), 2)]
+        by_count[min(sum(not mask & outside for mask in f.masks), 2)]
         for outside, by_count in _skeleton(f.system.weights)
     )
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -127,6 +127,12 @@ class WeightedPolynomial:
         """Support in canonical (lexicographic) order."""
         return tuple(sorted(self.support))
 
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """One bitmask per monomial of the variables it uses, in support order;
+        built once per instance."""
+        return tuple(sum(1 << i for i, a in enumerate(m) if a) for m in self.support)
+
 
 def quasi_degree(monomials: Iterable[Sequence[int]], weights: Sequence[int]) -> WeightedPolynomial:
     """Build a WeightedPolynomial, inferring the degree from the monomials."""
@@ -188,11 +194,6 @@ def _subsets(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple((~sum(1 << i for i in s), s) for k in sizes for s in combinations(range(n), k))
 
 
-def _variable_masks(f: WeightedPolynomial) -> list[int]:
-    """One bitmask per monomial of the variables it uses, in support order."""
-    return [sum(1 << i for i, a in enumerate(m) if a) for m in f.support]
-
-
 def quasi_smooth_failure(f: WeightedPolynomial) -> tuple[int, ...] | None:
     """First variable subset at which the support fails quasi-smoothness, or None.
 
@@ -204,7 +205,7 @@ def quasi_smooth_failure(f: WeightedPolynomial) -> tuple[int, ...] | None:
     z_e (d = w_e, m = 0) passes every I without e: that germ is not singular
     at all, and analyze refuses it at the Milnor-number stage since mu = 0.
     """
-    masks = _variable_masks(f)
+    masks = f.masks  # in f.support's order: both read the one frozenset
     heads = [  # (the other variables of a monomial, a variable e it has to power 1)
         (mask ^ (1 << e), e) for mask, m in zip(masks, f.support) for e, a in enumerate(m) if a == 1
     ]

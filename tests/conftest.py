@@ -2,7 +2,7 @@ from functools import cached_property
 
 import pytest
 
-from singlink import ExpandedPoly, analyze, quasi_degree
+from singlink import ExpandedPoly, WeightedPolynomial, analyze, quasi_degree
 from singlink import classify, orbifold
 
 # The three links carried in the built-in registry, by their defining data.
@@ -23,20 +23,30 @@ def clear_memos():
         memo.cache_clear()
 
 
-def count_residue_passes(monkeypatch):
-    """Record the degree of each ExpandedPoly whose residue is computed (not
-    read back from its memo)."""
-    passes = []
-    horner = ExpandedPoly.__dict__["residue"].func
+def count_builds(monkeypatch, cls, name, record):
+    """Record record(instance) for each instance whose cached property
+    cls.name is computed (not read back from its memo)."""
+    built = []
+    compute = cls.__dict__[name].func
 
     def counted(self):
-        passes.append(self.degree)
-        return horner(self)
+        built.append(record(self))
+        return compute(self)
 
     memo = cached_property(counted)
-    memo.__set_name__(ExpandedPoly, "residue")
-    monkeypatch.setattr(ExpandedPoly, "residue", memo)
-    return passes
+    memo.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, memo)
+    return built
+
+
+def count_residue_passes(monkeypatch):
+    """Record the degree of each ExpandedPoly whose residue is computed."""
+    return count_builds(monkeypatch, ExpandedPoly, "residue", lambda p: p.degree)
+
+
+def count_mask_builds(monkeypatch):
+    """Record each WeightedPolynomial whose variable masks are computed."""
+    return count_builds(monkeypatch, WeightedPolynomial, "masks", lambda f: f)
 
 
 @pytest.fixture(scope="session")

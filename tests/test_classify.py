@@ -55,7 +55,13 @@ from singlink import (
     torsion_status,
 )
 from singlink.cli import render_json
-from conftest import F60_SUPPORT, F60_WEIGHTS, clear_memos, count_residue_passes
+from conftest import (
+    F60_SUPPORT,
+    F60_WEIGHTS,
+    clear_memos,
+    count_mask_builds,
+    count_residue_passes,
+)
 
 
 def test_builtin_registry_round_trips_through_jsonl():
@@ -702,6 +708,44 @@ def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch
     assert len(keys) == 2 * dk2
     assert len(space_wf) == len(div_ok) == len(hodge) == len(divisor) == 1
     assert len(pair_flag) == 2
+
+
+def test_analyze_builds_the_variable_masks_once_on_the_canonical_polynomial(monkeypatch):
+    """The quasi-smoothness, strata and split-variable stages share one mask
+    tuple per analyze.  An input whose weights are sorted is its own canonical
+    polynomial; an unsorted relabeling's masks are built on the canonical copy
+    only, never on the input."""
+    built = count_mask_builds(monkeypatch)
+    f = quasi_degree(F60_SUPPORT, F60_WEIGHTS)
+    analyze(f)
+    assert len(built) == 1 and built[0] is f
+    assert isinstance(f.masks, tuple) and len(f.masks) == len(f.support)
+    perm = (2, 0, 3, 1)
+    g = quasi_degree(
+        [tuple(m[i] for i in perm) for m in F60_SUPPORT], tuple(F60_WEIGHTS[i] for i in perm)
+    )
+    analyze(g)
+    assert len(built) == 2 and built[1] is not g and built[1] == f
+    assert "masks" not in vars(g)
+
+
+def test_a_split_over_a_space_that_is_not_well_formed_stops_at_strata(monkeypatch):
+    """z3^4 is the only pure power whose variable occurs once, and the other
+    three weights share the factor 2.  The strata stage refuses that ambient
+    space before any branch curve is built, cold and with the weight facts
+    memoized."""
+    support = {(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 1, 1, 0), (0, 0, 0, 4)}
+    f = WeightedPolynomial(frozenset(support), WeightSystem((2, 2, 2, 1), 4))
+    assert classify._split_variable(f) == 3
+    genus = _count_calls(monkeypatch, milnor_algebra, "genus_branch_curve")
+    clear_memos()
+    for _ in range(2):
+        with pytest.raises(UnsupportedDimensionError) as info:
+            analyze(f)
+        assert str(info.value).startswith(
+            "[stage: strata] subset (1, 2, 3) of 3 variables has gcd 2 > 1; "
+        )
+    assert genus == []
 
 
 def _sampled_supports(ws, degree, rng, draws=12):
