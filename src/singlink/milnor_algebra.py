@@ -111,10 +111,10 @@ def signature(series: PoincareSeries) -> int:
 def genus_branch_curve(w3: WeightSystem) -> int:
     """Genus of the curve a surface branches over in a z3-power split.
 
-    g = dim M_{d - |w'|} for the three remaining weights w'.  Below the
-    least partial degree the Jacobian ideal is empty, so the dimension must
-    agree with the raw monomial count; that cross-check runs whenever it
-    applies.
+    g = dim M_{d - |w'|} for the three remaining weights w'.  That degree
+    lies below the least partial degree d - max w_i, where the Jacobian ideal
+    is empty, so the dimension must agree with the raw monomial count, a
+    cross-check run on every call.
     """
     if w3.nvars != 3:
         raise WrongDimensionError(
@@ -122,11 +122,10 @@ def genus_branch_curve(w3: WeightSystem) -> int:
         )
     k = w3.degree - w3.total
     g = poincare_series(w3).coefficient(k)
-    if k < min(w3.degree - wi for wi in w3.weights):
-        raw = count_monomials(w3.weights, k)
-        if g != raw:
-            raise ConsistencyError(
-                f"graded dimension {g} at degree {k} differs from the "
-                f"monomial count {raw} below the least partial degree"
-            )
+    raw = count_monomials(w3.weights, k)
+    if g != raw:
+        raise ConsistencyError(
+            f"graded dimension {g} at degree {k} differs from the "
+            f"monomial count {raw} below the least partial degree"
+        )
     return g

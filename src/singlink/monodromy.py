@@ -14,7 +14,8 @@ with the product taken in the group ring of roots of unity, Lambda_a * Lambda_b
 (milnor_product).  Both must come out integral, a divisibility test; the
 coefficient a_j of Lambda_j is then the exponent of (t^j - 1) in Delta, so
 characteristic_divisor returns the divisor as its ascending (j, a_j) pairs,
-which are Delta's factored form.  expand is the one expander of such
+which are Delta's factored form.  expand, with its two kernels (a binomial-
+theorem multiply and a linear exact division), is the one expander of such
 binomial quotients: Delta here, and the Poincare series of milnor_algebra.
 
 The divisor, hence Delta(t), depends only on the weight system, so
@@ -36,14 +37,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
+from operator import add, mul
 from typing import Iterable, Sequence
 
-from ._intpoly import div_binomial, mul_binomial_power
 from .divisor import Divisor
 from .errors import (
     BoundExceededError,
     ConsistencyError,
     DegenerateDegreeError,
+    InexactDivisionError,
     IntegralityViolationError,
     NonIntegralMilnorNumberError,
 )
@@ -168,23 +171,54 @@ def expand(factors: Iterable[tuple[int, int]]) -> ExpandedPoly:
     """prod (t^j - 1)^e over (j, e) pairs: multiply the numerator binomials,
     then divide the denominators exactly.
 
-    Exponents of a repeated j add up.  Each numerator factor (t^j - 1)^e is one
-    binomial-theorem product of e + 1 slice updates over the coefficients so
-    far; each unit of a denominator exponent is one linear exact division.
+    Exponents of a repeated j add up; a j whose exponents cancel is dropped,
+    and any other j must be positive, checked numerators first, as the loops
+    meet them.  Each numerator factor is one _mul_binomial_power call, and
+    each unit of a denominator exponent one _div_binomial call.
     """
     exponents: dict[int, int] = {}
     for pair in factors:
         j, e = require_ints(pair, "factor indices and exponents")
         exponents[j] = exponents.get(j, 0) + e
     ascending = sorted(exponents.items())
+    if bad := min(((e < 0, j) for j, e in ascending if e and j < 1), default=None):
+        raise ValueError(f"binomial exponent {bad[1]} is not positive")
     coeffs = [1]
     for j, e in ascending:
         if e > 0:
-            coeffs = mul_binomial_power(coeffs, j, e)
+            coeffs = _mul_binomial_power(coeffs, j, e)
     for j, e in ascending:
         for _ in range(max(-e, 0)):
-            coeffs = div_binomial(coeffs, j)
+            coeffs = _div_binomial(coeffs, j)
     return ExpandedPoly(tuple(coeffs))
+
+
+def _mul_binomial_power(coeffs: list[int], j: int, e: int) -> list[int]:
+    """Multiply by (t^j - 1)^e = sum_k C(e, k) (-1)^(e - k) t^(j k), e > 0:
+    one C-level slice update per term, e + 1 passes over the input."""
+    n = len(coeffs)
+    out = [0] * (n + j * e)
+    c = -1 if e % 2 else 1
+    for k in range(e + 1):
+        lo = j * k
+        out[lo:lo + n] = map(add, out[lo:lo + n], map(mul, coeffs, repeat(c)))
+        c = -c * (e - k) // (k + 1)
+    return out
+
+
+def _div_binomial(coeffs: list[int], j: int) -> list[int]:
+    """Divide exactly by t^j - 1 in one linear pass; the remainder must vanish."""
+    n = len(coeffs)
+    if n <= j:
+        raise InexactDivisionError(f"degree {n - 1} polynomial is not divisible by t^{j} - 1")
+    qlen = n - j
+    q = [0] * qlen
+    for k in range(n - 1, j - 1, -1):
+        q[k - j] = coeffs[k] + (q[k] if k < qlen else 0)
+    for k in range(j):
+        if coeffs[k] != -(q[k] if k < qlen else 0):
+            raise InexactDivisionError(f"division by t^{j} - 1 leaves a remainder")
+    return q
 
 
 def middle_betti(divisor: Divisor) -> int:

@@ -23,6 +23,17 @@ def clear_memos():
         memo.cache_clear()
 
 
+def one_above_mu(product):
+    """Wrap milnor_product so that the product it returns is mu + 1, still an
+    integer: every check against mu must then fail."""
+
+    def shifted(w):
+        num, den = product(w)
+        return num + den, den
+
+    return shifted
+
+
 def count_builds(monkeypatch, cls, name, record):
     """Record record(instance) for each instance whose cached property
     cls.name is computed (not read back from its memo)."""

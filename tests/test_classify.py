@@ -67,6 +67,7 @@ from conftest import (
 def test_builtin_registry_round_trips_through_jsonl():
     text = registry_dump()
     assert load_registry(text) == BUILTIN_REGISTRY
+    assert load_registry(text.replace("\n", "\n \t\n\n", 1)) == BUILTIN_REGISTRY
     assert len(text.splitlines()) == 3
     for line in text.splitlines():
         record = json.loads(line)
@@ -104,6 +105,9 @@ def test_registry_rejects_unobstructed_non_fano_claims():
     loaded = load_registry(json.dumps(entry) + "\n")
     assert len(loaded) == 1 and loaded[0].obstructed
     assert _entry_from(FERMAT_QUINTIC, obstructed=True) == loaded[0]
+    text = registry_dump(loaded)
+    assert json.loads(text)["obstructed"] is True
+    assert load_registry(text) == loaded
 
 
 # z0^2*z1 + z2^3 + z3^3: Fano with no strata, but singular along the z1-axis

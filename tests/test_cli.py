@@ -31,7 +31,7 @@ from singlink import (
     quasi_degree,
     registry_dump,
 )
-from singlink import cli
+from singlink import cli, monodromy
 from singlink.monodromy import brief
 from singlink.cli import (
     _big_int,
@@ -47,6 +47,7 @@ from singlink.cli import (
     report_to_json_dict,
     scan_rows,
 )
+from conftest import clear_memos, one_above_mu
 
 DK1_POLY = "z0^5*z1 + z0*z2^3 + z1^4 + z3^3"
 DK2_POLY = "z0^17*z2 + z0*z1^5 + z1*z2^3 + z3^2"
@@ -370,6 +371,17 @@ def test_cli_io_errors_exit_three(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_cli_divisor_degree_mismatch_is_a_consistency_failure(capsys, monkeypatch):
+    clear_memos()
+    monkeypatch.setattr(monodromy, "milnor_product", one_above_mu(monodromy.milnor_product))
+    code = entry(["analyze", "--weights", "9,15,17,20", "--poly", DK1_POLY])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "consistency failure: [stage: characteristic divisor] "
+        "divisor degree 86 differs from Milnor product 87\n"
+    )
+
+
 def test_cli_batch_processes_good_records(tmp_path, capsys):
     records = [
         {"weights": [9, 15, 17, 20], "degree": 60, "poly": DK1_POLY},
@@ -377,8 +389,9 @@ def test_cli_batch_processes_good_records(tmp_path, capsys):
         {"weights": [11, 49, 69, 128], "degree": 256, "poly": DK2_POLY},
     ]
     path = tmp_path / "batch.jsonl"
+    # a whitespace-only line is skipped without being counted
     path.write_text(
-        "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        " \t\n".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
     )
     code = entry(["batch", str(path)])
     captured = capsys.readouterr()

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from singlink import _intpoly, milnor_algebra, monodromy
+from singlink import milnor_algebra, monodromy
 from singlink import (
+    ConsistencyError,
     DegenerateDegreeError,
     InexactDivisionError,
     PoincareSeries,
@@ -19,6 +20,7 @@ from singlink import (
     poincare_series,
     signature,
 )
+from conftest import one_above_mu
 
 
 def truncated_series(weights, degree, top):
@@ -92,13 +94,17 @@ def test_series_raises_on_data_with_no_algebra():
         poincare_series(WeightSystem((2, 3), 7))
 
 
+def test_series_total_is_checked_against_the_milnor_product(monkeypatch):
+    monkeypatch.setattr(milnor_algebra, "milnor_product", one_above_mu(milnor_algebra.milnor_product))
+    with pytest.raises(ConsistencyError, match=r"^series total 86 differs from the Milnor product$"):
+        poincare_series(WeightSystem((9, 15, 17, 20), 60))
+
+
 def test_series_is_one_expand_call(monkeypatch):
     """P(t) is expanded by monodromy.expand, the one binomial-quotient kernel:
-    milnor_algebra binds no _intpoly function of its own."""
-    assert not [
-        name for name, value in vars(milnor_algebra).items()
-        if getattr(value, "__module__", None) == _intpoly.__name__
-    ]
+    milnor_algebra binds neither of expand's kernels of its own."""
+    kernels = (monodromy._mul_binomial_power, monodromy._div_binomial)
+    assert not [name for name, value in vars(milnor_algebra).items() if value in kernels]
     assert milnor_algebra.expand is monodromy.expand
     calls = []
 
@@ -219,6 +225,18 @@ def test_genus_of_the_branch_curves():
     assert genus_branch_curve(WeightSystem((13, 35, 81), 256)) == 0
     with pytest.raises(WrongDimensionError):
         genus_branch_curve(WeightSystem((9, 15, 17, 20), 60))
+
+
+def test_genus_is_checked_against_the_monomial_count(monkeypatch):
+    # the cubic curve: g = 1 at degree 0, where one monomial is counted
+    w = WeightSystem((1, 1, 1), 3)
+    assert genus_branch_curve(w) == 1
+    monkeypatch.setattr(milnor_algebra, "count_monomials", lambda ws, k: count_monomials(ws, k) + 1)
+    with pytest.raises(
+        ConsistencyError,
+        match=r"^graded dimension 1 at degree 0 differs from the monomial count 2 below",
+    ):
+        genus_branch_curve(w)
 
 
 def test_genus_counts_monomials_below_the_partial_degrees():

@@ -6,7 +6,7 @@ from itertools import accumulate, combinations_with_replacement, permutations
 
 import pytest
 
-from singlink import _intpoly, classify, milnor_algebra, monodromy
+from singlink import classify, milnor_algebra, monodromy
 from singlink import (
     BoundExceededError,
     ConsistencyError,
@@ -345,6 +345,14 @@ def test_expand_adds_the_exponents_of_a_repeated_index():
         expand([(2, -1)])
     with pytest.raises(ValueError):
         expand([(0, 1)])
+    # a j < 1 is refused in the order the kernels would meet it: numerators
+    # first, then denominators, each in ascending j; one whose exponents
+    # cancel is dropped
+    with pytest.raises(ValueError, match=r"^binomial exponent 0 is not positive$"):
+        expand([(0, -1)])
+    with pytest.raises(ValueError, match=r"^binomial exponent -1 is not positive$"):
+        expand([(-1, 2), (-2, -1)])
+    assert expand([(0, 1), (0, -1)]).coefficients == (1,)
 
 
 def test_expand_raises_on_inexact_division():
@@ -605,25 +613,20 @@ def test_multiplicity_at_one_of_t_power_plus_one_is_zero():
         assert multiplicity_at_one(ExpandedPoly(tuple(plus_one(k)))) == 0
 
 
+KERNELS = ("_mul_binomial_power", "_div_binomial")
+
+
 def _count_kernel_calls(monkeypatch):
-    """Count calls of every _intpoly function, wherever monodromy binds it."""
+    """Count calls of expand's two kernels, patched where monodromy binds them."""
     calls = []
-    kernels = [
-        name
-        for name, value in vars(_intpoly).items()
-        if callable(value) and getattr(value, "__module__", None) == _intpoly.__name__
-    ]
-    assert kernels
-    for name in kernels:
-        original = getattr(_intpoly, name)
+    for name in KERNELS:
+        original = getattr(monodromy, name)
 
         def counted(*args, _original=original, _name=name):
             calls.append(_name)
             return _original(*args)
 
-        for module in (_intpoly, monodromy):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(monodromy, name, counted)
     return calls
 
 
@@ -701,3 +704,11 @@ def test_bp_oracle_counts_each_galois_orbit_against_phi(wrong, monkeypatch):
     with pytest.raises(ConsistencyError, match="roots of order 3 do not fill Galois orbits"):
         bp_oracle((3, 3, 3, 3))
     assert bp_oracle((2, 2, 2, 2)).coefficients == (-1, 1)  # orders 1 and 2 still pass
+
+
+def test_oracle_exact_division_refuses_an_inexact_quotient():
+    # t / 2t has no integer quotient; (t + 1) / (t - 1) leaves 2
+    with pytest.raises(ConsistencyError, match=r"^cyclotomic division is not exact$"):
+        monodromy._exact_div([0, 1], [0, 2])
+    with pytest.raises(ConsistencyError, match=r"^cyclotomic division leaves a remainder$"):
+        monodromy._exact_div([1, 1], [-1, 1])
