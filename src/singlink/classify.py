@@ -13,8 +13,8 @@ support (weights.quasi_smooth_failure), and a support that fails keeps its
 weight-derived invariants but gets no diffeomorphism type or SE status.
 
 Reports are canonical: variables are relabeled so the weights are sorted,
-and the permutation is recorded.  All downstream quantities are invariant
-under relabeling, so this only normalizes the echo of the input.
+and the permutation is recorded.  Every invariant is unchanged by that, and
+the registry is matched on the same canonical form.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, groupby, permutations, product
+from itertools import permutations
 from types import MappingProxyType
 
 from .divisor import Divisor
@@ -50,6 +50,7 @@ from .orbifold import (
     TORSION_FREE,
     Fano,
     Stratum,
+    _skeleton,
     fano,
     orbifold_order,
     pair_well_formed,
@@ -80,17 +81,25 @@ MAX_MU = 50_000
 MAX_SOCLE = 500_000
 
 
-def _canonical_key(weights: tuple[int, ...], degree: int, support: tuple[Exponents, ...]) -> tuple:
-    """Permutation-invariant lookup key.
+def _canonicalize(f: WeightedPolynomial) -> tuple[WeightedPolynomial, tuple[int, ...]]:
+    """f relabeled by the stable sort of its weights, and that permutation (f if sorted)."""
+    w = f.system.weights
+    perm = tuple(sorted(range(len(w)), key=lambda i: (w[i], i)))
+    if perm == tuple(range(len(w))):
+        return f, perm
+    system = WeightSystem(tuple(w[i] for i in perm), f.system.degree)
+    support = frozenset(tuple(m[i] for i in perm) for m in f.support)
+    return WeightedPolynomial(support, system), perm
 
-    Among relabelings that sort the weights (they permute only tied
-    weights), take the lexicographically least sorted support.
-    """
-    order = sorted(range(len(weights)), key=weights.__getitem__)
-    ties = [list(run) for _, run in groupby(order, key=weights.__getitem__)]
-    relabelings = (tuple(chain(*g)) for g in product(*map(permutations, ties)))
-    best = min(tuple(sorted(tuple(m[i] for i in perm) for m in support)) for perm in relabelings)
-    return (tuple(weights[i] for i in order), degree, best)
+
+def _tie_relabelings(f: WeightedPolynomial) -> frozenset:
+    """(weights, degree, sorted support) of every relabeling of a canonical f
+    that keeps its weights sorted: the ones that permute only tied weights."""
+    w = f.system.weights
+    return frozenset(
+        (w, f.system.degree, tuple(sorted(tuple(m[i] for i in p) for m in f.support)))
+        for p in permutations(range(len(w))) if tuple(w[i] for i in p) == w
+    )
 
 
 def _subset_label(indices: tuple[int, ...]) -> str:
@@ -99,7 +108,7 @@ def _subset_label(indices: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    """One published existence result, keyed by weights and support."""
+    """One published existence result, keyed by the tie relabelings of its canonical form."""
 
     weights: tuple[int, ...]
     degree: int
@@ -108,7 +117,7 @@ class RegistryEntry:
     citation: str
     obstructed: bool = False
     reference_order: int | None = None
-    key: tuple = field(init=False, repr=False, compare=False)
+    key: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.weights) != 4:  # analyze matches no other; refused before any enumeration
@@ -116,8 +125,7 @@ class RegistryEntry:
         for name, kind in (("tag", str), ("citation", str), ("obstructed", bool)):
             if type(getattr(self, name)) is not kind:
                 raise TypeError(f"{name} must be a {kind.__name__}, not {getattr(self, name)!r}")
-        ws = validate_weights(self.weights)
-        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "weights", validate_weights(self.weights))
         support = tuple(sorted(require_ints(m, "exponents") for m in self.support))
         object.__setattr__(self, "support", support)
         if self.reference_order is not None:
@@ -139,7 +147,7 @@ class RegistryEntry:
                 f"registry entry {self.tag} claims an SE metric but is not a "
                 "well-formed Fano pair"
             )
-        object.__setattr__(self, "key", _canonical_key(ws, self.degree, support))
+        object.__setattr__(self, "key", _tie_relabelings(_canonicalize(f)[0]))
 
     def polynomial(self) -> WeightedPolynomial:
         return WeightedPolynomial(
@@ -200,9 +208,9 @@ def registry_dump(entries: tuple[RegistryEntry, ...] = BUILTIN_REGISTRY) -> str:
 
 
 def load_registry(text: str) -> tuple[RegistryEntry, ...]:
-    """Parse a line-delimited registry file; every entry is re-validated and unique."""
+    """Parse a line-delimited registry file; entries are re-validated, unique up to relabeling."""
     entries = []
-    seen: dict[tuple, str] = {}
+    seen: dict[frozenset, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -235,13 +243,11 @@ def load_registry(text: str) -> tuple[RegistryEntry, ...]:
 def registry_lookup(
     f: WeightedPolynomial, registry: tuple[RegistryEntry, ...] = BUILTIN_REGISTRY
 ) -> RegistryEntry | None:
-    """Match weights, degree and support, all up to one shared relabeling.
-    The support's key is built only when some entry has the same weights and degree."""
-    head = (tuple(sorted(f.system.weights)), f.system.degree)
-    if all(entry.key[:2] != head for entry in registry):
-        return None
-    key = _canonical_key(f.system.weights, f.system.degree, f.sorted_support)
-    return next((entry for entry in registry if entry.key == key), None)
+    """Match weights, degree and support, all up to one shared relabeling: the
+    canonical form of f against each entry's tie relabelings (entry.key)."""
+    f, _ = _canonicalize(f)
+    key = (f.system.weights, f.system.degree, f.sorted_support)
+    return next((entry for entry in registry if key in entry.key), None)
 
 
 def smale_type(b2: int, torsion_free: bool) -> int | None:
@@ -309,31 +315,19 @@ class InvariantReport:
 
 def cross_checks(report: InvariantReport) -> tuple[CheckResult, ...]:
     """Recompute every two-route quantity from the report's own fields."""
-    checks = []
-
-    def check(name: str, got, expected) -> None:
-        checks.append(
-            CheckResult(name, got == expected, f"got {got}, expected {expected}")
-        )
-
-    check("b2 routes", middle_betti(report.divisor), report.b2_hodge)
-    degree = sum(j * a for j, a in report.divisor)
-    check("divisor degree vs milnor number", degree, report.milnor_number)
-    check(
-        "expanded vs factored Delta(t) mod P",
-        report.expanded.residue,
-        factored_residue(report.divisor),
-    )
+    d, b2, ref = report.divisor, report.b2_divisor, report.registry_reference_order
+    rows = [
+        ("b2 routes", (middle_betti(d), b2), (report.b2_hodge,) * 2),
+        ("divisor degree vs milnor number", sum(j * a for j, a in d), report.milnor_number),
+        ("expanded vs factored Delta(t) mod P", report.expanded.residue, factored_residue(d)),
+    ]
     if report.fano.is_fano:
-        check("signature vs 1 - b2 (Fano)", report.signature, 1 - report.b2_divisor)
-    check("series total vs milnor number", report.series.total(), report.milnor_number)
-    if report.registry_reference_order is not None:
-        check(
-            "orbifold order vs registry reference",
-            report.orbifold_order,
-            report.registry_reference_order,
-        )
-    return tuple(checks)
+        rows.append(("signature vs 1 - b2 (Fano)", report.signature, 1 - b2))
+    if ref is not None:
+        rows.append(("orbifold order vs registry reference", report.orbifold_order, ref))
+    return tuple(
+        CheckResult(name, got == want, f"got {got}, expected {want}") for name, got, want in rows
+    )
 
 
 def require_consistent(report: InvariantReport) -> None:
@@ -353,16 +347,6 @@ def _stage(name: str):
         raise
 
 
-def _canonicalize(f: WeightedPolynomial) -> tuple[WeightedPolynomial, tuple[int, ...]]:
-    w = f.system.weights
-    perm = tuple(sorted(range(len(w)), key=lambda i: (w[i], i)))
-    if perm == tuple(range(len(w))):
-        return f, perm
-    system = WeightSystem(tuple(w[i] for i in perm), f.system.degree)
-    support = frozenset(tuple(m[i] for i in perm) for m in f.support)
-    return WeightedPolynomial(support, system), perm
-
-
 def _split_variable(f: WeightedPolynomial) -> int | None:
     """Index of the unique variable occurring once, as a pure power."""
     candidates = [i for i in range(f.nvars) if [m for m in f.masks if m >> i & 1] == [1 << i]]
@@ -374,8 +358,9 @@ def _weight_facts(w: WeightSystem) -> MappingProxyType:
     """The report fields that read only the weights (Milnor-Orlik), by their
     InvariantReport names, once per canonical system: Delta(t) as divisor and
     expansion, the Poincare series, the three weight flags and the Hodge data.
-    The mapping is read-only; a system refused here is not cached, but one the
-    strata stage refuses later keeps its entry."""
+    The mapping is read-only.  The strata skeleton is built last, so a system
+    refused anywhere here, an ambient space that is not well formed too, is not
+    cached."""
     with _stage("characteristic divisor"):
         divisor = characteristic_divisor(w)
         facts = dict(divisor=divisor, expanded=expand(divisor), b2_divisor=middle_betti(divisor))
@@ -388,6 +373,8 @@ def _weight_facts(w: WeightSystem) -> MappingProxyType:
             hodge=tuple(sorted(hodge.items())), b2_hodge=middle_betti_hodge(hodge),
             signature=signature(series),
         )
+    with _stage("strata"):
+        _skeleton(w.weights)
     return MappingProxyType(facts)
 
 

@@ -5,7 +5,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from pathlib import Path
 
 import pytest
@@ -158,7 +158,7 @@ def test_registry_reports_the_failing_line():
 def test_registry_refuses_an_entry_without_four_variables(n):
     """analyze covers 4 variables only, so no other entry could ever match.  The
     count is refused first: an obstructed Fermat quadric in 12 equal weights
-    would otherwise reach the canonical key's 12! relabelings."""
+    would otherwise reach the 12! tie relabelings of the registry key."""
     record = {
         "weights": [1] * n,
         "degree": 2,
@@ -267,6 +267,15 @@ def test_registry_refuses_a_relabeled_duplicate():
     message = str(err.value)
     assert "registry line 4" in message
     assert "DK-1 relabeled" in message and "DK-1 from line 1" in message
+    # on tied weights, every relabeling of the tie is a duplicate too
+    c3 = TIED_REGISTRY[4]
+    for perm in [(0, 1, 3, 2), (3, 2, 0, 1), (2, 3, 1, 0)]:
+        g = _relabeled(c3.polynomial(), perm)
+        copy = RegistryEntry(g.system.weights, g.system.degree, g.sorted_support, "C3 again", "")
+        assert copy.support != c3.support
+        with pytest.raises(SinglinkError) as err:
+            load_registry(registry_dump((c3, copy)))
+        assert str(err.value) == "registry line 2: C3 again duplicates C3 from line 1"
 
 
 def test_registry_lookup_is_permutation_invariant(f60):
@@ -601,6 +610,19 @@ def test_cross_checks_catch_corrupted_reports(report60):
     with pytest.raises(ConsistencyError) as err:
         require_consistent(bad)
     assert "b2 routes" in str(err.value)
+    # the rendered b2_divisor is checked too, also where no Fano signature check reads it
+    quintic = analyze(quasi_degree(FERMAT_QUINTIC["support"], FERMAT_QUINTIC["weights"]))
+    assert not quintic.fano.is_fano and all(c.passed for c in cross_checks(quintic))
+
+    def failed(report, **fields):
+        return [(c.name, c.detail) for c in cross_checks(dataclasses.replace(report, **fields))
+                if not c.passed]
+
+    assert failed(quintic, b2_divisor=99) == [("b2 routes", "got (52, 99), expected (52, 52)")]
+    # a replaced Milnor number fails against the divisor's degree
+    assert failed(report60, milnor_number=87) == [
+        ("divisor degree vs milnor number", "got 86, expected 87")
+    ]
 
 
 def test_cross_checks_validate_registry_reference(report256_1):
@@ -663,6 +685,30 @@ def test_public_functions_agree_with_the_report(name, tag, request):
     assert (entry.tag if entry else None) == r.registry_tag == tag
 
 
+def _relabeled(f, perm):
+    """f with variable i renamed to the position of i in perm."""
+    return quasi_degree(
+        [tuple(m[i] for i in perm) for m in f.support], tuple(f.system.weights[i] for i in perm)
+    )
+
+
+# z0^2*z1 + z2^3 + z3^3: a tied cubic that no entry holds under any relabeling
+AXIS_CUBIC = quasi_degree([(2, 1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)], (1, 1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "f, tag",
+    [(TIED_CUBIC, "C3"), (AXIS_CUBIC, None)] + [(e.polynomial(), e.tag) for e in TIED_REGISTRY],
+    ids=["tied_cubic", "axis_cubic"] + [e.tag for e in TIED_REGISTRY],
+)
+def test_every_relabeling_finds_the_same_registry_entry(f, tag):
+    for perm in permutations(range(4)):
+        g = _relabeled(f, perm)
+        entry = registry_lookup(g, TIED_REGISTRY)
+        assert (entry.tag if entry else None) == tag
+        assert analyze(g, registry=TIED_REGISTRY).registry_tag == tag
+
+
 def _count_calls(monkeypatch, holder, name):
     """Count calls of holder.name, in every singlink module that binds it."""
     original = getattr(holder, name)
@@ -681,10 +727,10 @@ def _count_calls(monkeypatch, holder, name):
 
 @pytest.mark.parametrize("name", ["f256_1", "fermat_sextic"])
 def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch):
-    """A cold analyze builds each shared intermediate once, and the registry key
-    only when an entry has the same weights and degree.  A second support on
-    the same weight system reads every weight-only fact back from the memos
-    and computes only its strata anew."""
+    """A cold analyze builds each shared intermediate once and no registry key:
+    the canonical polynomial is looked up in the tie relabelings each entry
+    built once.  A second support on the same weight system reads every
+    weight-only fact back from the memos and computes only its strata anew."""
     if name == "fermat_sextic":
         f = quasi_degree([tuple(6 * (i == k) for i in range(4)) for k in range(4)], (1,) * 4)
         g = WeightedPolynomial(f.support | {(5, 1, 0, 0)}, f.system)
@@ -694,7 +740,7 @@ def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch
     clear_memos()
     series = _count_calls(monkeypatch, milnor_algebra, "poincare_series")
     strata = _count_calls(monkeypatch, orbifold, "singular_strata")
-    keys = _count_calls(monkeypatch, classify, "_canonical_key")
+    keys = _count_calls(monkeypatch, classify, "_tie_relabelings")
     space_wf = _count_calls(monkeypatch, weights, "is_well_formed_space")
     div_ok = _count_calls(monkeypatch, weights, "divisibility_condition")
     hodge = _count_calls(monkeypatch, milnor_algebra, "hodge_numbers")
@@ -704,12 +750,12 @@ def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch
     dk2 = name == "f256_1"
     assert len(series) == 1 + dk2  # DK-2 adds its branch curve's series
     assert len(strata) == 1
-    assert len(keys) == dk2
+    assert keys == []
     assert len(space_wf) == len(div_ok) == len(hodge) == len(pair_flag) == len(divisor) == 1
     analyze(g)
     assert len(series) == 1 + 2 * dk2  # the branch curve's series, built again
     assert len(strata) == 2
-    assert len(keys) == 2 * dk2
+    assert keys == []
     assert len(space_wf) == len(div_ok) == len(hodge) == len(divisor) == 1
     assert len(pair_flag) == 2
 
@@ -736,8 +782,8 @@ def test_analyze_builds_the_variable_masks_once_on_the_canonical_polynomial(monk
 def test_a_split_over_a_space_that_is_not_well_formed_stops_at_strata(monkeypatch):
     """z3^4 is the only pure power whose variable occurs once, and the other
     three weights share the factor 2.  The strata stage refuses that ambient
-    space before any branch curve is built, cold and with the weight facts
-    memoized."""
+    space before any branch curve is built, on every call, and from inside the
+    weight memo, which keeps nothing for it."""
     support = {(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 1, 1, 0), (0, 0, 0, 4)}
     f = WeightedPolynomial(frozenset(support), WeightSystem((2, 2, 2, 1), 4))
     assert classify._split_variable(f) == 3
@@ -749,6 +795,7 @@ def test_a_split_over_a_space_that_is_not_well_formed_stops_at_strata(monkeypatc
         assert str(info.value).startswith(
             "[stage: strata] subset (1, 2, 3) of 3 variables has gcd 2 > 1; "
         )
+        assert classify._weight_facts.cache_info().currsize == 0
     assert genus == []
 
 

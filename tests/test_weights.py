@@ -1,9 +1,12 @@
 import random
+import time
 from itertools import product
 
 import pytest
 
+from singlink import weights as weights_module
 from singlink import (
+    BoundExceededError,
     DegenerateDegreeError,
     EmptySubsetError,
     LengthMismatchError,
@@ -179,6 +182,27 @@ def test_missing_variables(f60):
     assert quasi_smooth_failure(f) == (2,)
     g = quasi_degree([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0)], (1, 1, 1, 1))
     assert quasi_smooth_failure(g) == (3,)
+
+
+def _fermat_quadric(n):
+    return quasi_degree([tuple(2 * (i == k) for i in range(n)) for k in range(n)], (1,) * n)
+
+
+def test_quasi_smooth_failure_refuses_too_many_variables(monkeypatch):
+    """The subset table has 2^n - 1 rows: a 30-variable input is refused before
+    it is built.  A count at the ceiling passes and one above it is refused."""
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError) as err:
+        quasi_smooth_failure(_fermat_quadric(30))
+    assert time.perf_counter() - start < 0.5
+    assert str(err.value) == (
+        f"30 variables exceed the quasi-smoothness ceiling {weights_module.MAX_QUASI_SMOOTH_VARS}"
+    )
+    assert 4 <= weights_module.MAX_QUASI_SMOOTH_VARS < 20
+    monkeypatch.setattr(weights_module, "MAX_QUASI_SMOOTH_VARS", 5)
+    assert quasi_smooth_failure(_fermat_quadric(5)) is None
+    with pytest.raises(BoundExceededError):
+        quasi_smooth_failure(_fermat_quadric(6))
 
 
 def test_quasi_smooth_failure_reads_the_support():
