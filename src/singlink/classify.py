@@ -61,6 +61,7 @@ from .weights import (
     Exponents,
     WeightedPolynomial,
     WeightSystem,
+    _unchecked,
     divisibility_condition,
     is_well_formed_space,
     quasi_smooth_failure,
@@ -82,14 +83,15 @@ MAX_SOCLE = 500_000
 
 
 def _canonicalize(f: WeightedPolynomial) -> tuple[WeightedPolynomial, tuple[int, ...]]:
-    """f relabeled by the stable sort of its weights, and that permutation (f if sorted)."""
+    """f relabeled by the stable sort of its weights, and that permutation (f if sorted);
+    the copy skips the checks f passed."""
     w = f.system.weights
     perm = tuple(sorted(range(len(w)), key=lambda i: (w[i], i)))
     if perm == tuple(range(len(w))):
         return f, perm
-    system = WeightSystem(tuple(w[i] for i in perm), f.system.degree)
+    system = _unchecked(WeightSystem, weights=tuple(w[i] for i in perm), degree=f.system.degree)
     support = frozenset(tuple(m[i] for i in perm) for m in f.support)
-    return WeightedPolynomial(support, system), perm
+    return _unchecked(WeightedPolynomial, support=support, system=system), perm
 
 
 def _tie_relabelings(f: WeightedPolynomial) -> frozenset:

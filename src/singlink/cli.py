@@ -27,6 +27,8 @@ import os
 import re
 import sys
 import warnings
+from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .classify import (
@@ -59,6 +61,17 @@ SCAN_MAX_WEIGHT_CEILING = 512
 SCAN_MAX_VARS = 100
 
 _JSON_SAFE = 1 << 53
+
+# render_json_line's memo of the weight-only invariants: at most this many fragments, none
+# for mu above the cutoff.  A fragment grows with mu; at mu <= 800 it takes at most 30 KB
+# (CPython 3.11, every 4-weight system with d <= 100), so the memo holds at most ~31 MB.
+_FRAGMENT_ENTRIES = 1024
+_FRAGMENT_MAX_MU = 800
+
+# the report fields the invariants block reads, all but the genus
+_weight_only_fields = attrgetter(
+    "milnor_number", "divisor", "expanded", "b2_divisor", "b2_hodge", "hodge", "signature"
+)
 
 
 # -- polynomial expressions ----------------------------------------------
@@ -231,22 +244,34 @@ def _factored_pretty(divisor: Divisor) -> str:
     return f"{top} / {den}" if den else top
 
 
-def report_to_json_dict(report: InvariantReport) -> dict:
+def _weight_only_invariants(mu, divisor, expanded, b2_divisor, b2_hodge, hodge, signature) -> dict:
     invariants: dict = {}
-    _big_int(invariants, "milnor_number", report.milnor_number)
-    invariants["characteristic_divisor"] = _divisor_pretty(report.divisor)
-    invariants["divisor_terms"] = _divisor_terms(report.divisor)
-    invariants["factored"] = [list(pair) for pair in report.divisor]
-    invariants["factored_pretty"] = _factored_pretty(report.divisor)
-    invariants["expanded_degree"] = report.expanded.degree
-    _big_int_list(invariants, "expanded_coefficients", report.expanded.coefficients)
-    invariants["b2_divisor"] = report.b2_divisor
-    invariants["b2_hodge"] = report.b2_hodge
-    invariants["hodge_numbers"] = {
-        f"h^{{{i},{j}}}": value for (i, j), value in report.hodge
-    }
-    invariants["signature"] = report.signature
-    invariants["genus"] = report.genus
+    _big_int(invariants, "milnor_number", mu)
+    invariants["characteristic_divisor"] = _divisor_pretty(divisor)
+    invariants["divisor_terms"] = _divisor_terms(divisor)
+    invariants["factored"] = [list(pair) for pair in divisor]
+    invariants["factored_pretty"] = _factored_pretty(divisor)
+    invariants["expanded_degree"] = expanded.degree
+    _big_int_list(invariants, "expanded_coefficients", expanded.coefficients)
+    invariants["b2_divisor"] = b2_divisor
+    invariants["b2_hodge"] = b2_hodge
+    invariants["hodge_numbers"] = {f"h^{{{i},{j}}}": value for (i, j), value in hodge}
+    invariants["signature"] = signature
+    return invariants
+
+
+@lru_cache(maxsize=_FRAGMENT_ENTRIES, typed=True)
+def _invariants_fragment(*fields) -> str:
+    """_weight_only_invariants(*fields) in line form, without its braces."""
+    return json.dumps(_weight_only_invariants(*fields), ensure_ascii=False)[1:-1]
+
+
+def report_to_json_dict(report: InvariantReport) -> dict:
+    invariants = {**_weight_only_invariants(*_weight_only_fields(report)), "genus": report.genus}
+    return _report_dict(report, invariants)
+
+
+def _report_dict(report: InvariantReport, invariants: dict) -> dict:
     return {
         "input": {
             "weights": list(report.weights),
@@ -294,7 +319,15 @@ def render_json(report: InvariantReport) -> str:
 
 
 def render_json_line(report: InvariantReport) -> str:
-    return json.dumps(report_to_json_dict(report), ensure_ascii=False)
+    """json.dumps(report_to_json_dict(report), ensure_ascii=False), with the weight-only
+    invariants serialized once per distinct value and spliced in before the genus (no
+    string before the "invariants" key can hold a quote, so its first match is the key)."""
+    fragment = (
+        _invariants_fragment if report.milnor_number <= _FRAGMENT_MAX_MU
+        else _invariants_fragment.__wrapped__
+    )(*_weight_only_fields(report))
+    line = json.dumps(_report_dict(report, {"genus": report.genus}), ensure_ascii=False)
+    return line.replace('"invariants": {', f'"invariants": {{{fragment}, ', 1)
 
 
 def render_text(report: InvariantReport) -> str:

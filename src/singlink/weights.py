@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -84,6 +84,14 @@ class WeightSystem:
     def total(self) -> int:
         """|w| = sum of the weights."""
         return sum(self.weights)
+
+
+def _unchecked(cls, **fields):
+    """cls(**fields) without __post_init__, for a relabeling of an instance that
+    passed it: a permutation of the variables keeps every check's outcome."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def weighted_degree(exponents: Sequence[int], w: WeightSystem | Sequence[int]) -> int:
@@ -191,12 +199,20 @@ def count_monomials(weights: Sequence[int], k: int) -> int:
     return table[k]
 
 
-@lru_cache(maxsize=None)
-def _subsets(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _subset_table(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Nonempty subsets of range(n), by size then in combinations order, with
     the bitmask of the variables outside each."""
     sizes = range(1, n + 1)
     return tuple((~sum(1 << i for i in s), s) for k in sizes for s in combinations(range(n), k))
+
+
+# Only n = 4's table, the one analyze, the strata skeleton and the registry read, is kept
+# across calls; any other is built per call (16 variables: 65,535 rows).
+_SUBSETS_4 = _subset_table(4)
+
+
+def _subsets(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    return _SUBSETS_4 if n == 4 else _subset_table(n)
 
 
 def quasi_smooth_failure(f: WeightedPolynomial) -> tuple[int, ...] | None:

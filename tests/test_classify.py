@@ -638,6 +638,28 @@ def test_reference_fixture_matches_the_registry(f60):
     assert entry.polynomial() == f60
 
 
+def test_analyze_relabels_a_built_polynomial_without_checking_it_again(monkeypatch):
+    """A relabeling of a valid polynomial is valid: the caller's constructor checks
+    the input once, and analyze's canonical copy runs no check of its own."""
+    checked = []
+    original = WeightedPolynomial.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        original(self)
+
+    monkeypatch.setattr(WeightedPolynomial, "__post_init__", counted)
+    perm = (3, 1, 0, 2)
+    support = frozenset(tuple(m[i] for i in perm) for m in F60_SUPPORT)
+    f = WeightedPolynomial(support, WeightSystem(tuple(F60_WEIGHTS[i] for i in perm), 60))
+    assert checked == [f]
+    r = analyze(f)
+    assert checked == [f]
+    assert r.permutation == (2, 1, 3, 0) and r.registry_tag == "DK-1"
+    canonical = classify._canonicalize(f)[0]
+    assert canonical == WeightedPolynomial(canonical.support, WeightSystem(r.weights, 60))
+
+
 FERMAT_CUBIC = quasi_degree(
     [(0, 0, 3, 0), (3, 0, 0, 0), (0, 0, 0, 3), (0, 3, 0, 0)], (1, 1, 1, 1)
 )

@@ -550,6 +550,75 @@ def test_rendering_refuses_an_integer_past_the_digit_limit(report60):
         _big_int({}, "milnor_number", -(10**5000))
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int -> str digit limit")
+def test_rendering_refuses_an_integer_past_the_digit_limit_after_a_warm_render(report60):
+    for _ in range(2):
+        render_json_line(report60)
+    test_rendering_refuses_an_integer_past_the_digit_limit(report60)
+
+
+def _relabeled_report(report, perm):
+    return analyze(quasi_degree(
+        [tuple(m[i] for i in perm) for m in report.support], [report.weights[i] for i in perm]
+    ))
+
+
+def _assert_line_is_the_plain_dump(report):
+    assert render_json_line(report) == json.dumps(report_to_json_dict(report), ensure_ascii=False)
+
+
+def test_render_json_line_is_the_plain_dump_on_memo_hits(all_reports):
+    """The fragment memo is keyed on the weight-only field values: each relabeling
+    hits it, and so does DK-3, whose values are DK-2's."""
+    cli._invariants_fragment.cache_clear()
+    perms = ((0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0))
+    for report in all_reports:
+        for perm in perms:
+            _assert_line_is_the_plain_dump(_relabeled_report(report, perm))
+    distinct = len({cli._weight_only_fields(r) for r in all_reports})
+    assert distinct == 2
+    info = cli._invariants_fragment.cache_info()
+    assert (info.misses, info.hits) == (distinct, len(all_reports) * len(perms) - distinct)
+
+
+def test_render_json_line_is_the_plain_dump_for_cubics_that_share_a_weight_system():
+    cli._invariants_fragment.cache_clear()
+    for poly in ("z0^3 + z1^3 + z2^3 + z3^3", "z0^2*z1 + z2^3 + z3^3"):
+        _assert_line_is_the_plain_dump(analyze(quasi_degree(parse_polynomial(poly), (1, 1, 1, 1))))
+    assert cli._invariants_fragment.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_render_json_line_stores_no_fragment_above_the_mu_cutoff():
+    d = next(d for d in range(2, 20) if (d - 1) ** 4 > cli._FRAGMENT_MAX_MU)
+    report = analyze(quasi_degree([tuple(d * (i == k) for i in range(4)) for k in range(4)], (1,) * 4))
+    before = cli._invariants_fragment.cache_info()
+    for _ in range(2):
+        _assert_line_is_the_plain_dump(report)
+    assert cli._invariants_fragment.cache_info() == before
+
+
+def test_a_replaced_field_renders_its_own_value_after_a_memo_hit(report60):
+    for _ in range(2):
+        render_json_line(report60)
+    replaced = dataclasses.replace(report60, expanded=ExpandedPoly((-1, 0, 7)))
+    invariants = json.loads(render_json_line(replaced))["invariants"]
+    assert invariants["expanded_coefficients"] == [-1, 0, 7]
+    assert invariants["expanded_degree"] == 2
+    _assert_line_is_the_plain_dump(replaced)
+    # an equal value of another type is another key: 86.0 renders as 86.0
+    _assert_line_is_the_plain_dump(dataclasses.replace(report60, milnor_number=86.0))
+    invariants = json.loads(render_json_line(report60))["invariants"]
+    assert invariants["expanded_coefficients"] == list(report60.expanded.coefficients)
+
+
+def test_the_fragment_memo_keeps_at_most_its_entry_bound(report60):
+    cli._invariants_fragment.cache_clear()
+    for signature in range(cli._FRAGMENT_ENTRIES + 50):
+        render_json_line(dataclasses.replace(report60, signature=-signature))
+    info = cli._invariants_fragment.cache_info()
+    assert info.currsize == info.maxsize == cli._FRAGMENT_ENTRIES
+
+
 def test_cli_batch_counts_a_render_failure_as_failed(tmp_path, capsys, monkeypatch):
     original = cli.render_json_line
     rendered = []

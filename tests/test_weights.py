@@ -15,6 +15,7 @@ from singlink import (
     NotQuasiHomogeneousError,
     WeightedPolynomial,
     WeightSystem,
+    analyze,
     count_monomials,
     divisibility_condition,
     is_well_formed_space,
@@ -23,6 +24,7 @@ from singlink import (
     validate_weights,
     weighted_degree,
 )
+from conftest import clear_memos
 
 
 def brute_count(weights, k):
@@ -203,6 +205,22 @@ def test_quasi_smooth_failure_refuses_too_many_variables(monkeypatch):
     assert quasi_smooth_failure(_fermat_quadric(5)) is None
     with pytest.raises(BoundExceededError):
         quasi_smooth_failure(_fermat_quadric(6))
+
+
+def test_only_the_four_variable_subset_table_is_kept(monkeypatch, f60):
+    """A 16-variable call builds its 65,535-row table for itself alone; analyze,
+    the strata skeleton and the registry read the one table kept, n = 4's."""
+    built = []
+    build = weights_module._subset_table
+    monkeypatch.setattr(weights_module, "_subset_table", lambda n: built.append(n) or build(n))
+    assert quasi_smooth_failure(_fermat_quadric(16)) is None
+    assert built == [16]
+    assert len(weights_module._subsets(16)) == 2**16 - 1
+    assert built == [16, 16]
+    clear_memos()
+    analyze(f60)
+    assert built == [16, 16]
+    assert weights_module._subsets(4) is weights_module._SUBSETS_4 == build(4)
 
 
 def test_quasi_smooth_failure_reads_the_support():
