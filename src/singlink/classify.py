@@ -29,7 +29,6 @@ from types import MappingProxyType
 from .divisor import Divisor
 from .errors import BoundExceededError, ConsistencyError, SinglinkError, WrongDimensionError
 from .milnor_algebra import (
-    PoincareSeries,
     genus_branch_curve,
     hodge_numbers,
     middle_betti_hodge,
@@ -278,7 +277,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Everything computed for one link, in canonical variable order."""
+    """Only what is rendered or checked for one link, in canonical variable order."""
 
     weights: tuple[int, ...]
     degree: int
@@ -293,7 +292,6 @@ class InvariantReport:
     divisor: Divisor
     expanded: ExpandedPoly
     b2_divisor: int
-    series: PoincareSeries
     b2_hodge: int
     hodge: tuple[tuple[tuple[int, int], int], ...]
     signature: int
@@ -310,9 +308,6 @@ class InvariantReport:
     registry_citation: str | None
     assumptions: tuple[str, ...]
     notes: tuple[str, ...]
-
-    def hodge_map(self) -> dict[tuple[int, int], int]:
-        return dict(self.hodge)
 
 
 def cross_checks(report: InvariantReport) -> tuple[CheckResult, ...]:
@@ -359,8 +354,9 @@ def _split_variable(f: WeightedPolynomial) -> int | None:
 def _weight_facts(w: WeightSystem) -> MappingProxyType:
     """The report fields that read only the weights (Milnor-Orlik), by their
     InvariantReport names, once per canonical system: Delta(t) as divisor and
-    expansion, the Poincare series, the three weight flags and the Hodge data.
-    The mapping is read-only.  The strata skeleton is built last, so a system
+    expansion, the three weight flags and the Hodge data.  The Poincare series
+    is built, read and dropped, so an entry grows with mu, not with T.  The
+    mapping is read-only.  The strata skeleton is built last, so a system
     refused anywhere here, an ambient space that is not well formed too, is not
     cached."""
     with _stage("characteristic divisor"):
@@ -370,7 +366,7 @@ def _weight_facts(w: WeightSystem) -> MappingProxyType:
         series = poincare_series(w)
         hodge = hodge_numbers(series)
         facts.update(
-            series=series, space_well_formed=is_well_formed_space(w),
+            space_well_formed=is_well_formed_space(w),
             divisibility_ok=divisibility_condition(w), fano=fano(w),
             hodge=tuple(sorted(hodge.items())), b2_hodge=middle_betti_hodge(hodge),
             signature=signature(series),

@@ -341,7 +341,7 @@ def test_report_for_the_degree_60_link(report60):
     assert r.divisor == ((1, 1), (3, -1), (4, -1), (12, 1), (20, 1), (60, 1))
     assert r.expanded.degree == 86
     assert r.b2_divisor == 2 and r.b2_hodge == 2
-    assert r.hodge_map() == {(0, 2): 0, (1, 1): 2, (2, 0): 0}
+    assert dict(r.hodge) == {(0, 2): 0, (1, 1): 2, (2, 0): 0}
     assert r.signature == -1
     assert r.genus == 0
     assert {s.indices: (s.isotropy_order, s.incidence) for s in r.strata} == {
@@ -536,10 +536,24 @@ def test_analyze_refuses_a_socle_degree_over_the_ceiling_at_once():
 def test_analyze_socle_ceiling_admits_a_socle_degree_equal_to_it(monkeypatch):
     monkeypatch.setattr(classify, "MAX_SOCLE", 10)
     r = analyze(_a2_stabilization(5))
-    assert (r.milnor_number, r.series.top) == (2, 10)
+    assert (r.milnor_number, poincare_series(WeightSystem(r.weights, r.degree)).top) == (2, 10)
     monkeypatch.setattr(classify, "MAX_SOCLE", 9)
     with pytest.raises(BoundExceededError, match="socle degree 10 exceeds"):
         analyze(_a2_stabilization(5))
+
+
+def test_analyze_admits_the_real_socle_ceiling_and_keeps_no_series():
+    m = classify.MAX_SOCLE // 2
+    r = analyze(_a2_stabilization(m))
+    assert (r.milnor_number, r.diffeomorphism_type) == (2, "S⁵")
+    assert not hasattr(r, "series")
+    facts = classify._weight_facts(WeightSystem(r.weights, r.degree))
+    assert not any(isinstance(v, milnor_algebra.PoincareSeries) for v in facts.values())
+    with pytest.raises(BoundExceededError) as err:
+        analyze(_a2_stabilization(m + 1))
+    assert str(err.value) == (
+        "[stage: milnor number] socle degree 500002 exceeds the analyze ceiling 500000"
+    )
 
 
 def test_analyze_is_equivariant_under_relabeling(report60):
@@ -697,7 +711,7 @@ def test_public_functions_agree_with_the_report(name, tag, request):
     w = f.system
     series = poincare_series(w)
     strata = singular_strata(f)
-    assert hodge_numbers(series) == r.hodge_map()
+    assert hodge_numbers(series) == dict(r.hodge)
     assert middle_betti_hodge(hodge_numbers(series)) == r.b2_hodge
     assert signature(series) == r.signature
     assert pair_well_formed(strata, f.nvars) == r.pair_well_formed
