@@ -49,7 +49,6 @@ from .orbifold import (
     TORSION_FREE,
     Fano,
     Stratum,
-    _skeleton,
     fano,
     orbifold_order,
     pair_well_formed,
@@ -356,9 +355,8 @@ def _weight_facts(w: WeightSystem) -> MappingProxyType:
     InvariantReport names, once per canonical system: Delta(t) as divisor and
     expansion, the three weight flags and the Hodge data.  The Poincare series
     is built, read and dropped, so an entry grows with mu, not with T.  The
-    mapping is read-only.  The strata skeleton is built last, so a system
-    refused anywhere here, an ambient space that is not well formed too, is not
-    cached."""
+    mapping is read-only.  A system refused here is not cached; analyze's strata
+    stage refuses an ambient space that is not well formed before this runs."""
     with _stage("characteristic divisor"):
         divisor = characteristic_divisor(w)
         facts = dict(divisor=divisor, expanded=expand(divisor), b2_divisor=middle_betti(divisor))
@@ -371,8 +369,6 @@ def _weight_facts(w: WeightSystem) -> MappingProxyType:
             hodge=tuple(sorted(hodge.items())), b2_hodge=middle_betti_hodge(hodge),
             signature=signature(series),
         )
-    with _stage("strata"):
-        _skeleton(w.weights)
     return MappingProxyType(facts)
 
 
@@ -403,8 +399,6 @@ def analyze(
         for what, n, cap in (("Milnor number", mu, MAX_MU), ("socle degree", socle, MAX_SOCLE)):
             if n > cap:
                 raise BoundExceededError(f"{what} {brief(n)} exceeds the analyze ceiling {cap}")
-    facts = _weight_facts(w)
-    fano_rec = facts["fano"]
 
     with _stage("strata"):
         strata = singular_strata(f)
@@ -417,6 +411,8 @@ def analyze(
             "order; the orbifold order at special points of such a stratum is "
             "not certified"
         )
+    facts = _weight_facts(w)
+    fano_rec = facts["fano"]
 
     genus = None
     with _stage("branch curve genus"):

@@ -106,8 +106,10 @@ def parse_polynomial(text: str, nvars: int | None = None) -> frozenset[Exponents
     matter: duplicate monomials merge with a warning, and a monomial whose
     merged coefficient is zero is an error, since supports are assumed
     generic.  Without ``nvars`` the width is one past the largest index,
-    at most ``SCAN_MAX_VARS``.
+    at most ``SCAN_MAX_VARS``; a wider ``nvars`` is refused.
     """
+    if nvars is not None and nvars > SCAN_MAX_VARS:  # each term would get a vector that wide
+        raise BoundExceededError(f"{nvars} variables exceed the ceiling {SCAN_MAX_VARS}")
     tokens = list(_tokenize(text))
     if not tokens:
         raise PolynomialSyntaxError("empty polynomial", 0)
@@ -399,8 +401,11 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 def _load_registry_arg(path: str | None) -> tuple[RegistryEntry, ...]:
     if path is None:
         return BUILTIN_REGISTRY
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_registry(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return load_registry(handle.read())
+    except UnicodeDecodeError as exc:  # replacing the bytes could pass a corrupted tag
+        raise SinglinkError(f"registry {path} is not valid UTF-8 ({exc})") from None
 
 
 def _build_polynomial(
@@ -421,20 +426,18 @@ def run_analyze(args: argparse.Namespace) -> int:
     registry = _load_registry_arg(args.registry)
     f = _build_polynomial(args.weights, args.poly, args.degree)
     report = analyze(f, registry=registry)
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    else:
-        sys.stdout.write(render_text(report))
+    sys.stdout.write((render_json if args.format == "json" else render_text)(report))
     return 0
 
 
 def run_batch(args: argparse.Namespace) -> int:
-    """Analyze records as they arrive: the input is read line by line, never whole."""
+    """Analyze records as they arrive: the input is read line by line, never whole.  A byte
+    that is not UTF-8 reads as U+FFFD, so only its own line is skipped or failed."""
     registry = _load_registry_arg(args.registry)
     if args.out and os.path.isfile(args.out) and os.path.samefile(args.path, args.out):
         raise SinglinkError(f"--out {args.out} is the input file; writing would truncate it")
     ok = skipped = failed = 0
-    with open(args.path, "r", encoding="utf-8") as lines, _output(args.out) as out:
+    with open(args.path, encoding="utf-8", errors="replace") as lines, _output(args.out) as out:
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue

@@ -818,12 +818,14 @@ def test_analyze_builds_the_variable_masks_once_on_the_canonical_polynomial(monk
 def test_a_split_over_a_space_that_is_not_well_formed_stops_at_strata(monkeypatch):
     """z3^4 is the only pure power whose variable occurs once, and the other
     three weights share the factor 2.  The strata stage refuses that ambient
-    space before any branch curve is built, on every call, and from inside the
-    weight memo, which keeps nothing for it."""
+    space before any branch curve is built, on every call, and before the
+    weight memo builds Delta(t) or P(t), so the memo keeps nothing for it."""
     support = {(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 1, 1, 0), (0, 0, 0, 4)}
     f = WeightedPolynomial(frozenset(support), WeightSystem((2, 2, 2, 1), 4))
     assert classify._split_variable(f) == 3
     genus = _count_calls(monkeypatch, milnor_algebra, "genus_branch_curve")
+    divisor = _count_calls(monkeypatch, monodromy, "characteristic_divisor")
+    series = _count_calls(monkeypatch, milnor_algebra, "poincare_series")
     clear_memos()
     for _ in range(2):
         with pytest.raises(UnsupportedDimensionError) as info:
@@ -832,7 +834,39 @@ def test_a_split_over_a_space_that_is_not_well_formed_stops_at_strata(monkeypatc
             "[stage: strata] subset (1, 2, 3) of 3 variables has gcd 2 > 1; "
         )
         assert classify._weight_facts.cache_info().currsize == 0
-    assert genus == []
+    assert genus == divisor == series == []
+
+
+def _bp_exponents(budget, prefix=()):
+    """Nondecreasing exponent quadruples, each at least 2, with prod(a_i - 1) <= budget,
+    in the order criterion 9's fill lists them."""
+    if len(prefix) == 4:
+        return [prefix]
+    return [
+        q for a in range(prefix[-1] if prefix else 2, budget + 2)
+        for q in _bp_exponents(budget // (a - 1), prefix + (a,))
+    ]
+
+
+def test_a_brieskorn_pham_sweep_refuses_ill_formed_spaces_before_the_weight_memo(monkeypatch):
+    """z0^a0 + ... + z3^a3 on weights L / a_i, L = lcm(a), for every quadruple
+    with prod(a_i - 1) <= 300: all but 53 ambient spaces are not well formed, and
+    each of those is refused at strata without building its divisor, so Delta(t)
+    is built once per report and the memo holds only the accepted systems."""
+    divisor = _count_calls(monkeypatch, monodromy, "characteristic_divisor")
+    clear_memos()
+    reports, refusals = [], []
+    for exps in _bp_exponents(300):
+        big_l = math.lcm(*exps)
+        system = WeightSystem(tuple(big_l // a for a in exps), big_l)
+        support = frozenset(tuple(a * (i == k) for i in range(4)) for k, a in enumerate(exps))
+        try:
+            reports.append(analyze(WeightedPolynomial(support, system)))
+        except SinglinkError as exc:
+            refusals.append(str(exc))
+    assert len(reports) == 53 and len(refusals) == 1404
+    assert all(message.startswith("[stage: strata] ") for message in refusals)
+    assert len(divisor) == 53 == classify._weight_facts.cache_info().currsize
 
 
 def _sampled_supports(ws, degree, rng, draws=12):
@@ -891,6 +925,9 @@ def test_a_refused_system_raises_the_same_error_on_every_call():
     inexact = quasi_degree([(7, 0, 0, 0), (0, 7, 0, 0), (0, 0, 7, 0), (3, 0, 0, 1)], (1, 1, 1, 4))
     fermat = [tuple(a * (i == k) for i in range(4)) for k, a in enumerate((6, 3, 3, 3))]
     ill_formed = quasi_degree(fermat, (1, 2, 2, 2))
+    inexact_and_ill_formed = quasi_degree(
+        [(9, 0, 0, 0), (1, 4, 0, 0), (1, 0, 4, 0), (1, 0, 0, 4)], (1, 2, 2, 2)
+    )
     for f, error, message in (
         (
             inexact,
@@ -899,6 +936,12 @@ def test_a_refused_system_raises_the_same_error_on_every_call():
         ),
         (
             ill_formed,
+            UnsupportedDimensionError,
+            "[stage: strata] subset (1, 2, 3) of 3 variables has gcd 2 > 1; incidence rules "
+            "cover vertices and edges only (the ambient space is not well formed)",
+        ),
+        (
+            inexact_and_ill_formed,
             UnsupportedDimensionError,
             "[stage: strata] subset (1, 2, 3) of 3 variables has gcd 2 > 1; incidence rules "
             "cover vertices and edges only (the ambient space is not well formed)",

@@ -484,6 +484,51 @@ def test_cli_batch_counts_a_superscript_exponent_as_failed_and_goes_on(tmp_path,
     assert [json.loads(line) for line in captured.out.splitlines()] == [json.loads(golden)]
 
 
+def test_parse_polynomial_refuses_an_explicit_width_over_the_ceiling():
+    """An explicit width would give every term a vector that wide, so a width
+    over the ceiling is refused before any is built."""
+    assert parse_polynomial("z0", nvars=cli.SCAN_MAX_VARS) == frozenset(
+        {(1,) + (0,) * (cli.SCAN_MAX_VARS - 1)}
+    )
+    with pytest.raises(BoundExceededError) as err:
+        parse_polynomial("z0", nvars=cli.SCAN_MAX_VARS + 1)
+    assert str(err.value) == "101 variables exceed the ceiling 100"
+
+
+def test_cli_batch_reads_past_bytes_that_are_not_utf8(tmp_path, capsys):
+    """A byte that is not UTF-8 costs only its own line: outside a string the
+    line is not JSON, inside the poly it is an unexpected character."""
+    dk1 = json.dumps({"weights": [9, 15, 17, 20], "degree": 60, "poly": DK1_POLY}).encode()
+    path = tmp_path / "batch.jsonl"
+    path.write_bytes(
+        dk1 + b"\n"
+        + b'{"weights": [1, 1, 1, 1], "degree": 3, \xff"poly": "z0^3 + z1^3 + z2^3 + z3^3"}\n'
+        + b'{"weights": [1, 1, 1, 1], "degree": 3, "poly": "z0^3 + z1^3 + z2^3 + z3^3\xff"}\n'
+    )
+    assert entry(["batch", str(path)]) == 0
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert err[0].startswith("line 2: skipped (")
+    assert err[1:] == [
+        "line 3: failed (unexpected character '\ufffd' (position 25))",
+        "ok=1 skipped=1 failed=1",
+    ]
+    golden = (Path(__file__).parent / "golden" / "report_dk1.json").read_text(encoding="utf-8")
+    assert [json.loads(line) for line in captured.out.splitlines()] == [json.loads(golden)]
+
+
+def test_cli_registry_that_is_not_utf8_exits_one(tmp_path, capsys):
+    """Replacing the bytes would accept a corrupted tag, so the file is refused."""
+    path = tmp_path / "registry.jsonl"
+    text = registry_dump().replace("DK-2", "DK-\udcff2")
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    for argv in (["registry"], ["analyze", "--weights", "1,1,1,1", "--poly", "z0^3"]):
+        assert entry([*argv, "--registry", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: registry {path} is not valid UTF-8 (")
+
+
 def _batch_of(tmp_path, capsys, records):
     """Run `batch` on the records, then DK-1, check that DK-1's golden is the one
     report, and return the stderr lines."""
