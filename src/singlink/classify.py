@@ -60,8 +60,6 @@ from .weights import (
     WeightedPolynomial,
     WeightSystem,
     _unchecked,
-    divisibility_condition,
-    is_well_formed_space,
     quasi_smooth_failure,
     require_ints,
     validate_weights,
@@ -78,6 +76,12 @@ NOT_QUASI_SMOOTH = "not_quasi_smooth"
 # coefficients) and P(t) (T + 1) are built: Fermat d = 15 (mu = 38,416) passes, d = 16 not.
 MAX_MU = 50_000
 MAX_SOCLE = 500_000
+
+# The per-system memos of weight-only data (_weight_facts, cli's fragments) keep at most
+# MEMO_ENTRIES systems, none with mu above MEMO_MAX_MU (every catalog system is under it): at
+# most ~63 MB of facts and ~88 MB of fragments (CPython 3.11, largest entries at mu <= 1,500).
+MEMO_ENTRIES = 1024
+MEMO_MAX_MU = 1_500
 
 
 def _canonicalize(f: WeightedPolynomial) -> tuple[WeightedPolynomial, tuple[int, ...]]:
@@ -349,14 +353,14 @@ def _split_variable(f: WeightedPolynomial) -> int | None:
     return candidates[0] if len(candidates) == 1 else None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_ENTRIES)
 def _weight_facts(w: WeightSystem) -> MappingProxyType:
     """The report fields that read only the weights (Milnor-Orlik), by their
     InvariantReport names, once per canonical system: Delta(t) as divisor and
-    expansion, the three weight flags and the Hodge data.  The Poincare series
-    is built, read and dropped, so an entry grows with mu, not with T.  The
-    mapping is read-only.  A system refused here is not cached; analyze's strata
-    stage refuses an ambient space that is not well formed before this runs."""
+    expansion, the Fano record and the Hodge data (the strata give the ambient
+    flags).  The Poincare series is built, read and dropped, so an entry grows
+    with mu, not with T.  The mapping is read-only.  A system refused here is not
+    cached; analyze's strata stage refuses an ill-formed ambient space first."""
     with _stage("characteristic divisor"):
         divisor = characteristic_divisor(w)
         facts = dict(divisor=divisor, expanded=expand(divisor), b2_divisor=middle_betti(divisor))
@@ -364,9 +368,7 @@ def _weight_facts(w: WeightSystem) -> MappingProxyType:
         series = poincare_series(w)
         hodge = hodge_numbers(series)
         facts.update(
-            space_well_formed=is_well_formed_space(w),
-            divisibility_ok=divisibility_condition(w), fano=fano(w),
-            hodge=tuple(sorted(hodge.items())), b2_hodge=middle_betti_hodge(hodge),
+            fano=fano(w), hodge=tuple(sorted(hodge.items())), b2_hodge=middle_betti_hodge(hodge),
             signature=signature(series),
         )
     return MappingProxyType(facts)
@@ -411,7 +413,7 @@ def analyze(
             "order; the orbifold order at special points of such a stratum is "
             "not certified"
         )
-    facts = _weight_facts(w)
+    facts = (_weight_facts if mu <= MEMO_MAX_MU else _weight_facts.__wrapped__)(w)
     fano_rec = facts["fano"]
 
     genus = None
@@ -480,6 +482,8 @@ def analyze(
         support=f.sorted_support,
         permutation=permutation,
         quasi_smooth=failure is None,
+        space_well_formed=True,  # the strata stage refuses any other space
+        divisibility_ok=all(w.degree % s.isotropy_order == 0 for s in strata if len(s.indices) == 2),
         pair_well_formed=pwf,
         milnor_number=mu,
         genus=genus,

@@ -33,6 +33,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .classify import (
     BUILTIN_REGISTRY,
+    MEMO_ENTRIES,
+    MEMO_MAX_MU,
     InvariantReport,
     RegistryEntry,
     analyze,
@@ -61,12 +63,6 @@ SCAN_MAX_WEIGHT_CEILING = 512
 SCAN_MAX_VARS = 100
 
 _JSON_SAFE = 1 << 53
-
-# render_json_line's memo of the weight-only invariants: at most this many fragments, none
-# for mu above the cutoff.  A fragment grows with mu; at mu <= 800 it takes at most 30 KB
-# (CPython 3.11, every 4-weight system with d <= 100), so the memo holds at most ~31 MB.
-_FRAGMENT_ENTRIES = 1024
-_FRAGMENT_MAX_MU = 800
 
 # the report fields the invariants block reads, all but the genus
 _weight_only_fields = attrgetter(
@@ -262,7 +258,7 @@ def _weight_only_invariants(mu, divisor, expanded, b2_divisor, b2_hodge, hodge, 
     return invariants
 
 
-@lru_cache(maxsize=_FRAGMENT_ENTRIES, typed=True)
+@lru_cache(maxsize=MEMO_ENTRIES, typed=True)
 def _invariants_fragment(*fields) -> str:
     """_weight_only_invariants(*fields) in line form, without its braces."""
     return json.dumps(_weight_only_invariants(*fields), ensure_ascii=False)[1:-1]
@@ -325,7 +321,7 @@ def render_json_line(report: InvariantReport) -> str:
     invariants serialized once per distinct value and spliced in before the genus (no
     string before the "invariants" key can hold a quote, so its first match is the key)."""
     fragment = (
-        _invariants_fragment if report.milnor_number <= _FRAGMENT_MAX_MU
+        _invariants_fragment if report.milnor_number <= MEMO_MAX_MU
         else _invariants_fragment.__wrapped__
     )(*_weight_only_fields(report))
     line = json.dumps(_report_dict(report, {"genus": report.genus}), ensure_ascii=False)

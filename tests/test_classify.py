@@ -36,6 +36,7 @@ from singlink import (
     WeightSystem,
     WrongDimensionError,
     analyze,
+    divisibility_condition,
     is_well_formed_space,
     cross_checks,
     hodge_numbers,
@@ -54,7 +55,7 @@ from singlink import (
     smale_type,
     torsion_status,
 )
-from singlink.cli import render_json
+from singlink.cli import render_json, render_json_line
 from conftest import (
     F60_SUPPORT,
     F60_WEIGHTS,
@@ -787,12 +788,14 @@ def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch
     assert len(series) == 1 + dk2  # DK-2 adds its branch curve's series
     assert len(strata) == 1
     assert keys == []
-    assert len(space_wf) == len(div_ok) == len(hodge) == len(pair_flag) == len(divisor) == 1
+    assert space_wf == div_ok == []  # the strata decide both ambient flags
+    assert len(hodge) == len(pair_flag) == len(divisor) == 1
     analyze(g)
     assert len(series) == 1 + 2 * dk2  # the branch curve's series, built again
     assert len(strata) == 2
     assert keys == []
-    assert len(space_wf) == len(div_ok) == len(hodge) == len(divisor) == 1
+    assert space_wf == div_ok == []
+    assert len(hodge) == len(divisor) == 1
     assert len(pair_flag) == 2
 
 
@@ -869,10 +872,61 @@ def test_a_brieskorn_pham_sweep_refuses_ill_formed_spaces_before_the_weight_memo
     assert len(divisor) == 53 == classify._weight_facts.cache_info().currsize
 
 
+def test_analyze_keeps_no_weight_facts_above_the_mu_cutoff():
+    """A system with mu above MEMO_MAX_MU (Fermat d = 8, mu = 2,401) builds its
+    weight facts on every call and leaves the memo as it was."""
+    d = next(d for d in range(2, 20) if (d - 1) ** 4 > classify.MEMO_MAX_MU)
+    f = _fermat(d)
+    before = classify._weight_facts.cache_info()
+    first, second = analyze(f), analyze(f)
+    assert classify._weight_facts.cache_info() == before
+    assert first == second and first.expanded is not second.expanded
+
+
+def test_the_weight_memo_keeps_at_most_its_entry_bound():
+    """MEMO_ENTRIES + 50 distinct systems with mu = 2 leave MEMO_ENTRIES entries."""
+    clear_memos()
+    for m in range(1, classify.MEMO_ENTRIES + 51):
+        assert analyze(_a2_stabilization(m)).milnor_number == 2
+    info = classify._weight_facts.cache_info()
+    assert info.currsize == info.maxsize == classify.MEMO_ENTRIES
+
+
+def _full_support(ws, degree):
+    """Every monomial of weighted degree `degree` on the weights ws."""
+    ranges = (range(degree // w + 1) for w in ws)
+    return frozenset(m for m in product(*ranges) if sum(a * w for a, w in zip(m, ws)) == degree)
+
+
+def test_the_ambient_flags_read_from_the_strata_match_the_weight_kernels():
+    """Every full-support system with weights <= 5 and d < 16 that analyze
+    reports: space_well_formed and divisibility_ok, read from the strata, equal
+    the weights module's kernels.  (1, 1, 2, 2) at d = 3 has the edge {z2, z3}
+    of gcd 2 inside the hypersurface, so its divisibility flag renders false."""
+    reports = []
+    for ws in combinations_with_replacement(range(1, 6), 4):
+        if math.gcd(*ws) != 1:
+            continue
+        for degree in range(1, 16):
+            system = WeightSystem(ws, degree)
+            try:
+                r = analyze(WeightedPolynomial(_full_support(ws, degree), system))
+            except SinglinkError:
+                continue
+            reports.append(r)
+            assert r.space_well_formed == is_well_formed_space(system), system
+            assert r.divisibility_ok == divisibility_condition(system), system
+    assert (len(reports), sum(not r.divisibility_ok for r in reports)) == (217, 58)
+    r = analyze(WeightedPolynomial(_full_support((1, 1, 2, 2), 3), WeightSystem((1, 1, 2, 2), 3)))
+    rendered = json.loads(render_json_line(r))
+    assert rendered["flags"]["divisibility_ok"] is False
+    assert rendered["classification"]["torsion"] == TORSION_UNKNOWN
+    assert rendered["classification"]["se_status"] == NOT_WELL_FORMED
+
+
 def _sampled_supports(ws, degree, rng, draws=12):
     """Up to `draws` random supports of 4 to 6 degree-d monomials that analyze accepts."""
-    ranges = (range(degree // w + 1) for w in ws)
-    monomials = [m for m in product(*ranges) if sum(a * w for a, w in zip(m, ws)) == degree]
+    monomials = sorted(_full_support(ws, degree))
     out = []
     for _ in range(draws):
         support = frozenset(rng.sample(monomials, min(len(monomials), rng.randint(4, 6))))

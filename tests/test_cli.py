@@ -31,7 +31,7 @@ from singlink import (
     quasi_degree,
     registry_dump,
 )
-from singlink import cli, monodromy
+from singlink import classify, cli, monodromy
 from singlink.monodromy import brief
 from singlink.cli import (
     _big_int,
@@ -634,7 +634,7 @@ def test_render_json_line_is_the_plain_dump_for_cubics_that_share_a_weight_syste
 
 
 def test_render_json_line_stores_no_fragment_above_the_mu_cutoff():
-    d = next(d for d in range(2, 20) if (d - 1) ** 4 > cli._FRAGMENT_MAX_MU)
+    d = next(d for d in range(2, 20) if (d - 1) ** 4 > classify.MEMO_MAX_MU)
     report = analyze(quasi_degree([tuple(d * (i == k) for i in range(4)) for k in range(4)], (1,) * 4))
     before = cli._invariants_fragment.cache_info()
     for _ in range(2):
@@ -658,10 +658,10 @@ def test_a_replaced_field_renders_its_own_value_after_a_memo_hit(report60):
 
 def test_the_fragment_memo_keeps_at_most_its_entry_bound(report60):
     cli._invariants_fragment.cache_clear()
-    for signature in range(cli._FRAGMENT_ENTRIES + 50):
+    for signature in range(classify.MEMO_ENTRIES + 50):
         render_json_line(dataclasses.replace(report60, signature=-signature))
     info = cli._invariants_fragment.cache_info()
-    assert info.currsize == info.maxsize == cli._FRAGMENT_ENTRIES
+    assert info.currsize == info.maxsize == classify.MEMO_ENTRIES
 
 
 def test_cli_batch_counts_a_render_failure_as_failed(tmp_path, capsys, monkeypatch):
