@@ -79,7 +79,7 @@ MAX_SOCLE = 500_000
 
 # The per-system memos of weight-only data (_weight_facts, cli's fragments) keep at most
 # MEMO_ENTRIES systems, none with mu above MEMO_MAX_MU (every catalog system is under it): at
-# most ~63 MB of facts and ~88 MB of fragments (CPython 3.11, largest entries at mu <= 1,500).
+# most ~63 MB of facts and ~45 MB of fragments (CPython 3.11, largest entries at mu <= 1,500).
 MEMO_ENTRIES = 1024
 MEMO_MAX_MU = 1_500
 

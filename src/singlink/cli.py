@@ -187,11 +187,13 @@ def render_polynomial(support: Iterable[Sequence[int]]) -> str:
 # -- report rendering ------------------------------------------------------
 
 def _decimals(key: str, values: Sequence[int]) -> list[str]:
+    """[str(v) for v in values], one str per distinct value: Δ(t) repeats most of its own."""
     try:
-        return [str(v) for v in values]
+        table = {v: str(v) for v in set(values)}
     except ValueError:  # past sys.get_int_max_str_digits()
         limit = sys.get_int_max_str_digits()
         raise BoundExceededError(f"{key} exceeds the int -> str limit of {limit} digits") from None
+    return list(map(table.__getitem__, values))
 
 
 def _big_int(out: dict, key: str, value: int) -> None:
@@ -258,10 +260,37 @@ def _weight_only_invariants(mu, divisor, expanded, b2_divisor, b2_hodge, hodge, 
     return invariants
 
 
+def _dumps(document: dict, invariants: dict, indent: int | None = None) -> str:
+    """json.dumps(document, indent=indent, ensure_ascii=False), the expanded_* lists of
+    `invariants` (document or one of its values; emptied in place) joined from their decimal
+    strings, the JSON text of the exact ints ExpandedPoly admits.  No JSON string holds the
+    quote that closes a key unescaped, so an emptied list's key is its own first match."""
+    decimals = invariants["expanded_coefficients_str"]
+    keys = [k for k in ("expanded_coefficients", "expanded_coefficients_str") if k in invariants]
+    invariants.update(dict.fromkeys(keys, []))
+    text = json.dumps(document, indent=indent, ensure_ascii=False)
+    opening, separator, closing = "", ", ", ""
+    if indent is not None:  # items one level below the keys' lines, "]" level with them
+        at = text.index('"expanded_coefficients')
+        closing = "\n" + " " * (at - text.rindex("\n", 0, at) - 1)
+        opening = closing + " " * indent
+        separator = "," + opening
+    pieces = []
+    for key in keys:
+        before, key_text, text = text.partition(f'"{key}": [')
+        q = '"' if key.endswith("_str") else ""
+        pieces += (before, key_text, opening, q, f"{q}{separator}{q}".join(decimals), q, closing)
+    return "".join(pieces + [text])
+
+
 @lru_cache(maxsize=MEMO_ENTRIES, typed=True)
-def _invariants_fragment(*fields) -> str:
-    """_weight_only_invariants(*fields) in line form, without its braces."""
-    return json.dumps(_weight_only_invariants(*fields), ensure_ascii=False)[1:-1]
+def _invariants_fragment(*fields) -> tuple[str, str]:
+    """_weight_only_invariants(*fields) in line form, without its braces, cut before
+    "expanded_degree" so that the bulk, without the head's Λ, is stored one byte per character."""
+    invariants = _weight_only_invariants(*fields)
+    text = _dumps(invariants, invariants)
+    cut = text.index('"expanded_degree"')
+    return text[1:cut], text[cut:-1]
 
 
 def report_to_json_dict(report: InvariantReport) -> dict:
@@ -313,19 +342,20 @@ def _report_dict(report: InvariantReport, invariants: dict) -> dict:
 
 
 def render_json(report: InvariantReport) -> str:
-    return json.dumps(report_to_json_dict(report), indent=2, ensure_ascii=False) + "\n"
+    document = report_to_json_dict(report)
+    return _dumps(document, document["invariants"], indent=2) + "\n"
 
 
 def render_json_line(report: InvariantReport) -> str:
     """json.dumps(report_to_json_dict(report), ensure_ascii=False), with the weight-only
-    invariants serialized once per distinct value and spliced in before the genus (no
-    string before the "invariants" key can hold a quote, so its first match is the key)."""
-    fragment = (
+    invariants serialized once per distinct value and spliced in at the "invariants" key."""
+    head, bulk = (
         _invariants_fragment if report.milnor_number <= MEMO_MAX_MU
         else _invariants_fragment.__wrapped__
     )(*_weight_only_fields(report))
     line = json.dumps(_report_dict(report, {"genus": report.genus}), ensure_ascii=False)
-    return line.replace('"invariants": {', f'"invariants": {{{fragment}, ', 1)
+    before, key, after = line.partition('"invariants": {')
+    return "".join((before, key, head, bulk, ", ", after))
 
 
 def render_text(report: InvariantReport) -> str:

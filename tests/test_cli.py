@@ -664,6 +664,65 @@ def test_the_fragment_memo_keeps_at_most_its_entry_bound(report60):
     assert info.currsize == info.maxsize == classify.MEMO_ENTRIES
 
 
+def _fermat_report(d):
+    return analyze(quasi_degree([tuple(d * (i == k) for i in range(4)) for k in range(4)], (1,) * 4))
+
+
+def test_both_renderers_are_the_plain_dump(all_reports):
+    """The joined expanded_* lists give json.dumps's own bytes: Fermat d = 2..15 (both lists
+    up to d = 5, only the strings above), the DK links, and replaced expansions at the edge of
+    JSON-safe (both lists, then only the strings) and with one coefficient."""
+    reports = [_fermat_report(d) for d in range(2, 16)] + list(all_reports)
+    reports += [
+        dataclasses.replace(all_reports[0], expanded=ExpandedPoly(coefficients))
+        for coefficients in ((-(2**53 - 1), 0, 2**53 - 1), (-1, 0, 2**53), (7,))
+    ]
+    cli._invariants_fragment.cache_clear()
+    for report in reports:
+        data = report_to_json_dict(report)
+        assert render_json(report) == json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+        for _ in range(2):  # a memo miss, then a hit up to MEMO_MAX_MU
+            assert render_json_line(report) == json.dumps(data, ensure_ascii=False)
+    safe = [json.loads(render_json(r))["invariants"] for r in reports[-3:]]
+    assert ["expanded_coefficients" in invariants for invariants in safe] == [True, False, True]
+
+
+def test_the_renderers_encode_no_coefficient_item_by_item(monkeypatch):
+    """At Fermat d = 8 (mu = 2,401, above MEMO_MAX_MU) each coefficient used to cost one
+    call of the string encoder, 2,456 calls per render in all."""
+    report = _fermat_report(8)
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return json.encoder.py_encode_basestring(text)
+
+    monkeypatch.setattr(json.encoder, "encode_basestring", counted)
+    cli._invariants_fragment.cache_clear()
+    for render in (render_json, render_json_line):
+        calls.clear()
+        render(report)
+        assert 0 < len(calls) < 100, render.__name__
+
+
+def test_decimals_converts_repeated_values_like_str():
+    big = 3**500
+    values = [0, big, -big, 0, -1, big, 1, -big, 0, 2**53, -(2**53), 1]
+    assert cli._decimals("xs", values) == [str(v) for v in values]
+    assert cli._decimals("xs", []) == []
+
+
+def test_the_largest_memoized_fragment_is_stored_one_byte_per_character():
+    """(2, 3, 5, 7) at d = 28 (mu = 1,495) has the largest fragment at mu <= MEMO_MAX_MU
+    (README, Performance): 86,142 bytes as one string, two bytes per character for its Λ."""
+    support = parse_polynomial("z0^14 + z1^7*z3 + z1*z2^5 + z3^4")
+    report = analyze(quasi_degree(support, (2, 3, 5, 7)))
+    assert report.milnor_number == 1495 <= classify.MEMO_MAX_MU
+    head, bulk = cli._invariants_fragment(*cli._weight_only_fields(report))
+    assert bulk.isascii() and bulk.startswith('"expanded_degree"')
+    assert sys.getsizeof(head) + sys.getsizeof(bulk) < 45_000
+
+
 def test_cli_batch_counts_a_render_failure_as_failed(tmp_path, capsys, monkeypatch):
     original = cli.render_json_line
     rendered = []
