@@ -3,8 +3,8 @@
 The pipeline, bottom to top: weight systems and monomial supports
 (weights), the characteristic divisor as its ascending (j, a_j) pairs
 (divisor), Milnor number and monodromy characteristic polynomial
-(monodromy), graded Milnor-algebra dimensions with Hodge numbers,
-signature and genus (milnor_algebra), singular strata and orbifold data
+(monodromy), the Poincare series of the Milnor algebra with Hodge
+numbers and genus (milnor_algebra), singular strata and orbifold data
 (orbifold), and the assembled report with the 5-manifold classification
 (classify).  The cli module wraps it all for the command line.
 """
@@ -52,12 +52,9 @@ from .errors import (
     WrongDimensionError,
 )
 from .milnor_algebra import (
-    PoincareSeries,
     genus_branch_curve,
     hodge_numbers,
-    middle_betti_hodge,
     poincare_series,
-    signature,
 )
 from .monodromy import (
     ExpandedPoly,

@@ -31,9 +31,6 @@ from .errors import BoundExceededError, ConsistencyError, SinglinkError, WrongDi
 from .milnor_algebra import (
     genus_branch_curve,
     hodge_numbers,
-    middle_betti_hodge,
-    poincare_series,
-    signature,
 )
 from .monodromy import (
     ExpandedPoly,
@@ -357,19 +354,20 @@ def _split_variable(f: WeightedPolynomial) -> int | None:
 def _weight_facts(w: WeightSystem) -> MappingProxyType:
     """The report fields that read only the weights (Milnor-Orlik), by their
     InvariantReport names, once per canonical system: Delta(t) as divisor and
-    expansion, the Fano record and the Hodge data (the strata give the ambient
-    flags).  The Poincare series is built, read and dropped, so an entry grows
-    with mu, not with T.  The mapping is read-only.  A system refused here is not
-    cached; analyze's strata stage refuses an ill-formed ambient space first."""
+    expansion, the Fano record and the Hodge data, with b2 and the signature
+    1 + 2 h^{0,2} - h^{1,1} read off the Hodge numbers (the strata give the
+    ambient flags).  hodge_numbers builds the Poincare series, reads it and
+    drops it, so an entry grows with mu, not with T.  The mapping is read-only.
+    A system refused here is not cached; analyze's strata stage refuses an
+    ill-formed ambient space first."""
     with _stage("characteristic divisor"):
         divisor = characteristic_divisor(w)
         facts = dict(divisor=divisor, expanded=expand(divisor), b2_divisor=middle_betti(divisor))
     with _stage("hodge numbers"):
-        series = poincare_series(w)
-        hodge = hodge_numbers(series)
+        hodge = hodge_numbers(w)
         facts.update(
-            fano=fano(w), hodge=tuple(sorted(hodge.items())), b2_hodge=middle_betti_hodge(hodge),
-            signature=signature(series),
+            fano=fano(w), hodge=tuple(sorted(hodge.items())), b2_hodge=sum(hodge.values()),
+            signature=1 + 2 * hodge[0, 2] - hodge[1, 1],
         )
     return MappingProxyType(facts)
 

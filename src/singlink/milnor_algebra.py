@@ -8,62 +8,28 @@ out in degrees d - w_i, so its Poincare series is the closed product
 
 a symmetric polynomial with top degree T = sum_i (d - 2 w_i) and P(1) equal
 to the Milnor number, expanded by monodromy.expand as the characteristic
-polynomial is.  Every consumer here is a coefficient lookup:
-primitive Hodge numbers h^{i, n-i-1} at (i+1)d - |w|, the surface signature,
-and the genus of the branch curve of a z3-power split.  The series carries
-its weight system, and the rules read a series already built, so one series
-serves a whole report; classify._weight_facts builds it once per weight
-system, and poincare_series itself is uncached.
+polynomial is, into the same ExpandedPoly.  Every consumer here is a
+coefficient lookup: primitive Hodge numbers h^{i, n-i-1} at (i+1)d - |w|
+and the genus of the branch curve of a z3-power split.
+classify._weight_facts reads the Hodge numbers once per weight system and
+derives b2 and the surface signature from them; poincare_series itself is
+uncached.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import (
     ConsistencyError,
     DegenerateDegreeError,
     WrongDimensionError,
 )
-from .monodromy import expand, milnor_product
-from .weights import WeightSystem, count_monomials, require_ints
+from .monodromy import ExpandedPoly, expand, milnor_product
+from .weights import WeightSystem, count_monomials
 
 
-@dataclass(frozen=True)
-class PoincareSeries:
-    """Dense graded dimensions p_0 ... p_T of the algebra of `system`,
-    validated symmetric."""
-
-    system: WeightSystem
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = require_ints(self.coefficients, "graded dimensions")
-        if not coeffs:
-            raise ValueError("a Poincare series has at least the degree-0 entry")
-        if any(c < 0 for c in coeffs):
-            raise ValueError("graded dimensions cannot be negative")
-        if coeffs != coeffs[::-1]:
-            raise ValueError("graded dimensions are not symmetric about T/2")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def top(self) -> int:
-        """Socle degree T."""
-        return len(self.coefficients) - 1
-
-    def coefficient(self, k: int) -> int:
-        if 0 <= k <= self.top:
-            return self.coefficients[k]
-        return 0
-
-    def total(self) -> int:
-        """P(1), the dimension of the whole algebra."""
-        return sum(self.coefficients)
-
-
-def poincare_series(w: WeightSystem) -> PoincareSeries:
-    """Exact Poincare series of the Milnor algebra, expanded and checked.
+def poincare_series(w: WeightSystem) -> ExpandedPoly:
+    """Exact Poincare series of the Milnor algebra, expanded and checked:
+    non-negative, symmetric about T/2 and summing to the Milnor number.
 
     Requires d > w_i for every i (each partial derivative nonconstant).  May
     raise InexactDivision for degree data that is quasi-homogeneous on paper
@@ -75,37 +41,31 @@ def poincare_series(w: WeightSystem) -> PoincareSeries:
             f"degree {w.degree} does not exceed every weight in {w.weights}"
         )
     factors = [(w.degree - wi, 1) for wi in w.weights] + [(wi, -1) for wi in w.weights]
-    series = PoincareSeries(w, expand(factors).coefficients)
+    series = expand(factors)
+    coeffs = series.coefficients
+    if min(coeffs) < 0:
+        raise ConsistencyError("graded dimensions cannot be negative")
+    if coeffs != coeffs[::-1]:
+        raise ConsistencyError("graded dimensions are not symmetric about T/2")
     num, den = milnor_product(w)
-    if series.total() * den != num:
-        raise ConsistencyError(
-            f"series total {series.total()} differs from the Milnor product"
-        )
+    if (total := sum(coeffs)) * den != num:
+        raise ConsistencyError(f"series total {total} differs from the Milnor product")
     return series
 
 
-def hodge_numbers(series: PoincareSeries) -> dict[tuple[int, int], int]:
+def _dim(series: ExpandedPoly, k: int) -> int:
+    """The graded dimension in degree k: 0 outside 0 .. T."""
+    return series.coefficients[k] if 0 <= k <= series.degree else 0
+
+
+def hodge_numbers(w: WeightSystem) -> dict[tuple[int, int], int]:
     """Primitive Hodge numbers of the middle fiber cohomology: h^{i, n-i-1} is
     the graded dimension at (i+1)d - |w|, for i = 0 .. n-1 and n+1 variables."""
-    w = series.system
     n = w.nvars - 1
     if n < 1:
         raise WrongDimensionError("at least two variables are required")
-    return {(i, n - i - 1): series.coefficient((i + 1) * w.degree - w.total) for i in range(n)}
-
-
-def middle_betti_hodge(hodge: dict[tuple[int, int], int]) -> int:
-    """Middle Betti number of the link: the sum of hodge_numbers' values."""
-    return sum(hodge.values())
-
-
-def signature(series: PoincareSeries) -> int:
-    """Milnor fiber signature of a surface: 1 + 2 dim M_{d-|w|} - dim M_{2d-|w|}."""
-    w = series.system
-    if w.nvars != 4:
-        raise WrongDimensionError(f"signature needs exactly 4 variables, got {w.nvars}")
-    k = w.degree - w.total
-    return 1 + 2 * series.coefficient(k) - series.coefficient(k + w.degree)
+    series = poincare_series(w)
+    return {(i, n - i - 1): _dim(series, (i + 1) * w.degree - w.total) for i in range(n)}
 
 
 def genus_branch_curve(w3: WeightSystem) -> int:
@@ -121,7 +81,7 @@ def genus_branch_curve(w3: WeightSystem) -> int:
             f"branch-curve genus needs exactly 3 weights, got {w3.nvars}"
         )
     k = w3.degree - w3.total
-    g = poincare_series(w3).coefficient(k)
+    g = _dim(poincare_series(w3), k)
     raw = count_monomials(w3.weights, k)
     if g != raw:
         raise ConsistencyError(

@@ -16,7 +16,8 @@ coefficient a_j of Lambda_j is then the exponent of (t^j - 1) in Delta, so
 characteristic_divisor returns the divisor as its ascending (j, a_j) pairs,
 which are Delta's factored form.  expand, with its two kernels (a binomial-
 theorem multiply and a linear exact division), is the one expander of such
-binomial quotients: Delta here, and the Poincare series of milnor_algebra.
+binomial quotients, each an ExpandedPoly: Delta here, and the Poincare series
+P(t) of milnor_algebra, which checks its graded dimensions once.
 
 The divisor, hence Delta(t), depends only on the weight system, so
 classify._weight_facts builds both once per system; the kernels here stay
@@ -128,7 +129,8 @@ R = 3
 
 @dataclass(frozen=True)
 class ExpandedPoly:
-    """Dense exact integer coefficients, constant term first."""
+    """Dense exact integer coefficients, constant term first: Delta(t), or the
+    Poincare series P(t) of milnor_algebra, whose degree is the socle degree T."""
 
     coefficients: tuple[int, ...]
 

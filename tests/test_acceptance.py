@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
+from singlink import classify
 from singlink import (
     BUILTIN_REGISTRY,
     WeightSystem,
@@ -27,13 +28,12 @@ from singlink import (
     hodge_numbers,
     load_registry,
     middle_betti,
-    middle_betti_hodge,
     milnor_number,
     poincare_series,
     quasi_degree,
     registry_dump,
-    signature,
 )
+from singlink.milnor_algebra import _dim
 from conftest import (
     F256_1_SUPPORT,
     F256_1_WEIGHTS,
@@ -234,16 +234,18 @@ def test_criterion_10_invariant_suites():
             divisor = characteristic_divisor(system)
             series = poincare_series(system)
             assert sum(j * a for j, a in divisor) == mu
-            assert series.total() == mu
+            assert sum(series.coefficients) == mu
             assert series.coefficients == series.coefficients[::-1]
             cutoff = min(system.degree - w for w in system.weights)
             for k in range(min(cutoff, 12)):
-                assert series.coefficient(k) == count_monomials(system.weights, k)
+                assert _dim(series, k) == count_monomials(system.weights, k)
             if system.nvars == 4:
-                assert middle_betti_hodge(hodge_numbers(series)) == middle_betti(divisor)
+                # b2_hodge as reports sum it; Delta(t) of these mu (up to ~10^12) is not expanded
+                assert sum(hodge_numbers(system).values()) == middle_betti(divisor)
                 if fano(system).is_fano:
                     fano_surfaces += 1
-                    assert signature(series) == 1 - middle_betti(divisor)
+                    signature = classify._weight_facts.__wrapped__(system)["signature"]
+                    assert signature == 1 - middle_betti(divisor)
         assert fano_surfaces >= 30
 
         rng = random.Random(4)

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from singlink import milnor_algebra, monodromy
+from singlink import classify, milnor_algebra, monodromy
 from singlink import (
     ConsistencyError,
     DegenerateDegreeError,
+    ExpandedPoly,
     InexactDivisionError,
-    PoincareSeries,
     WeightSystem,
     WrongDimensionError,
     characteristic_divisor,
@@ -16,11 +16,11 @@ from singlink import (
     genus_branch_curve,
     hodge_numbers,
     middle_betti,
-    middle_betti_hodge,
     poincare_series,
-    signature,
 )
-from conftest import one_above_mu
+from singlink.cli import entry
+from singlink.milnor_algebra import _dim
+from conftest import clear_memos, one_above_mu
 
 
 def truncated_series(weights, degree, top):
@@ -48,8 +48,8 @@ def truncated_series(weights, degree, top):
 def test_series_of_the_reference_links(f60, f256_1, f256_2):
     for f, mu in ((f60, 86), (f256_1, 255), (f256_2, 255)):
         s = poincare_series(f.system)
-        assert s.total() == mu
-        assert s.top == sum(f.system.degree - 2 * wi for wi in f.system.weights)
+        assert sum(s.coefficients) == mu
+        assert s.degree == sum(f.system.degree - 2 * wi for wi in f.system.weights)
         assert s.coefficients == s.coefficients[::-1]
 
 
@@ -65,7 +65,7 @@ def test_series_matches_truncated_power_series_expansion():
             continue
         w = WeightSystem(ws, degree)
         s = poincare_series(w)
-        assert s.coefficients == truncated_series(ws, degree, s.top)
+        assert s.coefficients == truncated_series(ws, degree, s.degree)
         seen += 1
 
 
@@ -83,9 +83,10 @@ def test_a_refused_weight_system_raises_on_every_call_and_is_not_cached():
             poincare_series(w)
 
 
-def test_series_carries_its_weight_system():
+def test_series_is_the_expanded_poly_of_its_weight_system():
     w = WeightSystem((9, 15, 17, 20), 60)
-    assert poincare_series(w).system == w
+    factors = [(w.degree - wi, 1) for wi in w.weights] + [(wi, -1) for wi in w.weights]
+    assert poincare_series(w) == monodromy.expand(factors)
 
 
 def test_series_raises_on_data_with_no_algebra():
@@ -114,38 +115,61 @@ def test_series_is_one_expand_call(monkeypatch):
 
     monkeypatch.setattr(milnor_algebra, "expand", counted)
     w = WeightSystem((9, 15, 17, 20), 60)
-    assert poincare_series(w).total() == 86
+    assert sum(poincare_series(w).coefficients) == 86
     assert len(calls) == 1
 
 
 def test_poincare_series_validation():
     with pytest.raises(ValueError):
-        PoincareSeries(WeightSystem((1, 1), 3), ())
-    with pytest.raises(ValueError):
-        PoincareSeries(WeightSystem((1, 1), 3), (1, -1, 1))
-    with pytest.raises(ValueError):
-        PoincareSeries(WeightSystem((1, 1), 3), (1, 2, 2))
+        ExpandedPoly(())
     # a float used to be truncated: (1.5, 2, 1.5) was stored as (1, 2, 1)
     with pytest.raises(TypeError, match="1.5 is a float"):
-        PoincareSeries(WeightSystem((1, 1), 3), (1.5, 2, 1.5))
-    s = PoincareSeries(WeightSystem((1, 1), 3), (1, 2, 1))
-    assert s.top == 2
-    assert s.total() == 4
-    assert s.coefficient(1) == 2
-    assert s.coefficient(3) == 0
-    assert s.coefficient(-1) == 0
+        ExpandedPoly((1.5, 2, 1.5))
+    s = ExpandedPoly((1, 2, 1))
+    assert s.degree == 2
+    assert sum(s.coefficients) == 4
+    assert s.coefficients[1] == 2
+    assert _dim(s, 3) == 0
+    assert _dim(s, -1) == 0
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((1, -1, 1), "graded dimensions cannot be negative"),
+        ((1, 2, 2), "graded dimensions are not symmetric about T/2"),
+        ((1, 2, 1), "series total 4 differs from the Milnor product"),
+    ],
+)
+def test_series_checks_raise_consistency_errors(monkeypatch, capsys, tmp_path, bad, message):
+    """A negative, asymmetric or wrongly summing expansion is a broken
+    computation, not refused input: poincare_series raises ConsistencyError,
+    analyze exits 2 on it, and batch fails that record on its own line."""
+    monkeypatch.setattr(milnor_algebra, "expand", lambda factors: ExpandedPoly(bad))
+    with pytest.raises(ConsistencyError, match=f"^{message}$"):
+        poincare_series(WeightSystem((9, 15, 17, 20), 60))
+    clear_memos()
+    poly = "z0^5*z1 + z0*z2^3 + z1^4 + z3^3"
+    assert entry(["analyze", "--weights", "9,15,17,20", "--poly", poly]) == 2
+    assert capsys.readouterr().err == f"consistency failure: [stage: hodge numbers] {message}\n"
+    records = tmp_path / "dk1.jsonl"
+    records.write_text(f'{{"weights": [9, 15, 17, 20], "degree": 60, "poly": "{poly}"}}\n')
+    assert entry(["batch", str(records)]) == 0
+    assert capsys.readouterr().err == (
+        f"line 1: failed ([stage: hodge numbers] {message})\nok=0 skipped=0 failed=1\n"
+    )
 
 
 def test_graded_dims_of_the_degree_60_link(f60):
     w = f60.system
-    assert poincare_series(w).coefficient(59) == 2
-    assert poincare_series(w).coefficient(-1) == 0
-    assert poincare_series(w).coefficient(119) == 0
-    assert poincare_series(w).coefficient(0) == 1
+    assert poincare_series(w).coefficients[59] == 2
+    assert _dim(poincare_series(w), -1) == 0
+    assert _dim(poincare_series(w), 119) == 0
+    assert poincare_series(w).coefficients[0] == 1
 
 
 def test_graded_dim_of_the_second_degree_256_link(f256_2):
-    assert poincare_series(f256_2.system).coefficient(255) == 1
+    assert poincare_series(f256_2.system).coefficients[255] == 1
 
 
 def test_graded_dim_matches_monomial_count_in_low_degrees():
@@ -162,14 +186,14 @@ def test_graded_dim_matches_monomial_count_in_low_degrees():
         # below every partial degree d - w_i the Jacobian ideal is empty
         cutoff = min(degree - wi for wi in ws)
         for k in range(cutoff):
-            assert poincare_series(w).coefficient(k) == count_monomials(ws, k), (ws, degree, k)
+            assert poincare_series(w).coefficients[k] == count_monomials(ws, k), (ws, degree, k)
         seen += 1
 
 
 def test_hodge_numbers_of_the_reference_links(f60, f256_1, f256_2):
-    assert hodge_numbers(poincare_series(f60.system)) == {(0, 2): 0, (1, 1): 2, (2, 0): 0}
-    assert hodge_numbers(poincare_series(f256_1.system)) == {(0, 2): 0, (1, 1): 1, (2, 0): 0}
-    assert hodge_numbers(poincare_series(f256_2.system)) == {(0, 2): 0, (1, 1): 1, (2, 0): 0}
+    assert hodge_numbers(f60.system) == {(0, 2): 0, (1, 1): 2, (2, 0): 0}
+    assert hodge_numbers(f256_1.system) == {(0, 2): 0, (1, 1): 1, (2, 0): 0}
+    assert hodge_numbers(f256_2.system) == {(0, 2): 0, (1, 1): 1, (2, 0): 0}
 
 
 def test_hodge_route_agrees_with_divisor_route_for_middle_betti():
@@ -181,26 +205,29 @@ def test_hodge_route_agrees_with_divisor_route_for_middle_betti():
             continue
         degree = math.lcm(*ws) * rng.randint(2, 3)
         w = WeightSystem(ws, degree)
-        hodge = hodge_numbers(poincare_series(w))
-        assert middle_betti_hodge(hodge) == middle_betti(characteristic_divisor(w))
+        hodge = hodge_numbers(w)
+        assert sum(hodge.values()) == middle_betti(characteristic_divisor(w))
         seen += 1
 
 
 def test_hodge_numbers_of_the_quintic_threefold():
     w = WeightSystem((1, 1, 1, 1), 5)
-    assert hodge_numbers(poincare_series(w)) == {(0, 2): 4, (1, 1): 44, (2, 0): 4}
-    assert middle_betti_hodge(hodge_numbers(poincare_series(w))) == 52
+    assert hodge_numbers(w) == {(0, 2): 4, (1, 1): 44, (2, 0): 4}
+    assert sum(hodge_numbers(w).values()) == 52
     with pytest.raises(WrongDimensionError):
-        hodge_numbers(poincare_series(WeightSystem((1,), 2)))
+        hodge_numbers(WeightSystem((1,), 2))
+
+
+def _signature(w):
+    """The surface signature a report carries for w."""
+    return classify._weight_facts.__wrapped__(w)["signature"]
 
 
 def test_signature_values():
-    assert signature(poincare_series(WeightSystem((9, 15, 17, 20), 60))) == -1
-    assert signature(poincare_series(WeightSystem((11, 49, 69, 128), 256))) == 0
-    assert signature(poincare_series(WeightSystem((13, 35, 81, 128), 256))) == 0
-    assert signature(poincare_series(WeightSystem((1, 1, 1, 1), 2))) == 0
-    with pytest.raises(WrongDimensionError):
-        signature(poincare_series(WeightSystem((1, 1, 1), 3)))
+    assert _signature(WeightSystem((9, 15, 17, 20), 60)) == -1
+    assert _signature(WeightSystem((11, 49, 69, 128), 256)) == 0
+    assert _signature(WeightSystem((13, 35, 81, 128), 256)) == 0
+    assert _signature(WeightSystem((1, 1, 1, 1), 2)) == 0
 
 
 def test_signature_is_one_minus_betti_below_the_anticanonical_degree():
@@ -214,9 +241,9 @@ def test_signature_is_one_minus_betti_below_the_anticanonical_degree():
     ):
         w = WeightSystem(ws, d)
         assert d < w.total
-        h = hodge_numbers(poincare_series(w))
+        h = hodge_numbers(w)
         assert h[(0, 2)] == 0 and h[(2, 0)] == 0
-        assert signature(poincare_series(w)) == 1 - middle_betti_hodge(h)
+        assert _signature(w) == 1 - sum(h.values())
 
 
 def test_genus_of_the_branch_curves():
