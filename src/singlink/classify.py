@@ -33,6 +33,7 @@ from .milnor_algebra import (
     hodge_numbers,
 )
 from .monodromy import (
+    MAX_DEGREE,
     ExpandedPoly,
     brief,
     characteristic_divisor,
@@ -72,7 +73,7 @@ NOT_QUASI_SMOOTH = "not_quasi_smooth"
 # analyze's work ceilings on mu and the socle degree T, checked before Delta(t) (mu + 1
 # coefficients) and P(t) (T + 1) are built: Fermat d = 15 (mu = 38,416) passes, d = 16 not.
 MAX_MU = 50_000
-MAX_SOCLE = 500_000
+MAX_SOCLE = MAX_DEGREE
 
 # The per-system memos of weight-only data (_weight_facts, cli's fragments) keep at most
 # MEMO_ENTRIES systems, none with mu above MEMO_MAX_MU (every catalog system is under it): at

@@ -53,6 +53,8 @@ from .errors import (
 )
 from .weights import WeightSystem, require_ints
 
+MAX_DEGREE = 500_000  # expand's ceiling on the product's degree; classify.MAX_SOCLE is this name
+
 
 def brief(x: int | Fraction) -> str:
     """A non-negative x in full, or its power of ten past the int -> str digit limit."""
@@ -173,10 +175,10 @@ def expand(factors: Iterable[tuple[int, int]]) -> ExpandedPoly:
     """prod (t^j - 1)^e over (j, e) pairs: multiply the numerator binomials,
     then divide the denominators exactly.
 
-    Exponents of a repeated j add up; a j whose exponents cancel is dropped,
-    and any other j must be positive, checked numerators first, as the loops
-    meet them.  Each numerator factor is one _mul_binomial_power call, and
-    each unit of a denominator exponent one _div_binomial call.
+    Exponents of a repeated j add up; a j whose exponents cancel is dropped, any
+    other j must be positive (numerators first), and a degree over MAX_DEGREE is
+    refused before the loops.  Each numerator factor is one _mul_binomial_power
+    call, and each unit of a denominator exponent one _div_binomial call.
     """
     exponents: dict[int, int] = {}
     for pair in factors:
@@ -185,6 +187,8 @@ def expand(factors: Iterable[tuple[int, int]]) -> ExpandedPoly:
     ascending = sorted(exponents.items())
     if bad := min(((e < 0, j) for j, e in ascending if e and j < 1), default=None):
         raise ValueError(f"binomial exponent {bad[1]} is not positive")
+    if (degree := sum(j * e for j, e in ascending)) > MAX_DEGREE:
+        raise BoundExceededError(f"degree {brief(degree)} exceeds the expand ceiling {MAX_DEGREE}")
     coeffs = [1]
     for j, e in ascending:
         if e > 0:

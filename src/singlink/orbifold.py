@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import UnsupportedDimensionError, WrongDimensionError
-from .weights import WeightedPolynomial, WeightSystem, _subsets, require_ints
+from .weights import WeightedPolynomial, WeightSystem, _subsets, _unchecked, require_ints
 
 DISJOINT = "disjoint"
 MEETS = "meets"
@@ -68,16 +67,22 @@ def fano(w: WeightSystem) -> Fano:
     return Fano(is_fano=index > 0, index=index)
 
 
-@lru_cache(maxsize=None)
-def _skeleton(ws: tuple[int, ...]) -> tuple[tuple[int, tuple[Stratum, ...]], ...]:
-    """Per subset with gcd m > 1, in weights._subsets order: the bitmask of the
-    variables outside it and its Stratum for each incidence, indexed by
-    min(monomials inside, 2)."""
+def singular_strata(f: WeightedPolynomial) -> tuple[Stratum, ...]:
+    """All strata with isotropy order > 1, with exact incidence, for up to four
+    variables.  Incidence rules exist for vertices and edges only, so a larger
+    subset with nontrivial gcd (only in a space that is not well formed) is
+    refused.  Each call builds its strata from the shared subset table, uncached
+    and unchecked (every field comes from the table); an incidence counts the
+    monomials whose mask in f.masks lies inside the subset.
+    """
+    ws = f.system.weights
     if len(ws) > 4:
         raise UnsupportedDimensionError(f"incidence rules cover at most 4 variables, got {len(ws)}")
-    out = []
+    out, masks = [], f.masks
     for outside, subset in _subsets(len(ws)):
-        m = math.gcd(*(ws[i] for i in subset))
+        m = math.gcd(ws[subset[0]], ws[subset[-1]])  # its ends: all of a vertex or an edge
+        if m > 1 and len(subset) > 2:
+            m = math.gcd(m, *map(ws.__getitem__, subset[1:-1]))
         if m == 1:  # always so for the full set: the weights are normalized
             continue
         if len(subset) > 2:
@@ -86,25 +91,12 @@ def _skeleton(ws: tuple[int, ...]) -> tuple[tuple[int, tuple[Stratum, ...]], ...
                 "incidence rules cover vertices and edges only "
                 "(the ambient space is not well formed)"
             )
-        strata = tuple(Stratum(subset, m, c) for c in (CONTAINED, DISJOINT, MEETS))
-        out.append((outside, strata))
+        inside = 0
+        for mask in masks:  # a plain loop: sum() over a generator costs more
+            inside += not mask & outside
+        incidence = (CONTAINED, DISJOINT, MEETS)[min(inside, 2)]
+        out.append(_unchecked(Stratum, indices=subset, isotropy_order=m, incidence=incidence))
     return tuple(out)
-
-
-def singular_strata(f: WeightedPolynomial) -> tuple[Stratum, ...]:
-    """All strata with isotropy order > 1, with exact incidence.
-
-    Supports up to four variables; incidence rules exist for vertices and
-    edges only, so a larger subset with nontrivial gcd (possible only when
-    the ambient space is not well formed) is refused too.  The subsets and
-    their orders depend only on the weights and are built once per weight
-    tuple; a vertex or edge's incidence counts the monomials whose mask in
-    f.masks lies inside it (a vertex carries at most one, the pure power).
-    """
-    return tuple(
-        by_count[min(sum(not mask & outside for mask in f.masks), 2)]
-        for outside, by_count in _skeleton(f.system.weights)
-    )
 
 
 def orbifold_order(strata: tuple[Stratum, ...]) -> int:

@@ -87,8 +87,8 @@ class WeightSystem:
 
 
 def _unchecked(cls, **fields):
-    """cls(**fields) without __post_init__, for a relabeling of an instance that
-    passed it: a permutation of the variables keeps every check's outcome."""
+    """cls(**fields) without __post_init__, for fields that pass it by construction: a
+    relabeling of a checked instance, or a Stratum whose fields come from the subset table."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -206,7 +206,7 @@ def _subset_table(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple((~sum(1 << i for i in s), s) for k in sizes for s in combinations(range(n), k))
 
 
-# Only n = 4's table, the one analyze, the strata skeleton and the registry read, is kept
+# Only n = 4's table, the one analyze, singular_strata and the registry read, is kept
 # across calls; any other is built per call (16 variables: 65,535 rows).
 _SUBSETS_4 = _subset_table(4)
 

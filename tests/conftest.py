@@ -3,7 +3,7 @@ from functools import cached_property
 import pytest
 
 from singlink import ExpandedPoly, WeightedPolynomial, analyze, quasi_degree
-from singlink import classify, orbifold
+from singlink import classify
 
 # The three links carried in the built-in registry, by their defining data.
 F60_SUPPORT = ((5, 1, 0, 0), (1, 0, 3, 0), (0, 4, 0, 0), (0, 0, 0, 3))
@@ -17,10 +17,9 @@ F256_2_WEIGHTS = (13, 35, 81, 128)
 
 
 def clear_memos():
-    """Empty every per-process memo analyze reads, so the next call builds each
+    """Empty the one per-process memo analyze reads, so the next call builds each
     weight-only fact again."""
-    for memo in (classify._weight_facts, orbifold._skeleton):
-        memo.cache_clear()
+    classify._weight_facts.cache_clear()
 
 
 def one_above_mu(product):

@@ -971,8 +971,8 @@ def test_the_weight_memos_never_leak_support_facts():
 
 
 def test_a_refused_system_raises_the_same_error_on_every_call():
-    """Refusals inside the weight memo and the strata skeleton are not cached:
-    each call raises afresh, with one stage label."""
+    """A refusal inside the weight memo is not cached, and singular_strata keeps
+    no cache: each call raises afresh, with one stage label."""
     inexact = quasi_degree([(7, 0, 0, 0), (0, 7, 0, 0), (0, 0, 7, 0), (3, 0, 0, 1)], (1, 1, 1, 4))
     fermat = [tuple(a * (i == k) for i in range(4)) for k, a in enumerate((6, 3, 3, 3))]
     ill_formed = quasi_degree(fermat, (1, 2, 2, 2))

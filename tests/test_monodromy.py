@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations_with_replacement, permutations
@@ -359,6 +360,23 @@ def test_expand_raises_on_inexact_division():
     for factors in (((3, 1), (2, -1)), ((4, 1), (3, -1)), ((6, 2), (4, -1)), ((1, 3), (2, -1))):
         with pytest.raises(InexactDivisionError):
             expand(factors)
+
+
+def test_expand_refuses_a_product_above_the_degree_ceiling_before_it_allocates():
+    assert classify.MAX_SOCLE is monodromy.MAX_DEGREE == 500_000
+    assert expand([(500_000, 1)]).degree == 500_000
+    with pytest.raises(BoundExceededError, match=r"^degree 500001 exceeds the expand ceiling 500000$"):
+        expand([(500_001, 1)])
+    with pytest.raises(BoundExceededError, match=r"^degree ~10\^5000 exceeds"):
+        expand([(10**5000, 1), (2, -1)])
+    # Fermat d = 1,000: mu = 999^4, about 10^12, refused before Delta(t) is expanded
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError) as err:
+        classify._weight_facts.__wrapped__(WeightSystem((1, 1, 1, 1), 1000))
+    assert time.perf_counter() - start < 0.5
+    assert str(err.value) == (
+        f"[stage: characteristic divisor] degree {999**4} exceeds the expand ceiling 500000"
+    )
 
 
 def test_expanded_poly_validation_and_evaluation():

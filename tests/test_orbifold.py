@@ -1,3 +1,4 @@
+import gc
 import math
 from itertools import combinations, combinations_with_replacement
 
@@ -14,6 +15,7 @@ from singlink import (
     WeightedPolynomial,
     WeightSystem,
     WrongDimensionError,
+    analyze,
     divisibility_condition,
     fano,
     is_well_formed_space,
@@ -286,3 +288,25 @@ def test_torsion_status_needs_only_the_strata():
             checked += 1
             divisibility_fails += not divisibility_condition(f.system)
     assert (checked, divisibility_fails) == (14800, 9703)
+
+
+def test_no_stratum_outlives_its_report():
+    """singular_strata keeps no cache: analyzing 472 distinct systems and dropping
+    each report leaves no more Stratum objects alive than before."""
+
+    def live_strata():
+        gc.collect()
+        return sum(type(o) is Stratum for o in gc.get_objects())
+
+    before = live_strata()
+    # z0^2 + z1^2 + z2*z3 on (m, m, k, 2m - k): mu = 1, T = 0 and one edge stratum, order m
+    systems = [(m, k) for m in range(3, 40) for k in range(1, m) if math.gcd(m, k) == 1]
+    assert len(systems) == 472
+    for m, k in systems:
+        f = quasi_degree([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 1)], (m, m, k, 2 * m - k))
+        report = analyze(f)
+        assert report.milnor_number == 1 and (m, MEETS) in {
+            (s.isotropy_order, s.incidence) for s in report.strata
+        }
+    del f, report
+    assert live_strata() == before

@@ -209,7 +209,7 @@ def test_quasi_smooth_failure_refuses_too_many_variables(monkeypatch):
 
 def test_only_the_four_variable_subset_table_is_kept(monkeypatch, f60):
     """A 16-variable call builds its 65,535-row table for itself alone; analyze,
-    the strata skeleton and the registry read the one table kept, n = 4's."""
+    singular_strata and the registry read the one table kept, n = 4's."""
     built = []
     build = weights_module._subset_table
     monkeypatch.setattr(weights_module, "_subset_table", lambda n: built.append(n) or build(n))
