@@ -187,12 +187,15 @@ def render_polynomial(support: Iterable[Sequence[int]]) -> str:
 # -- report rendering ------------------------------------------------------
 
 def _decimals(key: str, values: Sequence[int]) -> list[str]:
-    """[str(v) for v in values], one str per distinct value: Δ(t) repeats most of its own."""
+    """[str(v) for v in values], one str per distinct magnitude: Δ(t) repeats most
+    of its own, often with both signs, and a negative value is "-" and its magnitude's."""
+    distinct = set(values)
     try:
-        table = {v: str(v) for v in set(values)}
+        table = {m: str(m) for m in set(map(abs, distinct))}
     except ValueError:  # past sys.get_int_max_str_digits()
         limit = sys.get_int_max_str_digits()
         raise BoundExceededError(f"{key} exceeds the int -> str limit of {limit} digits") from None
+    table.update({v: "-" + table[-v] for v in distinct if v < 0})
     return list(map(table.__getitem__, values))
 
 

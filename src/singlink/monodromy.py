@@ -15,16 +15,17 @@ with the product taken in the group ring of roots of unity, Lambda_a * Lambda_b
 coefficient a_j of Lambda_j is then the exponent of (t^j - 1) in Delta, so
 characteristic_divisor returns the divisor as its ascending (j, a_j) pairs,
 which are Delta's factored form.  expand, with its two kernels (a binomial-
-theorem multiply and a linear exact division), is the one expander of such
-binomial quotients, each an ExpandedPoly: Delta here, and the Poincare series
-P(t) of milnor_algebra, which checks its graded dimensions once.
+theorem multiply, one slice update per entry of its shorter side, and a
+linear exact division), is the one expander of such binomial quotients, each
+an ExpandedPoly: Delta here, and the Poincare series P(t) of milnor_algebra,
+which checks its graded dimensions once.
 
 The divisor, hence Delta(t), depends only on the weight system, so
 classify._weight_facts builds both once per system; the kernels here stay
 uncached, so a sweep over many distinct systems keeps no expansion alive.
-ExpandedPoly memoizes its residue Delta(R) mod P, which classify.cross_checks
-compares with the pairs' factored_residue: an O(mu) identity test (Schwartz
-1980, Zippel 1979).
+ExpandedPoly memoizes its residue Delta(R) mod P, a Horner walk over blocks
+of coefficients, which classify.cross_checks compares with the pairs'
+factored_residue: an O(mu) identity test (Schwartz 1980, Zippel 1979).
 
 bp_oracle is a deliberately independent second route for exponent sums
 f = z_0^{a_0} + ... + z_n^{a_n}, by root enumeration, with its own
@@ -38,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -127,6 +128,8 @@ def characteristic_divisor(w: WeightSystem) -> Divisor:
 # The point and prime of the residue check: 3 has order about 2.6 * 10^17 mod P.
 P = (1 << 61) - 1
 R = 3
+_BLOCK = 512  # coefficients per step of the residue's Horner walk
+*_R_POWERS, _R_BLOCK = accumulate(repeat(R, _BLOCK), lambda a, r: a * r % P, initial=1)
 
 
 @dataclass(frozen=True)
@@ -148,10 +151,11 @@ class ExpandedPoly:
 
     @cached_property
     def residue(self) -> int:
-        """The value at R mod P, by Horner, computed once per instance."""
+        """The value at R mod P, once per instance: Horner in R^_BLOCK over blocks
+        of _BLOCK coefficients, top first, each one C-level sum of c_{s+i} R^i."""
         acc = 0
-        for c in reversed(self.coefficients):
-            acc = (acc * R + c) % P
+        for s in range(self.degree // _BLOCK * _BLOCK, -1, -_BLOCK):
+            acc = (acc * _R_BLOCK + sum(map(mul, self.coefficients[s:s + _BLOCK], _R_POWERS))) % P
         return acc
 
 
@@ -200,15 +204,20 @@ def expand(factors: Iterable[tuple[int, int]]) -> ExpandedPoly:
 
 
 def _mul_binomial_power(coeffs: list[int], j: int, e: int) -> list[int]:
-    """Multiply by (t^j - 1)^e = sum_k C(e, k) (-1)^(e - k) t^(j k), e > 0:
-    one C-level slice update per term, e + 1 passes over the input."""
+    """Multiply by (t^j - 1)^e = sum_k C(e, k) (-1)^(e - k) t^(j k), e > 0: one C-level
+    slice update per entry of the shorter side, a coefficient times the row strided by j
+    while len(coeffs) <= e, else a row entry times the input."""
     n = len(coeffs)
     out = [0] * (n + j * e)
-    c = -1 if e % 2 else 1
-    for k in range(e + 1):
-        lo = j * k
-        out[lo:lo + n] = map(add, out[lo:lo + n], map(mul, coeffs, repeat(c)))
-        c = -c * (e - k) // (k + 1)
+    row = [(-1) ** e]
+    for k in range(e):
+        row.append(-row[-1] * (e - k) // (k + 1))
+    if n <= e:
+        for i, a in enumerate(coeffs):
+            out[i:i + j * e + 1:j] = map(add, out[i:i + j * e + 1:j], map(mul, row, repeat(a)))
+    else:
+        for k, c in enumerate(row):
+            out[j * k:j * k + n] = map(add, out[j * k:j * k + n], map(mul, coeffs, repeat(c)))
     return out
 
 

@@ -709,6 +709,8 @@ def test_decimals_converts_repeated_values_like_str():
     big = 3**500
     values = [0, big, -big, 0, -1, big, 1, -big, 0, 2**53, -(2**53), 1]
     assert cli._decimals("xs", values) == [str(v) for v in values]
+    lone_negatives = [-7, 0, -(3**400)]  # no positive twin shares their magnitude's str
+    assert cli._decimals("xs", lone_negatives) == [str(v) for v in lone_negatives]
     assert cli._decimals("xs", []) == []
 
 

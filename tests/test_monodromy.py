@@ -613,6 +613,19 @@ def test_expand_matches_the_reference_on_random_quotients():
         seen += 1
 
 
+@pytest.mark.parametrize("e", [1, 2, 5, 40])
+def test_mul_binomial_power_matches_the_naive_product_with_either_side_shorter(e):
+    """Up to e input coefficients, one strided update per coefficient; past
+    that, one contiguous update per binomial coefficient: both meet here."""
+    rng = random.Random(e)
+    for j in (1, 2, 7):
+        binomial = [-1] + [0] * (j - 1) + [1]
+        for n in (1, e, e + 1, e + 2):
+            coeffs = [rng.randrange(-10 ** 40, 10 ** 40) for _ in range(n)]
+            expected = naive_product([coeffs] + [binomial] * e)
+            assert monodromy._mul_binomial_power(coeffs, j, e) == expected, (j, n)
+
+
 def test_multiplicity_at_one_counts_the_factors_of_t_minus_one():
     # Q(t) = (t + 1)^3 (10^40 t^2 + 7 t - 3): big coefficients, a root at -1,
     # Q(1) = 8 (10^40 + 4) != 0
@@ -691,6 +704,22 @@ def test_residue_matches_exact_evaluation_on_big_and_negative_coefficients():
         p = ExpandedPoly(tuple(coeffs))
         assert p.residue == evaluate(p, R) % P
         assert 0 <= p.residue < P
+
+
+def test_residue_matches_exact_evaluation_across_block_boundaries():
+    """Lengths on both sides of one and more residue blocks: a walk that drops
+    the top partial block or the bottom block misses these."""
+    block = monodromy._BLOCK
+    rng = random.Random(1980)
+    for n in (1, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1,
+              5 * block + 7):
+        coeffs = [rng.randrange(-10 ** 300, 10 ** 300) for _ in range(n)]
+        coeffs[-1] = coeffs[-1] or 1
+        p = ExpandedPoly(tuple(coeffs))
+        assert p.residue == evaluate(p, R) % P, n
+    for d in range(11, 16):
+        divisor = characteristic_divisor(WeightSystem((1, 1, 1, 1), d))
+        assert expand(divisor).residue == factored_residue(divisor), d
 
 
 def test_factored_residue_refuses_a_point_where_a_factor_vanishes(monkeypatch, f60):
