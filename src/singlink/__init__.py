@@ -3,10 +3,11 @@
 The pipeline, bottom to top: weight systems and monomial supports
 (weights), the characteristic divisor as its ascending (j, a_j) pairs
 (divisor), Milnor number and monodromy characteristic polynomial
-(monodromy), the Poincare series of the Milnor algebra with Hodge
-numbers and genus (milnor_algebra), singular strata and orbifold data
-(orbifold), and the assembled report with the 5-manifold classification
-(classify).  The cli module wraps it all for the command line.
+(monodromy), the divisor's check, Hodge data and genus read off the
+Milnor algebra's Poincare series without expanding it (milnor_algebra),
+singular strata and orbifold data (orbifold), and the assembled report
+with the 5-manifold classification (classify).  The cli module wraps it
+all for the command line.
 """
 
 import types
@@ -51,11 +52,7 @@ from .errors import (
     UnsupportedDimensionError,
     WrongDimensionError,
 )
-from .milnor_algebra import (
-    genus_branch_curve,
-    hodge_numbers,
-    poincare_series,
-)
+from .milnor_algebra import genus_branch_curve
 from .monodromy import (
     ExpandedPoly,
     bp_oracle,

@@ -28,10 +28,7 @@ from types import MappingProxyType
 
 from .divisor import Divisor
 from .errors import BoundExceededError, ConsistencyError, SinglinkError, WrongDimensionError
-from .milnor_algebra import (
-    genus_branch_curve,
-    hodge_numbers,
-)
+from .milnor_algebra import check_divisor_character, genus_branch_curve, require_polynomial_series
 from .monodromy import (
     MAX_DEGREE,
     ExpandedPoly,
@@ -58,6 +55,7 @@ from .weights import (
     WeightedPolynomial,
     WeightSystem,
     _unchecked,
+    count_monomials,
     quasi_smooth_failure,
     require_ints,
     validate_weights,
@@ -70,8 +68,8 @@ NOT_FANO = "not_fano"
 NOT_WELL_FORMED = "not_well_formed"
 NOT_QUASI_SMOOTH = "not_quasi_smooth"
 
-# analyze's work ceilings on mu and the socle degree T, checked before Delta(t) (mu + 1
-# coefficients) and P(t) (T + 1) are built: Fermat d = 15 (mu = 38,416) passes, d = 16 not.
+# analyze's work ceilings, checked before Delta(t) (mu + 1 coefficients) is built: Fermat d = 15
+# (mu = 38,416) passes, d = 16 not.  No P(t) is built, so MAX_SOCLE bounds nothing, only refuses T.
 MAX_MU = 50_000
 MAX_SOCLE = MAX_DEGREE
 
@@ -354,21 +352,24 @@ def _split_variable(f: WeightedPolynomial) -> int | None:
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _weight_facts(w: WeightSystem) -> MappingProxyType:
     """The report fields that read only the weights (Milnor-Orlik), by their
-    InvariantReport names, once per canonical system: Delta(t) as divisor and
-    expansion, the Fano record and the Hodge data, with b2 and the signature
-    1 + 2 h^{0,2} - h^{1,1} read off the Hodge numbers (the strata give the
-    ambient flags).  hodge_numbers builds the Poincare series, reads it and
-    drops it, so an entry grows with mu, not with T.  The mapping is read-only.
-    A system refused here is not cached; analyze's strata stage refuses an
-    ill-formed ambient space first."""
+    InvariantReport names, once per canonical system: Delta(t) as divisor, checked
+    by its character, and expansion, the Fano record and the Hodge data (p_g, b2 -
+    2 p_g, p_g), with the signature 1 + 2 h^{0,2} - h^{1,1} (the strata give the
+    ambient flags).  No P(t) is built, so an entry grows with mu, not with T.  The
+    mapping is read-only.  A system refused here is not cached; analyze's strata
+    stage refuses an ill-formed ambient space first."""
     with _stage("characteristic divisor"):
         divisor = characteristic_divisor(w)
-        facts = dict(divisor=divisor, expanded=expand(divisor), b2_divisor=middle_betti(divisor))
+        check_divisor_character(w, divisor)
+        b2 = middle_betti(divisor)
+        facts = dict(divisor=divisor, expanded=expand(divisor), b2_divisor=b2)
     with _stage("hodge numbers"):
-        hodge = hodge_numbers(w)
+        require_polynomial_series(w)
+        pg = count_monomials(w.weights, w.degree - w.total)
+        h11 = b2 - 2 * pg
         facts.update(
-            fano=fano(w), hodge=tuple(sorted(hodge.items())), b2_hodge=sum(hodge.values()),
-            signature=1 + 2 * hodge[0, 2] - hodge[1, 1],
+            fano=fano(w), hodge=(((0, 2), pg), ((1, 1), h11), ((2, 0), pg)),
+            b2_hodge=pg + h11 + pg, signature=1 + 2 * pg - h11,
         )
     return MappingProxyType(facts)
 
@@ -384,7 +385,7 @@ def analyze(
             f"analyze covers links of surface singularities (4 variables), got {f.nvars}"
         )
     f, permutation = _canonicalize(f)
-    w = f.system
+    w, support = f.system, f.sorted_support
 
     assumptions = (
         "coefficients are assumed generic: incidence decisions use only the support",
@@ -423,7 +424,7 @@ def analyze(
             genus = genus_branch_curve(WeightSystem(rest, w.degree))
 
     with _stage("registry"):
-        entry = registry_lookup(f, registry)
+        entry = next((e for e in registry if (w.weights, w.degree, support) in e.key), None)
     reference_order = entry.reference_order if entry else None
     order_source = "reference" if reference_order is not None else "derived"
     if reference_order is None:
@@ -478,7 +479,7 @@ def analyze(
     report = InvariantReport(
         weights=w.weights,
         degree=w.degree,
-        support=f.sorted_support,
+        support=support,
         permutation=permutation,
         quasi_smooth=failure is None,
         space_well_formed=True,  # the strata stage refuses any other space

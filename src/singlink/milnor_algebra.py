@@ -1,91 +1,93 @@
-"""Graded dimensions of the Milnor algebra and what they buy downstream.
+"""What analyze reads off the Milnor algebra's Poincare series, never expanded.
 
-For a quasi-homogeneous isolated singularity the Milnor algebra (the
-coordinate ring modulo the partials) is a graded complete intersection cut
-out in degrees d - w_i, so its Poincare series is the closed product
-
-    P(t) = prod_i (t^{d - w_i} - 1) / (t^{w_i} - 1)
-
-a symmetric polynomial with top degree T = sum_i (d - 2 w_i) and P(1) equal
-to the Milnor number, expanded by monodromy.expand as the characteristic
-polynomial is, into the same ExpandedPoly.  Every consumer here is a
-coefficient lookup: primitive Hodge numbers h^{i, n-i-1} at (i+1)d - |w|
-and the genus of the branch curve of a z3-power split.
-classify._weight_facts reads the Hodge numbers once per weight system and
-derives b2 and the surface signature from them; poincare_series itself is
-uncached.
+The Milnor algebra (the coordinate ring modulo the partials) of a quasi-homogeneous
+isolated singularity has the Poincare series P(t) = prod_i (t^{d - w_i} - 1) / (t^{w_i} - 1),
+of top degree T = sum_i (d - 2 w_i); the tests expand it, as a reference route.  Below
+every partial degree d - w_i, where the Jacobian ideal is empty, its coefficient is a
+monomial count: p_g = h^{2,0} at d - |w| (Steenbrink), and the genus of a branch curve.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    ConsistencyError,
-    DegenerateDegreeError,
-    WrongDimensionError,
-)
-from .monodromy import ExpandedPoly, expand, milnor_product
+import math
+from fractions import Fraction
+
+from .divisor import Divisor
+from .errors import ConsistencyError, DegenerateDegreeError, InexactDivisionError
+from .errors import WrongDimensionError
 from .weights import WeightSystem, count_monomials
 
 
-def poincare_series(w: WeightSystem) -> ExpandedPoly:
-    """Exact Poincare series of the Milnor algebra, expanded and checked:
-    non-negative, symmetric about T/2 and summing to the Milnor number.
-
-    Requires d > w_i for every i (each partial derivative nonconstant).  May
-    raise InexactDivision for degree data that is quasi-homogeneous on paper
-    but belongs to no isolated singularity (the closed product is then not a
-    polynomial).
-    """
-    if any(w.degree <= wi for wi in w.weights):
-        raise DegenerateDegreeError(
-            f"degree {w.degree} does not exceed every weight in {w.weights}"
-        )
-    factors = [(w.degree - wi, 1) for wi in w.weights] + [(wi, -1) for wi in w.weights]
-    series = expand(factors)
-    coeffs = series.coefficients
-    if min(coeffs) < 0:
-        raise ConsistencyError("graded dimensions cannot be negative")
-    if coeffs != coeffs[::-1]:
-        raise ConsistencyError("graded dimensions are not symmetric about T/2")
-    num, den = milnor_product(w)
-    if (total := sum(coeffs)) * den != num:
-        raise ConsistencyError(f"series total {total} differs from the Milnor product")
-    return series
+def _character_orders(w: WeightSystem) -> list[int]:
+    """Every L_S = lcm(u_i : i in S) over the subsets S of the weights, where
+    u_i = d / gcd(d, w_i), ascending: at most 2^n values, closed under lcm."""
+    orders = {1}
+    for wi in w.weights:
+        u = w.degree // math.gcd(w.degree, wi)
+        orders |= {math.lcm(n, u) for n in orders}
+    return sorted(orders)
 
 
-def _dim(series: ExpandedPoly, k: int) -> int:
-    """The graded dimension in degree k: 0 outside 0 .. T."""
-    return series.coefficients[k] if 0 <= k <= series.degree else 0
+def _scaled_character(w: WeightSystem, n: int) -> int:
+    """prod w_i times the Milnor-Orlik character at n: the product over i of
+    d - w_i where u_i divides n (d divides n w_i), and of -w_i otherwise."""
+    return math.prod(w.degree - wi if n * wi % w.degree == 0 else -wi for wi in w.weights)
 
 
-def hodge_numbers(w: WeightSystem) -> dict[tuple[int, int], int]:
-    """Primitive Hodge numbers of the middle fiber cohomology: h^{i, n-i-1} is
-    the graded dimension at (i+1)d - |w|, for i = 0 .. n-1 and n+1 variables."""
-    n = w.nvars - 1
-    if n < 1:
-        raise WrongDimensionError("at least two variables are required")
-    series = poincare_series(w)
-    return {(i, n - i - 1): _dim(series, (i + 1) * w.degree - w.total) for i in range(n)}
+def check_divisor_character(w: WeightSystem, divisor: Divisor) -> None:
+    """Raise ConsistencyError unless divisor = sum a_j Lambda_j is Milnor-Orlik's: for
+    each n, Lambda_j -> (j if j | n else 0) is a ring homomorphism, taking prod_i
+    (Lambda_{u_i} / v_i - 1) to prod_i (d / w_i - 1 if u_i | n else -1), t^{|w|} P(t)
+    at a root of unity of order d / n.  Every index j must be some L_S; on that
+    lcm-closed set these values determine every a_j, so the check is complete."""
+    orders = _character_orders(w)
+    if stray := [j for j, _ in divisor if j not in orders]:
+        raise ConsistencyError(f"divisor index {stray[0]} is no lcm of the d / gcd(d, w_i)")
+    scale = math.prod(w.weights)
+    for n in orders:
+        got = sum(j * a for j, a in divisor if n % j == 0)
+        if got * scale != (want := _scaled_character(w, n)):
+            raise ConsistencyError(
+                f"divisor character {got} at order {n} differs from the weights' "
+                f"{Fraction(want, scale)}"
+            )
+
+
+def require_polynomial_series(w: WeightSystem) -> None:
+    """Refuse weights whose closed product P(t) is no polynomial; no isolated
+    singularity has them.  Phi_n divides t^k - 1 iff n | k, so P(t) is a
+    polynomial iff every n >= 2 divides at least as many d - w_i as w_i, and
+    the gcd of the weights n divides is an n that fails whenever n does."""
+    ws, d = w.weights, w.degree
+    if d <= max(ws):
+        raise DegenerateDegreeError(f"degree {d} does not exceed every weight in {ws}")
+    gcds: set[int] = set()
+    for wi in ws:
+        gcds |= {math.gcd(g, wi) for g in gcds} | {wi}
+    for g in sorted(gcds - {1}):
+        num, den = sum((d - wi) % g == 0 for wi in ws), sum(wi % g == 0 for wi in ws)
+        if num < den:
+            raise InexactDivisionError(
+                f"the Poincare series is not a polynomial: {g} divides {den} of the "
+                f"weights but only {num} of the degrees d - w_i"
+            )
 
 
 def genus_branch_curve(w3: WeightSystem) -> int:
-    """Genus of the curve a surface branches over in a z3-power split.
-
-    g = dim M_{d - |w'|} for the three remaining weights w'.  That degree
-    lies below the least partial degree d - max w_i, where the Jacobian ideal
-    is empty, so the dimension must agree with the raw monomial count, a
-    cross-check run on every call.
-    """
+    """Genus of the curve a surface branches over in a z3-power split: the monomial
+    count at d - |w'| for the other three weights w', checked on every call against
+    the closed form 2g = d^2/(w0 w1 w2) - d sum_{i<j} gcd(w_i, w_j)/(w_i w_j)
+    + sum_i gcd(d, w_i)/w_i - 1 (Orlik-Wagreich)."""
     if w3.nvars != 3:
-        raise WrongDimensionError(
-            f"branch-curve genus needs exactly 3 weights, got {w3.nvars}"
-        )
-    k = w3.degree - w3.total
-    g = _dim(poincare_series(w3), k)
-    raw = count_monomials(w3.weights, k)
-    if g != raw:
+        raise WrongDimensionError(f"branch-curve genus needs exactly 3 weights, got {w3.nvars}")
+    require_polynomial_series(w3)
+    d, (a, b, c), gcd = w3.degree, w3.weights, math.gcd
+    twice = d * d - d * (gcd(a, b) * c + gcd(a, c) * b + gcd(b, c) * a) - a * b * c  # 2g w0 w1 w2
+    twice += gcd(d, a) * b * c + gcd(d, b) * a * c + gcd(d, c) * a * b
+    g = count_monomials(w3.weights, k := d - w3.total)
+    if twice != 2 * g * a * b * c:
         raise ConsistencyError(
-            f"graded dimension {g} at degree {k} differs from the "
-            f"monomial count {raw} below the least partial degree"
+            f"closed-form genus {Fraction(twice, 2 * a * b * c)} differs from the "
+            f"monomial count {g} at degree {k}"
         )
     return g

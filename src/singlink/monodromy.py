@@ -17,8 +17,7 @@ characteristic_divisor returns the divisor as its ascending (j, a_j) pairs,
 which are Delta's factored form.  expand, with its two kernels (a binomial-
 theorem multiply, one slice update per entry of its shorter side, and a
 linear exact division), is the one expander of such binomial quotients, each
-an ExpandedPoly: Delta here, and the Poincare series P(t) of milnor_algebra,
-which checks its graded dimensions once.
+an ExpandedPoly: Delta here, and the Poincare series P(t) in the tests.
 
 The divisor, hence Delta(t), depends only on the weight system, so
 classify._weight_facts builds both once per system; the kernels here stay
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import add, mul, neg
 from typing import Iterable, Sequence
 
 from .divisor import Divisor
@@ -135,7 +134,7 @@ _BLOCK = 512  # coefficients per step of the residue's Horner walk
 @dataclass(frozen=True)
 class ExpandedPoly:
     """Dense exact integer coefficients, constant term first: Delta(t), or the
-    Poincare series P(t) of milnor_algebra, whose degree is the socle degree T."""
+    Poincare series P(t), whose degree is the socle degree T."""
 
     coefficients: tuple[int, ...]
 
@@ -210,8 +209,9 @@ def _mul_binomial_power(coeffs: list[int], j: int, e: int) -> list[int]:
     n = len(coeffs)
     out = [0] * (n + j * e)
     row = [(-1) ** e]
-    for k in range(e):
+    for k in range(e // 2):
         row.append(-row[-1] * (e - k) // (k + 1))
+    row += map(neg, row[::-1]) if e % 2 else row[(e - 1) // 2::-1]  # C(e, k) = C(e, e - k)
     if n <= e:
         for i, a in enumerate(coeffs):
             out[i:i + j * e + 1:j] = map(add, out[i:i + j * e + 1:j], map(mul, row, repeat(a)))

@@ -25,15 +25,13 @@ from singlink import (
     count_monomials,
     expand,
     fano,
-    hodge_numbers,
     load_registry,
     middle_betti,
     milnor_number,
-    poincare_series,
     quasi_degree,
     registry_dump,
 )
-from singlink.milnor_algebra import _dim
+from poincare import graded_dim as _dim, hodge_numbers, poincare_series
 from conftest import (
     F256_1_SUPPORT,
     F256_1_WEIGHTS,

@@ -39,11 +39,9 @@ from singlink import (
     divisibility_condition,
     is_well_formed_space,
     cross_checks,
-    hodge_numbers,
     load_registry,
     orbifold_order,
     pair_well_formed,
-    poincare_series,
     quasi_degree,
     registry_dump,
     registry_lookup,
@@ -54,6 +52,7 @@ from singlink import (
     torsion_status,
 )
 from singlink.cli import render_json, render_json_line
+from poincare import hodge_numbers, poincare_series
 from conftest import (
     F60_SUPPORT,
     F60_WEIGHTS,
@@ -555,6 +554,28 @@ def test_analyze_admits_the_real_socle_ceiling_and_keeps_no_series():
     )
 
 
+def test_analyze_at_the_socle_ceiling_expands_only_delta(monkeypatch):
+    """(500000, 750000, 1, 1499999), T = 500,000 and mu = 2: the one expansion a
+    cold analyze makes is Delta(t), of degree mu; no P(t) of degree T is built.
+    A call count, not a timer."""
+    f = _a2_stabilization(250_000)
+    assert (f.system.weights, f.system.degree) == ((500_000, 750_000, 1, 1_499_999), 1_500_000)
+    built = []
+    original = monodromy.expand
+
+    def counted(factors):
+        built.append(original(factors))
+        return built[-1]
+
+    for module in (classify, milnor_algebra, monodromy):
+        if vars(module).get("expand") is original:
+            monkeypatch.setattr(module, "expand", counted)
+    clear_memos()
+    r = analyze(f)
+    assert [p.degree for p in built] == [r.milnor_number] == [2]
+    assert built[0] is r.expanded
+
+
 def test_analyze_is_equivariant_under_relabeling(report60):
     permuted = quasi_degree(
         [
@@ -763,8 +784,10 @@ def _count_calls(monkeypatch, holder, name):
 def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch):
     """A cold analyze builds each shared intermediate once and no registry key:
     the canonical polynomial is looked up in the tie relabelings each entry
-    built once.  A second support on the same weight system reads every
-    weight-only fact back from the memos and computes only its strata anew."""
+    built once.  No P(t) is built: the one expansion is Delta(t), and the
+    exactness test and the monomial count stand where the series was read.  A
+    second support on the same weight system reads every weight-only fact back
+    from the memos and computes only its strata (and branch curve) anew."""
     if name == "fermat_sextic":
         f = quasi_degree([tuple(6 * (i == k) for i in range(4)) for k in range(4)], (1,) * 4)
         g = WeightedPolynomial(f.support | {(5, 1, 0, 0)}, f.system)
@@ -772,27 +795,31 @@ def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch
         f = request.getfixturevalue(name)
         g = WeightedPolynomial(f.support - {(17, 0, 1, 0)}, f.system)
     clear_memos()
-    series = _count_calls(monkeypatch, milnor_algebra, "poincare_series")
+    exact = _count_calls(monkeypatch, milnor_algebra, "require_polynomial_series")
+    counts = _count_calls(monkeypatch, weights, "count_monomials")
+    expanded = _count_calls(monkeypatch, monodromy, "expand")
     strata = _count_calls(monkeypatch, orbifold, "singular_strata")
     keys = _count_calls(monkeypatch, classify, "_tie_relabelings")
     space_wf = _count_calls(monkeypatch, weights, "is_well_formed_space")
     div_ok = _count_calls(monkeypatch, weights, "divisibility_condition")
-    hodge = _count_calls(monkeypatch, milnor_algebra, "hodge_numbers")
+    character = _count_calls(monkeypatch, milnor_algebra, "check_divisor_character")
     pair_flag = _count_calls(monkeypatch, orbifold, "pair_well_formed")
     divisor = _count_calls(monkeypatch, monodromy, "characteristic_divisor")
     analyze(f)
     dk2 = name == "f256_1"
-    assert len(series) == 1 + dk2  # DK-2 adds its branch curve's series
+    assert len(exact) == len(counts) == 1 + dk2  # DK-2 adds its branch curve's
+    assert len(expanded) == 1  # Delta(t), never P(t)
     assert len(strata) == 1
     assert keys == []
     assert space_wf == div_ok == []  # the strata decide both ambient flags
-    assert len(hodge) == len(pair_flag) == len(divisor) == 1
+    assert len(character) == len(pair_flag) == len(divisor) == 1
     analyze(g)
-    assert len(series) == 1 + 2 * dk2  # the branch curve's series, built again
+    assert len(exact) == len(counts) == 1 + 2 * dk2  # the branch curve's, again
+    assert len(expanded) == 1
     assert len(strata) == 2
     assert keys == []
     assert space_wf == div_ok == []
-    assert len(hodge) == len(divisor) == 1
+    assert len(character) == len(divisor) == 1
     assert len(pair_flag) == 2
 
 
@@ -818,14 +845,14 @@ def test_analyze_builds_the_variable_masks_once_on_the_canonical_polynomial(monk
 def test_a_split_over_a_space_that_is_not_well_formed_stops_at_strata(monkeypatch):
     """z3^4 is the only pure power whose variable occurs once, and the other
     three weights share the factor 2.  The strata stage refuses that ambient
-    space before any branch curve is built, on every call, and before the
-    weight memo builds Delta(t) or P(t), so the memo keeps nothing for it."""
+    space before any branch curve is read, on every call, and before the
+    weight memo builds Delta(t) or tests P(t), so the memo keeps nothing for it."""
     support = {(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 1, 1, 0), (0, 0, 0, 4)}
     f = WeightedPolynomial(frozenset(support), WeightSystem((2, 2, 2, 1), 4))
     assert classify._split_variable(f) == 3
     genus = _count_calls(monkeypatch, milnor_algebra, "genus_branch_curve")
     divisor = _count_calls(monkeypatch, monodromy, "characteristic_divisor")
-    series = _count_calls(monkeypatch, milnor_algebra, "poincare_series")
+    series = _count_calls(monkeypatch, milnor_algebra, "require_polynomial_series")
     clear_memos()
     for _ in range(2):
         with pytest.raises(UnsupportedDimensionError) as info:
@@ -983,7 +1010,8 @@ def test_a_refused_system_raises_the_same_error_on_every_call():
         (
             inexact,
             InexactDivisionError,
-            "[stage: hodge numbers] division by t^4 - 1 leaves a remainder",
+            "[stage: hodge numbers] the Poincare series is not a polynomial: 4 divides 1 of "
+            "the weights but only 0 of the degrees d - w_i",
         ),
         (
             ill_formed,

@@ -27,11 +27,11 @@ from singlink import (
     is_well_formed_space,
     middle_betti,
     milnor_number,
-    poincare_series,
     quasi_degree,
     registry_dump,
 )
 from singlink import classify, cli, monodromy
+from singlink.milnor_algebra import require_polynomial_series
 from singlink.monodromy import brief
 from singlink.cli import (
     _big_int,
@@ -48,6 +48,7 @@ from singlink.cli import (
     scan_rows,
 )
 from conftest import clear_memos, one_above_mu
+from poincare import poincare_series
 
 DK1_POLY = "z0^5*z1 + z0*z2^3 + z1^4 + z3^3"
 DK2_POLY = "z0^17*z2 + z0*z1^5 + z1*z2^3 + z3^2"
@@ -964,13 +965,16 @@ def test_scan_rows_at_max_weight_128_keep_every_integral_mu():
         assert (row["milnor_number"], row["b2_divisor"]) == pipeline_mu_b2(
             WeightSystem(tuple(row["weights"]), row["degree"])
         ), row
-    no_series = []
+    no_series, refused = [], []
     for row in with_b2:
-        try:
-            poincare_series(WeightSystem(tuple(row["weights"]), row["degree"]))
-        except InexactDivisionError:
-            no_series.append(row["weights"])
+        w = WeightSystem(tuple(row["weights"]), row["degree"])
+        for route, failed in ((poincare_series, no_series), (require_polynomial_series, refused)):
+            try:
+                route(w)
+            except InexactDivisionError:
+                failed.append(row["weights"])
     assert len(no_series) == 25 and [2, 3, 13, 35] in no_series
+    assert refused == no_series  # the subset-gcd test decides the same rows
 
 
 def test_scan_runs_the_row_kernel_only_where_the_last_weight_divides_k(monkeypatch):

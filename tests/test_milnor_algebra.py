@@ -1,26 +1,30 @@
 import math
 import random
+import re
+from functools import lru_cache
+from itertools import zip_longest
 
 import pytest
 
+import poincare
 from singlink import classify, milnor_algebra, monodromy
 from singlink import (
     ConsistencyError,
     DegenerateDegreeError,
+    Divisor,
     ExpandedPoly,
     InexactDivisionError,
+    IntegralityViolationError,
     WeightSystem,
     WrongDimensionError,
     characteristic_divisor,
     count_monomials,
     genus_branch_curve,
-    hodge_numbers,
     middle_betti,
-    poincare_series,
 )
 from singlink.cli import entry
-from singlink.milnor_algebra import _dim
 from conftest import clear_memos, one_above_mu
+from poincare import graded_dim as _dim, hodge_numbers, poincare_series, series_genus
 
 
 def truncated_series(weights, degree, top):
@@ -96,24 +100,26 @@ def test_series_raises_on_data_with_no_algebra():
 
 
 def test_series_total_is_checked_against_the_milnor_product(monkeypatch):
-    monkeypatch.setattr(milnor_algebra, "milnor_product", one_above_mu(milnor_algebra.milnor_product))
+    monkeypatch.setattr(poincare, "milnor_product", one_above_mu(poincare.milnor_product))
     with pytest.raises(ConsistencyError, match=r"^series total 86 differs from the Milnor product$"):
         poincare_series(WeightSystem((9, 15, 17, 20), 60))
 
 
 def test_series_is_one_expand_call(monkeypatch):
-    """P(t) is expanded by monodromy.expand, the one binomial-quotient kernel:
-    milnor_algebra binds neither of expand's kernels of its own."""
+    """The reference P(t) is expanded by monodromy.expand, the one binomial-quotient
+    kernel: neither it nor milnor_algebra binds expand or its kernels of its own."""
     kernels = (monodromy._mul_binomial_power, monodromy._div_binomial)
-    assert not [name for name, value in vars(milnor_algebra).items() if value in kernels]
-    assert milnor_algebra.expand is monodromy.expand
+    for module in (poincare, milnor_algebra):
+        assert not [name for name, value in vars(module).items() if value in kernels]
+    assert poincare.expand is monodromy.expand
+    assert "expand" not in vars(milnor_algebra)
     calls = []
 
     def counted(factors):
         calls.append(factors)
         return monodromy.expand(factors)
 
-    monkeypatch.setattr(milnor_algebra, "expand", counted)
+    monkeypatch.setattr(poincare, "expand", counted)
     w = WeightSystem((9, 15, 17, 20), 60)
     assert sum(poincare_series(w).coefficients) == 86
     assert len(calls) == 1
@@ -143,21 +149,30 @@ def test_poincare_series_validation():
 )
 def test_series_checks_raise_consistency_errors(monkeypatch, capsys, tmp_path, bad, message):
     """A negative, asymmetric or wrongly summing expansion is a broken
-    computation, not refused input: poincare_series raises ConsistencyError,
-    analyze exits 2 on it, and batch fails that record on its own line."""
-    monkeypatch.setattr(milnor_algebra, "expand", lambda factors: ExpandedPoly(bad))
+    computation, not refused input: the reference poincare_series raises
+    ConsistencyError.  analyze builds no P(t); the broken computation it meets
+    instead is a divisor that is not Milnor-Orlik's, here DK-1's with bad added
+    to its first three a_j.  The character check refuses it: analyze exits 2,
+    and batch fails that record on its own line."""
+    monkeypatch.setattr(poincare, "expand", lambda factors: ExpandedPoly(bad))
+    w = WeightSystem((9, 15, 17, 20), 60)
     with pytest.raises(ConsistencyError, match=f"^{message}$"):
-        poincare_series(WeightSystem((9, 15, 17, 20), 60))
+        poincare_series(w)
+    divisor = characteristic_divisor(w)
+    shifted = [(j, a + da) for (j, a), da in zip_longest(divisor, bad, fillvalue=0)]
+    broken = Divisor((j, a) for j, a in shifted if a)
+    monkeypatch.setattr(classify, "characteristic_divisor", lambda w: broken)
     clear_memos()
+    refusal = (
+        "[stage: characteristic divisor] divisor character 2 at order 1 differs from the weights' 1"
+    )
     poly = "z0^5*z1 + z0*z2^3 + z1^4 + z3^3"
     assert entry(["analyze", "--weights", "9,15,17,20", "--poly", poly]) == 2
-    assert capsys.readouterr().err == f"consistency failure: [stage: hodge numbers] {message}\n"
+    assert capsys.readouterr().err == f"consistency failure: {refusal}\n"
     records = tmp_path / "dk1.jsonl"
     records.write_text(f'{{"weights": [9, 15, 17, 20], "degree": 60, "poly": "{poly}"}}\n')
     assert entry(["batch", str(records)]) == 0
-    assert capsys.readouterr().err == (
-        f"line 1: failed ([stage: hodge numbers] {message})\nok=0 skipped=0 failed=1\n"
-    )
+    assert capsys.readouterr().err == f"line 1: failed ({refusal})\nok=0 skipped=0 failed=1\n"
 
 
 def test_graded_dims_of_the_degree_60_link(f60):
@@ -261,7 +276,7 @@ def test_genus_is_checked_against_the_monomial_count(monkeypatch):
     monkeypatch.setattr(milnor_algebra, "count_monomials", lambda ws, k: count_monomials(ws, k) + 1)
     with pytest.raises(
         ConsistencyError,
-        match=r"^graded dimension 1 at degree 0 differs from the monomial count 2 below",
+        match=r"^closed-form genus 1 differs from the monomial count 2 at degree 0$",
     ):
         genus_branch_curve(w)
 
@@ -280,3 +295,131 @@ def test_genus_counts_monomials_below_the_partial_degrees():
         g = genus_branch_curve(w)
         assert g == count_monomials(ws, degree - sum(ws))
         seen += 1
+
+
+DK1 = WeightSystem((9, 15, 17, 20), 60)
+DK1_POLY = "z0^5*z1 + z0*z2^3 + z1^4 + z3^3"
+# -Lambda4 - Lambda3 turned into -Lambda5 - Lambda2: the same degree 86 and b2 = 2
+DK1_MUTATION = ((1, 1), (2, -1), (5, -1), (12, 1), (20, 1), (60, 1))
+
+
+@pytest.mark.parametrize(
+    "mutant, refusal",
+    [
+        (DK1_MUTATION, "divisor index 2 is no lcm of the d / gcd(d, w_i)"),
+        (((1, 1), (3, -1), (4, -1), (12, 2), (20, 1), (60, 1)),
+         "divisor character 18 at order 12 differs from the weights' 6"),
+    ],
+    ids=["dk1_mutation", "one_coefficient_off"],
+)
+def test_a_divisor_that_is_not_milnor_orliks_makes_analyze_exit_2(
+    mutant, refusal, monkeypatch, capsys
+):
+    """The DK-1 mutation passes the degree and b2 rows, so only the character
+    check sees it; so does a divisor with one a_j perturbed."""
+    assert characteristic_divisor(DK1) != mutant
+    assert sum(j * a for j, a in DK1_MUTATION) == 86 and middle_betti(Divisor(DK1_MUTATION)) == 2
+    monkeypatch.setattr(classify, "characteristic_divisor", lambda w: Divisor(mutant))
+    clear_memos()
+    assert entry(["analyze", "--weights", "9,15,17,20", "--poly", DK1_POLY]) == 2
+    assert capsys.readouterr().err == (
+        f"consistency failure: [stage: characteristic divisor] {refusal}\n"
+    )
+    assert classify._weight_facts.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "name, patch, refusal",
+    [
+        ("_scaled_character", lambda c: lambda w, n: c(w, n) + (n == 60),
+         "divisor character 86 at order 60 differs from the weights' 3947401/45900"),
+        ("_scaled_character", lambda c: lambda w, n: -c(w, n),
+         "divisor character 1 at order 1 differs from the weights' -1"),
+        ("_character_orders", lambda orders: lambda w: orders(w)[:-1],
+         "divisor index 60 is no lcm of the d / gcd(d, w_i)"),
+        ("_character_orders", lambda orders: lambda w: [n for n in orders(w) if n != 12],
+         "divisor index 12 is no lcm of the d / gcd(d, w_i)"),
+    ],
+    ids=["C_at_the_top_order", "C_negated", "L_S_without_the_top", "L_S_without_an_lcm"],
+)
+def test_patching_the_character_or_its_orders_makes_the_check_raise(
+    name, patch, refusal, monkeypatch, f60
+):
+    divisor = characteristic_divisor(DK1)
+    assert milnor_algebra._character_orders(DK1) == [1, 3, 4, 12, 20, 60]
+    milnor_algebra.check_divisor_character(DK1, divisor)
+    monkeypatch.setattr(milnor_algebra, name, patch(getattr(milnor_algebra, name)))
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(refusal)}$"):
+        milnor_algebra.check_divisor_character(DK1, divisor)
+    clear_memos()
+    with pytest.raises(ConsistencyError) as caught:
+        classify.analyze(f60)
+    assert str(caught.value) == f"[stage: characteristic divisor] {refusal}"
+
+
+@lru_cache(maxsize=None)
+def _systems_below_degree_40():
+    """Every normalized nondecreasing 4-weight system with d < 40 and an integral
+    characteristic divisor, each with its P(t)-route Hodge numbers, or None where
+    the reference refuses it as no polynomial."""
+    out = []
+    for d in range(2, 40):
+        for a in range(1, d):
+            for b in range(a, d):
+                for c in range(b, d):
+                    num, den = (d - a) * (d - b) * (d - c), a * b * c
+                    for e in range(c, d):
+                        if num * (d - e) % (den * e) or math.gcd(a, b, c, e) != 1:
+                            continue
+                        w = WeightSystem((a, b, c, e), d)
+                        try:
+                            characteristic_divisor(w)
+                        except IntegralityViolationError:
+                            continue
+                        try:
+                            out.append((w, hodge_numbers(w)))
+                        except InexactDivisionError:
+                            out.append((w, None))
+    return out
+
+
+def test_the_exactness_test_refuses_what_the_series_refuses_below_degree_40():
+    systems = _systems_below_degree_40()
+    refused = [w for w, hodge in systems if hodge is None]
+    assert (len(systems), len(refused)) == (12_942, 1_897)
+    for w, hodge in systems:
+        try:
+            milnor_algebra.require_polynomial_series(w)
+        except InexactDivisionError:
+            assert hodge is None, w
+        else:
+            assert hodge is not None, w
+
+
+def test_hodge_data_and_genus_match_the_series_below_degree_40(monkeypatch):
+    """p_g, h^{1,1} and the signature as analyze's weight memo builds them (its
+    Delta(t) expansion stubbed out, since mu reaches 38^4 here), and the
+    closed-form genus of every branch curve a split leaves, against P(t)."""
+    monkeypatch.setattr(classify, "expand", lambda divisor: None)
+    curves = set()
+    for w, hodge in _systems_below_degree_40():
+        if hodge is None:
+            continue
+        facts = classify._weight_facts.__wrapped__(w)
+        assert facts["hodge"] == tuple(sorted(hodge.items())), w
+        assert facts["signature"] == 1 + 2 * hodge[0, 2] - hodge[1, 1], w
+        for s, ws in enumerate(w.weights):
+            rest = w.weights[:s] + w.weights[s + 1:]
+            if w.degree % ws == 0 and math.gcd(*rest) == 1:
+                curves.add(WeightSystem(rest, w.degree))
+    refused = 0
+    for w3 in curves:
+        try:
+            g = series_genus(w3)
+        except InexactDivisionError:
+            refused += 1
+            with pytest.raises(InexactDivisionError):
+                genus_branch_curve(w3)
+        else:
+            assert genus_branch_curve(w3) == g, w3
+    assert (len(curves), refused) == (7_378, 5_385)
