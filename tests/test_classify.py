@@ -31,6 +31,7 @@ from singlink import (
     TORSION_FREE,
     TORSION_UNKNOWN,
     InexactDivisionError,
+    IntegralityViolationError,
     UnsupportedDimensionError,
     WeightedPolynomial,
     WeightSystem,
@@ -633,6 +634,81 @@ def test_errors_carry_the_pipeline_stage():
     with pytest.raises(NonIntegralMilnorNumberError) as err:
         analyze(f)
     assert "[stage: milnor number]" in str(err.value)
+
+
+_WRONG_REFERENCE = dataclasses.replace(BUILTIN_REGISTRY[0], reference_order=7)
+
+
+@pytest.mark.parametrize(
+    "f, registry, residue, error, message",
+    [
+        (
+            quasi_degree([(8, 0, 0, 0), (1, 0, 0, 2), (0, 3, 0, 1), (3, 0, 2, 0)], (2, 3, 5, 7)),
+            BUILTIN_REGISTRY, None, NonIntegralMilnorNumberError,
+            "[stage: milnor number] Milnor product 429/5 is not a positive integer; the weight "
+            "data is inconsistent with an isolated singularity link",
+        ),
+        (
+            _fermat(16), BUILTIN_REGISTRY, None, BoundExceededError,
+            "[stage: milnor number] Milnor number 50625 exceeds the analyze ceiling 50000",
+        ),
+        (
+            _a2_stabilization(classify.MAX_SOCLE // 2 + 1), BUILTIN_REGISTRY, None,
+            BoundExceededError,
+            "[stage: milnor number] socle degree 500002 exceeds the analyze ceiling 500000",
+        ),
+        (
+            quasi_degree([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 4)], (2, 2, 2, 1)),
+            BUILTIN_REGISTRY, None, UnsupportedDimensionError,
+            "[stage: strata] subset (1, 2, 3) of 3 variables has gcd 2 > 1; incidence rules "
+            "cover vertices and edges only (the ambient space is not well formed)",
+        ),
+        (
+            quasi_degree([(9, 0, 0, 0), (0, 9, 0, 0), (1, 0, 4, 0), (3, 0, 0, 1)], (1, 1, 2, 6)),
+            BUILTIN_REGISTRY, None, IntegralityViolationError,
+            "[stage: characteristic divisor] characteristic divisor has fractional coefficients "
+            "{9: Fraction(25, 2), 3: Fraction(-1, 2)}; the weight data is inconsistent with an "
+            "isolated singularity link",
+        ),
+        (
+            quasi_degree([(7, 0, 0, 0), (0, 7, 0, 0), (0, 0, 7, 0), (3, 0, 0, 1)], (1, 1, 1, 4)),
+            BUILTIN_REGISTRY, None, InexactDivisionError,
+            "[stage: hodge numbers] the Poincare series is not a polynomial: 4 divides 1 of the "
+            "weights but only 0 of the degrees d - w_i",
+        ),
+        (
+            # z0^3 + z1^3 + z1*z2 + z1*z3 splits off z0; its branch curve has weights (1, 2, 2)
+            quasi_degree([(3, 0, 0, 0), (0, 3, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1)], (1, 1, 2, 2)),
+            BUILTIN_REGISTRY, None, InexactDivisionError,
+            "[stage: branch curve genus] the Poincare series is not a polynomial: 2 divides 2 "
+            "of the weights but only 1 of the degrees d - w_i",
+        ),
+        (
+            quasi_degree(F60_SUPPORT, F60_WEIGHTS), (_WRONG_REFERENCE,), None, ConsistencyError,
+            "[stage: cross checks] orbifold order vs registry reference: got 765, expected 7",
+        ),
+        (
+            quasi_degree(F60_SUPPORT, F60_WEIGHTS), BUILTIN_REGISTRY, 0, ConsistencyError,
+            "[stage: cross checks] expanded vs factored Delta(t) mod P: got 66887296110255346, "
+            "expected 0",
+        ),
+    ],
+    ids=[
+        "milnor_number", "mu_ceiling", "socle_ceiling", "strata", "characteristic_divisor",
+        "hodge_numbers", "branch_curve_genus", "registry_reference", "factored_residue",
+    ],
+)
+def test_each_stage_labels_its_refusal(f, registry, residue, error, message, monkeypatch):
+    """One refusal through every stage of analyze that can raise, with its exact
+    text; residue, when set, is what a patched factored_residue returns, with the
+    weight memo emptied first."""
+    if residue is not None:
+        monkeypatch.setattr(classify, "factored_residue", lambda divisor: residue)
+        clear_memos()
+    for _ in range(2):
+        with pytest.raises(error) as caught:
+            analyze(f, registry=registry)
+        assert str(caught.value) == message
 
 
 def test_cross_checks_catch_corrupted_reports(report60):
