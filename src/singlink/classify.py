@@ -20,7 +20,6 @@ the registry is matched on the same canonical form.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -309,38 +308,42 @@ class InvariantReport:
     notes: tuple[str, ...]
 
 
-def cross_checks(report: InvariantReport) -> tuple[CheckResult, ...]:
-    """Recompute every two-route quantity from the report's own fields."""
-    d, b2, ref = report.divisor, report.b2_divisor, report.registry_reference_order
+def _weight_rows(r) -> list:
+    """(name, got, want) of each row that reads only weight-derived fields, from r by
+    InvariantReport names: a report's fields, or _weight_facts' as it builds them."""
+    d, b2 = r["divisor"], r["b2_divisor"]
     rows = [
-        ("b2 routes", (middle_betti(d), b2), (report.b2_hodge,) * 2),
-        ("divisor degree vs milnor number", sum(j * a for j, a in d), report.milnor_number),
-        ("expanded vs factored Delta(t) mod P", report.expanded.residue, factored_residue(d)),
+        ("b2 routes", (middle_betti(d), b2), (r["b2_hodge"],) * 2),
+        ("divisor degree vs milnor number", sum(j * a for j, a in d), r["milnor_number"]),
+        ("expanded vs factored Delta(t) mod P", r["expanded"].residue, factored_residue(d)),
     ]
-    if report.fano.is_fano:
-        rows.append(("signature vs 1 - b2 (Fano)", report.signature, 1 - b2))
-    if ref is not None:
-        rows.append(("orbifold order vs registry reference", report.orbifold_order, ref))
-    return tuple(
-        CheckResult(name, got == want, f"got {got}, expected {want}") for name, got, want in rows
-    )
+    if r["fano"].is_fano:
+        rows.append(("signature vs 1 - b2 (Fano)", r["signature"], 1 - b2))
+    return rows
+
+
+def _reference_rows(order: int, ref: int | None) -> list:
+    return [] if ref is None else [("orbifold order vs registry reference", order, ref)]
+
+
+def _results(rows: list) -> tuple[CheckResult, ...]:
+    return tuple(CheckResult(name, got == want, f"got {got}, expected {want}") for name, got, want in rows)
+
+
+def _require(checks: tuple[CheckResult, ...]) -> None:
+    if failures := [c for c in checks if not c.passed]:
+        raise ConsistencyError("; ".join(f"{c.name}: {c.detail}" for c in failures))
+
+
+def cross_checks(report: InvariantReport) -> tuple[CheckResult, ...]:
+    """Recompute every two-route quantity from the report's own fields.  analyze runs
+    the weight-only rows once per facts build and the registry row per record."""
+    rows = _weight_rows(vars(report))
+    return _results(rows + _reference_rows(report.orbifold_order, report.registry_reference_order))
 
 
 def require_consistent(report: InvariantReport) -> None:
-    failures = [c for c in cross_checks(report) if not c.passed]
-    if failures:
-        raise ConsistencyError(
-            "; ".join(f"{c.name}: {c.detail}" for c in failures)
-        )
-
-
-@contextmanager
-def _stage(name: str):
-    try:
-        yield
-    except SinglinkError as exc:
-        exc.args = (f"[stage: {name}] {exc}",) + exc.args[1:]
-        raise
+    _require(cross_checks(report))
 
 
 def _split_variable(f: WeightedPolynomial) -> int | None:
@@ -352,18 +355,18 @@ def _split_variable(f: WeightedPolynomial) -> int | None:
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _weight_facts(w: WeightSystem) -> MappingProxyType:
     """The report fields that read only the weights (Milnor-Orlik), by their
-    InvariantReport names, once per canonical system: Delta(t) as divisor, checked
+    InvariantReport names, once per canonical system: mu, Delta(t) as divisor, checked
     by its character, and expansion, the Fano record and the Hodge data (p_g, b2 -
-    2 p_g, p_g), with the signature 1 + 2 h^{0,2} - h^{1,1} (the strata give the
-    ambient flags).  No P(t) is built, so an entry grows with mu, not with T.  The
-    mapping is read-only.  A system refused here is not cached; analyze's strata
-    stage refuses an ill-formed ambient space first."""
-    with _stage("characteristic divisor"):
+    2 p_g, p_g) with the signature 1 + 2 h^{0,2} - h^{1,1}, all checked by _weight_rows.
+    No P(t) is built, so an entry grows with mu, not with T.  The mapping is read-only,
+    and a refused system is not cached (analyze refuses an ill-formed space first)."""
+    stage = "characteristic divisor"
+    try:
         divisor = characteristic_divisor(w)
         check_divisor_character(w, divisor)
-        b2 = middle_betti(divisor)
-        facts = dict(divisor=divisor, expanded=expand(divisor), b2_divisor=b2)
-    with _stage("hodge numbers"):
+        b2, mu = middle_betti(divisor), milnor_number(w)
+        facts = dict(milnor_number=mu, divisor=divisor, expanded=expand(divisor), b2_divisor=b2)
+        stage = "hodge numbers"
         require_polynomial_series(w)
         pg = count_monomials(w.weights, w.degree - w.total)
         h11 = b2 - 2 * pg
@@ -371,6 +374,11 @@ def _weight_facts(w: WeightSystem) -> MappingProxyType:
             fano=fano(w), hodge=(((0, 2), pg), ((1, 1), h11), ((2, 0), pg)),
             b2_hodge=pg + h11 + pg, signature=1 + 2 * pg - h11,
         )
+        stage = "cross checks"
+        _require(_results(_weight_rows(facts)))
+    except SinglinkError as exc:
+        exc.args = (f"[stage: {stage}] {exc}",) + exc.args[1:]
+        raise
     return MappingProxyType(facts)
 
 
@@ -390,93 +398,89 @@ def analyze(
     assumptions = (
         "coefficients are assumed generic: incidence decisions use only the support",
     )
-    notes = []
 
-    with _stage("flags"):
+    stage = "flags"
+    try:
         failure = quasi_smooth_failure(f)
-
-    with _stage("milnor number"):
+        stage = "milnor number"
         mu = milnor_number(w)
         socle = sum(w.degree - 2 * wi for wi in w.weights)
         for what, n, cap in (("Milnor number", mu, MAX_MU), ("socle degree", socle, MAX_SOCLE)):
             if n > cap:
                 raise BoundExceededError(f"{what} {brief(n)} exceeds the analyze ceiling {cap}")
-
-    with _stage("strata"):
+        stage = "strata"
         strata = singular_strata(f)
         pwf = pair_well_formed(strata, f.nvars)
         order = orbifold_order(strata)
         torsion = torsion_status(pwf, f.nvars)
-    if any(s.incidence == CONTAINED for s in strata):
-        notes.append(
-            "a stratum inside the hypersurface contributes its generic isotropy "
-            "order; the orbifold order at special points of such a stratum is "
-            "not certified"
-        )
-    facts = (_weight_facts if mu <= MEMO_MAX_MU else _weight_facts.__wrapped__)(w)
-    fano_rec = facts["fano"]
-
-    genus = None
-    with _stage("branch curve genus"):
+        stage = None  # the memo labels its own refusals
+        facts = (_weight_facts if mu <= MEMO_MAX_MU else _weight_facts.__wrapped__)(w)
+        stage = "branch curve genus"
+        genus = None
         split = _split_variable(f)
         if split is not None:
             rest = tuple(ww for i, ww in enumerate(w.weights) if i != split)
             genus = genus_branch_curve(WeightSystem(rest, w.degree))
-
-    with _stage("registry"):
+        stage = "registry"
         entry = next((e for e in registry if (w.weights, w.degree, support) in e.key), None)
-    reference_order = entry.reference_order if entry else None
-    order_source = "reference" if reference_order is not None else "derived"
-    if reference_order is None:
+        reference_order = entry.reference_order if entry else None
+        stage = "cross checks"  # the weight-only rows ran when the facts were built
+        _require(_results(_reference_rows(order, reference_order)))
+    except SinglinkError as exc:
+        if stage is not None:
+            exc.args = (f"[stage: {stage}] {exc}",) + exc.args[1:]
+        raise
+
+    notes = []
+    if any(s.incidence == CONTAINED for s in strata):
         notes.append(
-            "orbifold order computed from the stratum data; no tabulated "
-            "reference value"
+            "a stratum inside the hypersurface contributes its generic isotropy order; the "
+            "orbifold order at special points of such a stratum is not certified"
+        )
+    order_source = "reference" if reference_order is not None else "derived"
+    notes.append(
+        "orbifold order matches the tabulated reference value" if reference_order is not None
+        else "orbifold order computed from the stratum data; no tabulated reference value"
+    )
+    k = None if failure else smale_type(facts["b2_divisor"], torsion == TORSION_FREE)
+    name = smale_name(k) if k is not None else None
+    if failure:
+        notes.append(
+            f"the support is not quasi-smooth at {_subset_label(failure)}: the generic member is "
+            "singular off the origin, so the diffeomorphism type and SE status are withheld"
+        )
+    elif k is None:
+        notes.append(
+            "torsion status unknown: any torsion in H2 occurs in pairs "
+            "Z_q + Z_q, but the classification is withheld"
         )
     else:
-        notes.append("orbifold order matches the tabulated reference value")
+        notes.append(
+            "links of isolated hypersurface singularities are simply connected and stably "
+            "parallelizable, hence spin; the connected-sum classification applies"
+        )
+    if k == 1:
+        notes.append(
+            "S²×S³ is the real Stiefel manifold V(4,2), the unit tangent "
+            "bundle of the 3-sphere"
+        )
+    if facts["fano"].is_fano and facts["fano"].index == 1:
+        notes.append("Fano index 1: a smooth join with the 3-sphere exists")
+    if failure:
+        status = NOT_QUASI_SMOOTH
+    elif entry is not None and entry.obstructed:
+        status = OBSTRUCTED
+    elif entry is not None:
+        status = KNOWN_SE
+        notes.append("diffeomorphism type and SE metric certified by the registry entry")
+    elif not facts["fano"].is_fano:
+        status = NOT_FANO
+    elif pwf:
+        status = CANDIDATE
+    else:
+        status = NOT_WELL_FORMED
 
-    with _stage("classification"):
-        k = None if failure else smale_type(facts["b2_divisor"], torsion == TORSION_FREE)
-        name = smale_name(k) if k is not None else None
-        if failure:
-            notes.append(
-                f"the support is not quasi-smooth at {_subset_label(failure)}: the "
-                "generic member is singular off the origin, so the diffeomorphism "
-                "type and SE status are withheld"
-            )
-        elif k is None:
-            notes.append(
-                "torsion status unknown: any torsion in H2 occurs in pairs "
-                "Z_q + Z_q, but the classification is withheld"
-            )
-        else:
-            notes.append(
-                "links of isolated hypersurface singularities are simply "
-                "connected and stably parallelizable, hence spin; the "
-                "connected-sum classification applies"
-            )
-        if k == 1:
-            notes.append(
-                "S²×S³ is the real Stiefel manifold V(4,2), the unit tangent "
-                "bundle of the 3-sphere"
-            )
-        if fano_rec.is_fano and fano_rec.index == 1:
-            notes.append("Fano index 1: a smooth join with the 3-sphere exists")
-        if failure:
-            status = NOT_QUASI_SMOOTH
-        elif entry is not None and entry.obstructed:
-            status = OBSTRUCTED
-        elif entry is not None:
-            status = KNOWN_SE
-            notes.append("diffeomorphism type and SE metric certified by the registry entry")
-        elif not fano_rec.is_fano:
-            status = NOT_FANO
-        elif pwf:
-            status = CANDIDATE
-        else:
-            status = NOT_WELL_FORMED
-
-    report = InvariantReport(
+    return InvariantReport(
         weights=w.weights,
         degree=w.degree,
         support=support,
@@ -485,7 +489,6 @@ def analyze(
         space_well_formed=True,  # the strata stage refuses any other space
         divisibility_ok=all(w.degree % s.isotropy_order == 0 for s in strata if len(s.indices) == 2),
         pair_well_formed=pwf,
-        milnor_number=mu,
         genus=genus,
         strata=strata,
         orbifold_order=order,
@@ -501,6 +504,3 @@ def analyze(
         notes=tuple(notes),
         **facts,
     )
-    with _stage("cross checks"):
-        require_consistent(report)
-    return report

@@ -22,9 +22,9 @@ an ExpandedPoly: Delta here, and the Poincare series P(t) in the tests.
 The divisor, hence Delta(t), depends only on the weight system, so
 classify._weight_facts builds both once per system; the kernels here stay
 uncached, so a sweep over many distinct systems keeps no expansion alive.
-ExpandedPoly memoizes its residue Delta(R) mod P, a Horner walk over blocks
-of coefficients, which classify.cross_checks compares with the pairs'
-factored_residue: an O(mu) identity test (Schwartz 1980, Zippel 1979).
+ExpandedPoly memoizes its residue Delta(R) mod P, a Horner walk over blocks of
+coefficients; classify compares it with the pairs' factored_residue once per build
+of a system's facts: an O(mu) identity test (Schwartz 1980, Zippel 1979).
 
 bp_oracle is a deliberately independent second route for exponent sums
 f = z_0^{a_0} + ... + z_n^{a_n}, by root enumeration, with its own

@@ -52,7 +52,7 @@ from singlink import (
     smale_type,
     torsion_status,
 )
-from singlink.cli import render_json, render_json_line
+from singlink.cli import entry, render_json, render_json_line
 from poincare import hodge_numbers, poincare_series
 from conftest import (
     F60_SUPPORT,
@@ -1106,6 +1106,43 @@ def test_a_refused_system_raises_the_same_error_on_every_call():
             with pytest.raises(error) as caught:
                 analyze(f)
             assert str(caught.value) == message
+
+
+def test_the_weight_only_rows_run_once_per_facts_build(monkeypatch, tmp_path, capsys):
+    """The weight-only cross-check rows run when the weight memo builds a system's
+    facts: a memo hit calls factored_residue zero times, and above MEMO_MAX_MU,
+    where analyze builds the facts on every call, once per call.  A system whose
+    facts fail a row is not cached, so each record on it fails with the same text."""
+    residues = _count_calls(monkeypatch, monodromy, "factored_residue")
+    clear_memos()
+    residue = analyze(FERMAT_CUBIC).expanded.residue
+    assert len(residues) == 1
+    for f in (TIED_CUBIC, AXIS_CUBIC, _relabeled(FERMAT_CUBIC, (2, 0, 3, 1))):
+        analyze(f)
+    assert len(residues) == 1
+    fermat8 = _fermat(8)
+    assert analyze(fermat8).milnor_number == 7**4 > classify.MEMO_MAX_MU
+    analyze(fermat8)
+    assert len(residues) == 3
+
+    monkeypatch.setattr(classify, "factored_residue", lambda divisor: 0)
+    clear_memos()
+    path = tmp_path / "cubics.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps({"weights": [1, 1, 1, 1], "degree": 3, "poly": poly}) + "\n"
+            for poly in ("z0^3 + z1^3 + z2^3 + z3^3", "z0^2*z1 + z2^3 + z3^3")
+        ),
+        encoding="utf-8",
+    )
+    assert entry(["batch", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"[stage: cross checks] {RESIDUE_CHECK}: got {residue}, expected 0"
+    assert captured.err.splitlines() == [
+        f"line 1: failed ({message})", f"line 2: failed ({message})", "ok=0 skipped=0 failed=2"
+    ]
+    assert classify._weight_facts.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("tag", ["DK-1", "DK-2", "DK-3", "fermat_sextic"])
