@@ -15,9 +15,9 @@ with the product taken in the group ring of roots of unity, Lambda_a * Lambda_b
 coefficient a_j of Lambda_j is then the exponent of (t^j - 1) in Delta, so
 characteristic_divisor returns the divisor as its ascending (j, a_j) pairs,
 which are Delta's factored form.  expand, with its two kernels (a binomial-
-theorem multiply, one slice update per entry of its shorter side, and a
-linear exact division), is the one expander of such binomial quotients, each
-an ExpandedPoly: Delta here, and the Poincare series P(t) in the tests.
+theorem multiply, one slice update per entry of its shorter side, and a linear
+exact division, largest j first), is the one expander of such binomial quotients,
+each an ExpandedPoly: Delta here, and the Poincare series P(t) in the tests.
 
 The divisor, hence Delta(t), depends only on the weight system, so
 classify._weight_facts builds both once per system; the kernels here stay
@@ -28,13 +28,15 @@ of a system's facts: an O(mu) identity test (Schwartz 1980, Zippel 1979).
 
 bp_oracle is a deliberately independent second route for exponent sums
 f = z_0^{a_0} + ... + z_n^{a_n}, by root enumeration, with its own
-cyclotomic table, exact division and packed product, so it shares no
-failure mode with the divisor pipeline.
+cyclotomic table, exact division and packed product (in machine words where
+they hold a slot), so it shares no failure mode with the divisor pipeline.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -176,12 +178,13 @@ def to_factored(divisor: Divisor) -> tuple[tuple[int, int], ...]:
 
 def expand(factors: Iterable[tuple[int, int]]) -> ExpandedPoly:
     """prod (t^j - 1)^e over (j, e) pairs: multiply the numerator binomials,
-    then divide the denominators exactly.
+    then divide the denominators exactly, largest j first.
 
     Exponents of a repeated j add up; a j whose exponents cancel is dropped, any
     other j must be positive (numerators first), and a degree over MAX_DEGREE is
     refused before the loops.  Each numerator factor is one _mul_binomial_power
-    call, and each unit of a denominator exponent one _div_binomial call.
+    call, and each unit of a denominator exponent one _div_binomial call; each
+    division shortens the list by j, so the largest j first keeps every pass short.
     """
     exponents: dict[int, int] = {}
     for pair in factors:
@@ -196,7 +199,7 @@ def expand(factors: Iterable[tuple[int, int]]) -> ExpandedPoly:
     for j, e in ascending:
         if e > 0:
             coeffs = _mul_binomial_power(coeffs, j, e)
-    for j, e in ascending:
+    for j, e in reversed(ascending):
         for _ in range(max(-e, 0)):
             coeffs = _div_binomial(coeffs, j)
     return ExpandedPoly(tuple(coeffs))
@@ -320,6 +323,9 @@ def _exact_div(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+_WORDS = sorted({array(code).itemsize: code for code in "bhilq"}.items())  # signed, by width
+
+
 def _packed_product(factors: list[tuple[list[int], int]], length: int) -> list[int]:
     """The `length` coefficients of prod p^e over (p, e) pairs, by Kronecker
     substitution: each p is evaluated once at 2^(8 * width), the values are
@@ -327,20 +333,28 @@ def _packed_product(factors: list[tuple[list[int], int]], length: int) -> list[i
 
     The 1-norm is submultiplicative and bounds the largest coefficient, so
     prod ||p||_1^e bounds every coefficient of the product.  The slot is
-    whole bytes with half a slot above that bound; adding half to every slot
-    turns the balanced digits into plain bytes.
+    whole bytes with half a slot above that bound, widened to a machine word
+    where one fits.  Adding half to every slot turns the balanced digits into
+    plain bytes; on a digit in two's complement that is XOR with half, so a p
+    packs as it is, in words as one array, and the product decodes by one XOR
+    and, in words, one memoryview cast.  Slots are in native byte order: on a
+    big-endian machine every int holds its polynomial reversed, the product too.
     """
     limit = math.prod(sum(map(abs, p)) ** e for p, e in factors)
     width = limit.bit_length() // 8 + 1
-    half = 1 << 8 * width - 1
-    pad = half.to_bytes(width, "little")
+    width, code = next(((k, c) for k, c in _WORDS if k >= width), (width, None))
+    endian = sys.byteorder
+    pad = (1 << 8 * width - 1).to_bytes(width, endian)
     product = 1
     for p, e in factors:
-        value = int.from_bytes(b"".join((c + half).to_bytes(width, "little") for c in p), "little")
-        product *= (value - int.from_bytes(pad * len(p), "little")) ** e
-    product += int.from_bytes(pad * length, "little")
+        packed = array(code, p) if code else b"".join(c.to_bytes(width, endian, signed=True) for c in p)
+        offset = int.from_bytes(pad * len(p), endian)
+        product *= ((int.from_bytes(packed, endian) ^ offset) - offset) ** e
+    offset = int.from_bytes(pad * length, endian)
     try:
-        out = product.to_bytes(length * width, "little")
+        out = ((product + offset) ^ offset).to_bytes(length * width, endian)
     except OverflowError:
         raise ConsistencyError("packed product decoding did not terminate") from None
-    return [int.from_bytes(out[i:i + width], "little") - half for i in range(0, len(out), width)]
+    if code:
+        return memoryview(out).cast(code).tolist()
+    return [int.from_bytes(out[i:i + width], endian, signed=True) for i in range(0, len(out), width)]

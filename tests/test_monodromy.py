@@ -346,9 +346,8 @@ def test_expand_adds_the_exponents_of_a_repeated_index():
         expand([(2, -1)])
     with pytest.raises(ValueError):
         expand([(0, 1)])
-    # a j < 1 is refused in the order the kernels would meet it: numerators
-    # first, then denominators, each in ascending j; one whose exponents
-    # cancel is dropped
+    # a j < 1 is refused before any kernel runs: a numerator's first, then
+    # the least such j; one whose exponents cancel is dropped
     with pytest.raises(ValueError, match=r"^binomial exponent 0 is not positive$"):
         expand([(0, -1)])
     with pytest.raises(ValueError, match=r"^binomial exponent -1 is not positive$"):
@@ -565,8 +564,10 @@ def test_packed_product_matches_a_schoolbook_product_of_powers():
     # the slot's edge: a lone coefficient of exactly +-2^(8k - 1), which needs
     # k + 1 bytes (+2^(8k - 1) is one past the largest balanced digit of k
     # bytes), and adjacent coefficients +-c whose 1-norm 2c is exactly
-    # 2^(8k - 1), in both orders
-    for k in (1, 2, 3):
+    # 2^(8k - 1), in both orders; k + 1 bytes is, for k = 1, 3 and 7, the
+    # widest slot of a 2-, 4- and 8-byte word and, for k = 2 and 4, one byte
+    # past it, in the next word up; for k = 8 and 9 it is wider than any word
+    for k in (1, 2, 3, 4, 7, 8, 9):
         edge = 1 << 8 * k - 1
         cases += [[([edge], 1)], [([-edge], 1)]]
         cases += [[([edge >> 1, -(edge >> 1)], 1)], [([-(edge >> 1), edge >> 1], 1)]]
@@ -668,6 +669,24 @@ def test_expand_makes_one_kernel_call_per_factor_and_denominator_unit(monkeypatc
     assert expanded.degree == 10_000
     assert calls
     assert len(calls) <= len(fac) + sum(-e for _, e in fac if e < 0)
+
+
+def test_expand_divides_the_largest_denominator_first(monkeypatch, f60):
+    """Each division shortens the list by its j, so the largest j goes first:
+    DK-1's t^4 - 1 before its t^3 - 1, and every unit of an exponent in turn."""
+    divided = []
+    original = monodromy._div_binomial
+
+    def spied(coeffs, j):
+        divided.append(j)
+        return original(coeffs, j)
+
+    monkeypatch.setattr(monodromy, "_div_binomial", spied)
+    assert expand(characteristic_divisor(f60.system)).degree == 86
+    assert divided == [4, 3]
+    divided.clear()
+    assert expand([(2, -2), (6, 3), (3, -1)]) == expand([(2, 1), (6, 3), (3, -1), (2, -3)])
+    assert divided == [3, 2, 2] * 2
 
 
 def test_residue_calls_no_kernel(monkeypatch, f60):
