@@ -29,7 +29,6 @@ from .divisor import Divisor
 from .errors import BoundExceededError, ConsistencyError, SinglinkError, WrongDimensionError
 from .milnor_algebra import check_divisor_character, genus_branch_curve, require_polynomial_series
 from .monodromy import (
-    MAX_DEGREE,
     ExpandedPoly,
     brief,
     characteristic_divisor,
@@ -67,10 +66,9 @@ NOT_FANO = "not_fano"
 NOT_WELL_FORMED = "not_well_formed"
 NOT_QUASI_SMOOTH = "not_quasi_smooth"
 
-# analyze's work ceilings, checked before Delta(t) (mu + 1 coefficients) is built: Fermat d = 15
-# (mu = 38,416) passes, d = 16 not.  No P(t) is built, so MAX_SOCLE bounds nothing, only refuses T.
+# analyze's one work ceiling, checked before Delta(t) (mu + 1 coefficients) is built: Fermat
+# d = 15 (mu = 38,416) passes, d = 16 not.  Every later stage's work follows mu, not the degree.
 MAX_MU = 50_000
-MAX_SOCLE = MAX_DEGREE
 
 # The per-system memos of weight-only data (_weight_facts, cli's fragments) keep at most
 # MEMO_ENTRIES systems, none with mu above MEMO_MAX_MU (every catalog system is under it): at
@@ -404,10 +402,8 @@ def analyze(
         failure = quasi_smooth_failure(f)
         stage = "milnor number"
         mu = milnor_number(w)
-        socle = sum(w.degree - 2 * wi for wi in w.weights)
-        for what, n, cap in (("Milnor number", mu, MAX_MU), ("socle degree", socle, MAX_SOCLE)):
-            if n > cap:
-                raise BoundExceededError(f"{what} {brief(n)} exceeds the analyze ceiling {cap}")
+        if mu > MAX_MU:
+            raise BoundExceededError(f"Milnor number {brief(mu)} exceeds the analyze ceiling {MAX_MU}")
         stage = "strata"
         strata = singular_strata(f)
         pwf = pair_well_formed(strata, f.nvars)

@@ -55,7 +55,7 @@ from .errors import (
 )
 from .weights import WeightSystem, require_ints
 
-MAX_DEGREE = 500_000  # expand's ceiling on the product's degree; classify.MAX_SOCLE is this name
+MAX_DEGREE = 500_000  # expand's own ceiling on the product's degree; analyze's is classify.MAX_MU
 
 
 def brief(x: int | Fraction) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -182,21 +182,23 @@ def divisibility_condition(w: WeightSystem) -> bool:
 
 
 def count_monomials(weights: Sequence[int], k: int) -> int:
-    """Number of exponent vectors of weighted degree exactly k.
-
-    Exact integer dynamic programming, one weight at a time.
-    """
+    """Number of exponent vectors of weighted degree exactly k: a walk over the exponents
+    of all weights but the two least, a <= b (a pad k + 1 for n < 2), then a*x + b*y = r in
+    closed form, x stepping by b/g from (r/g)*(a/g)^-1 mod b/g, g = gcd(a, b), up to r/a.
+    The work is the number of walked vectors of degree at most k (one for n <= 2), not k."""
     ws = require_ints(weights, "weights")
     if any(w < 1 for w in ws):
         raise NonPositiveWeightError("weights must be positive")
     if k < 0:
         return 0
-    table = [0] * (k + 1)
-    table[0] = 1
-    for w in ws:
-        for degree in range(w, k + 1):
-            table[degree] += table[degree - w]
-    return table[k]
+    a, b, *rest = sorted(ws + (k + 1,) * (2 - len(ws)))
+    g = math.gcd(a, b)
+    step, inverse = b // g, pow(a // g, -1, b // g)
+    remainders = (k,)
+    for c in reversed(rest):  # lazily, in flat memory: r, r - c, ..., down to 0 for each r
+        remainders = chain.from_iterable(map(range, remainders, repeat(-1), repeat(-c)))
+    solutions = ((r // a, r // g * inverse % step) for r in remainders if not r % g)
+    return sum((top - x) // step + 1 for top, x in solutions if x <= top)
 
 
 def _subset_table(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:

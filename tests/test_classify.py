@@ -53,7 +53,7 @@ from singlink import (
     torsion_status,
 )
 from singlink.cli import entry, render_json, render_json_line
-from poincare import hodge_numbers, poincare_series
+from poincare import hodge_numbers
 from conftest import (
     F60_SUPPORT,
     F60_WEIGHTS,
@@ -522,37 +522,26 @@ def _a2_stabilization(m):
 
 
 def test_analyze_refuses_a_socle_degree_over_the_ceiling_at_once():
-    assert 3_030 < classify.MAX_SOCLE < 2 * 10**7
-    start = time.perf_counter()
-    with pytest.raises(BoundExceededError) as err:
-        analyze(_a2_stabilization(10**7))
-    assert time.perf_counter() - start < 0.5
-    assert str(err.value) == (
-        f"[stage: milnor number] socle degree 20000000 exceeds the analyze ceiling {classify.MAX_SOCLE}"
-    )
-
-
-def test_analyze_socle_ceiling_admits_a_socle_degree_equal_to_it(monkeypatch):
-    monkeypatch.setattr(classify, "MAX_SOCLE", 10)
-    r = analyze(_a2_stabilization(5))
-    assert (r.milnor_number, poincare_series(WeightSystem(r.weights, r.degree)).degree) == (2, 10)
-    monkeypatch.setattr(classify, "MAX_SOCLE", 9)
-    with pytest.raises(BoundExceededError, match="socle degree 10 exceeds"):
-        analyze(_a2_stabilization(5))
+    """analyze bounds mu, not T: T = 2 * 10^7 and T = 10^9, far above expand's
+    degree ceiling, are reported at once, cold."""
+    for m in (10**7, 5 * 10**8):
+        clear_memos()
+        start = time.perf_counter()
+        r = analyze(_a2_stabilization(m))
+        assert time.perf_counter() - start < 0.5
+        assert (r.degree, r.milnor_number, r.diffeomorphism_type) == (6 * m, 2, "S⁵")
 
 
 def test_analyze_admits_the_real_socle_ceiling_and_keeps_no_series():
-    m = classify.MAX_SOCLE // 2
-    r = analyze(_a2_stabilization(m))
-    assert (r.milnor_number, r.diffeomorphism_type) == (2, "S⁵")
-    assert not hasattr(r, "series")
-    facts = classify._weight_facts(WeightSystem(r.weights, r.degree))
-    assert [k for k, v in facts.items() if isinstance(v, ExpandedPoly)] == ["expanded"]
-    with pytest.raises(BoundExceededError) as err:
-        analyze(_a2_stabilization(m + 1))
-    assert str(err.value) == (
-        "[stage: milnor number] socle degree 500002 exceeds the analyze ceiling 500000"
-    )
+    """T = 500,000 is expand's degree ceiling; T = 500,002, past it, is a report
+    too, and neither builds a P(t)."""
+    m = monodromy.MAX_DEGREE // 2
+    for f in (_a2_stabilization(m), _a2_stabilization(m + 1)):
+        r = analyze(f)
+        assert (r.milnor_number, r.diffeomorphism_type) == (2, "S⁵")
+        assert not hasattr(r, "series")
+        facts = classify._weight_facts(WeightSystem(r.weights, r.degree))
+        assert [k for k, v in facts.items() if isinstance(v, ExpandedPoly)] == ["expanded"]
 
 
 def test_analyze_at_the_socle_ceiling_expands_only_delta(monkeypatch):
@@ -653,11 +642,6 @@ _WRONG_REFERENCE = dataclasses.replace(BUILTIN_REGISTRY[0], reference_order=7)
             "[stage: milnor number] Milnor number 50625 exceeds the analyze ceiling 50000",
         ),
         (
-            _a2_stabilization(classify.MAX_SOCLE // 2 + 1), BUILTIN_REGISTRY, None,
-            BoundExceededError,
-            "[stage: milnor number] socle degree 500002 exceeds the analyze ceiling 500000",
-        ),
-        (
             quasi_degree([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 4)], (2, 2, 2, 1)),
             BUILTIN_REGISTRY, None, UnsupportedDimensionError,
             "[stage: strata] subset (1, 2, 3) of 3 variables has gcd 2 > 1; incidence rules "
@@ -694,7 +678,7 @@ _WRONG_REFERENCE = dataclasses.replace(BUILTIN_REGISTRY[0], reference_order=7)
         ),
     ],
     ids=[
-        "milnor_number", "mu_ceiling", "socle_ceiling", "strata", "characteristic_divisor",
+        "milnor_number", "mu_ceiling", "strata", "characteristic_divisor",
         "hodge_numbers", "branch_curve_genus", "registry_reference", "factored_residue",
     ],
 )

@@ -744,11 +744,17 @@ def test_cli_batch_counts_a_render_failure_as_failed(tmp_path, capsys, monkeypat
 
 
 def test_cli_batch_counts_a_record_over_the_socle_ceiling_as_failed(tmp_path, capsys):
-    m = 10**7  # mu = 2, socle degree 2m
+    """Socle degree T = 2 * 10^7 with mu = 2 is reported: analyze bounds mu, not T."""
+    m = 10**7
     record = {"weights": [2 * m, 3 * m, 1, 6 * m - 1], "degree": 6 * m, "poly": "z0^3 + z1^2 + z2*z3"}
-    err = _batch_of(tmp_path, capsys, [record])
-    assert err[0].startswith("line 1: failed ([stage: milnor number] socle degree 20000000 exceeds")
-    assert err[-1] == "ok=1 skipped=0 failed=1"
+    path = tmp_path / "batch.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert entry(["batch", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["ok=1 skipped=0 failed=0"]
+    report = json.loads(captured.out)
+    assert report["invariants"]["milnor_number"] == 2
+    assert report["classification"]["diffeomorphism_type"] == "S⁵"
 
 
 def test_cli_batch_skips_non_integer_numbers_and_a_non_string_poly(tmp_path, capsys):

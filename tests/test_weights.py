@@ -171,6 +171,25 @@ def test_count_monomials_known_values():
         count_monomials((0, 1), 3)
 
 
+def test_count_monomials_matches_brute_force_at_the_edges_of_the_walk():
+    # no weight, one weight (padded), and five weights (a walk three deep)
+    for k in range(-2, 9):
+        assert count_monomials((), k) == brute_count((), k) == (k == 0), k
+    for weights in ((1,), (3,), (7,)):
+        for k in (-1, 0, 6, 7):
+            assert count_monomials(weights, k) == brute_count(weights, k), (weights, k)
+    for weights in ((1, 1, 2, 3, 4), (2, 3, 5, 7, 11), (4, 6, 6, 9, 10)):
+        for k in range(-1, 17):
+            assert count_monomials(weights, k) == brute_count(weights, k), (weights, k)
+
+
+def test_count_monomials_work_follows_the_walk_not_the_degree():
+    # weights near 10^6 at degree 7*10^6 + 21: x + y + z = 7 and x + 3y + 7z = 21
+    start = time.perf_counter()
+    assert count_monomials((10**6 + 1, 10**6 + 3, 10**6 + 7), 7 * 10**6 + 21) == 3
+    assert time.perf_counter() - start < 0.1
+
+
 def test_count_monomials_refuses_non_integer_weights():
     # truncation would count the monomials of (1, 2): 3 at degree 4
     with pytest.raises(TypeError, match="1.5 is a float"):
