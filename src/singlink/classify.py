@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
+from operator import itemgetter
 from types import MappingProxyType
 
 from .divisor import Divisor
@@ -81,11 +82,12 @@ def _canonicalize(f: WeightedPolynomial) -> tuple[WeightedPolynomial, tuple[int,
     """f relabeled by the stable sort of its weights, and that permutation (f if sorted);
     the copy skips the checks f passed."""
     w = f.system.weights
-    perm = tuple(sorted(range(len(w)), key=lambda i: (w[i], i)))
+    perm = tuple(sorted(range(len(w)), key=w.__getitem__))  # stable: tied weights keep their order
     if perm == tuple(range(len(w))):
         return f, perm
-    system = _unchecked(WeightSystem, weights=tuple(w[i] for i in perm), degree=f.system.degree)
-    support = frozenset(tuple(m[i] for i in perm) for m in f.support)
+    relabel = itemgetter(*perm)  # a tuple, as an unsorted perm has at least two entries
+    system = _unchecked(WeightSystem, weights=relabel(w), degree=f.system.degree)
+    support = frozenset(map(relabel, f.support))
     return _unchecked(WeightedPolynomial, support=support, system=system), perm
 
 
@@ -476,7 +478,8 @@ def analyze(
     else:
         status = NOT_WELL_FORMED
 
-    return InvariantReport(
+    return _unchecked(
+        InvariantReport,
         weights=w.weights,
         degree=w.degree,
         support=support,

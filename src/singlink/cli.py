@@ -63,6 +63,8 @@ SCAN_MAX_WEIGHT_CEILING = 512
 SCAN_MAX_VARS = 100
 
 _JSON_SAFE = 1 << 53
+# json.dumps(document, ensure_ascii=False) of an acyclic document: one encoder for every line
+_json_line = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
 
 # the report fields the invariants block reads, all but the genus
 _weight_only_fields = attrgetter(
@@ -72,27 +74,15 @@ _weight_only_fields = attrgetter(
 
 # -- polynomial expressions ----------------------------------------------
 
-# Every non-space character matches, so finditer skips exactly the
-# whitespace; the last group catches what the grammar cannot use.
-_TOKEN = re.compile(r"(\d+)|z(\d+)|([-+*^])|(\S)")
+# Every non-space character is a token or starts one, so the tokens skip exactly the whitespace.
+_TOKEN = re.compile(r"z?\d+|\S")
+_OPERATORS = frozenset("+-*^")
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, object, int]]:
-    for match in _TOKEN.finditer(text):
-        number, index, op, other = match.groups()
-        pos = match.start()
-        if op:
-            yield op, op, pos
-        elif other == "z":
-            raise PolynomialSyntaxError("variable needs an index, like z0", pos)
-        elif other:
-            raise PolynomialSyntaxError(f"unexpected character {other!r}", pos)
-        else:
-            try:
-                value = int(number or index)
-            except ValueError:  # more digits than sys.get_int_max_str_digits()
-                raise PolynomialSyntaxError("integer has too many digits", pos) from None
-            yield ("int" if number else "var"), value, pos
+def _error_at(text: str, index: int, message: str) -> PolynomialSyntaxError:
+    """The error at token `index` of text (past the last: at the last), positioned only now."""
+    starts = [match.start() for match in _TOKEN.finditer(text)]
+    return PolynomialSyntaxError(message, starts[min(index, len(starts) - 1)])
 
 
 def parse_polynomial(text: str, nvars: int | None = None) -> frozenset[Exponents]:
@@ -106,64 +96,74 @@ def parse_polynomial(text: str, nvars: int | None = None) -> frozenset[Exponents
     """
     if nvars is not None and nvars > SCAN_MAX_VARS:  # each term would get a vector that wide
         raise BoundExceededError(f"{nvars} variables exceed the ceiling {SCAN_MAX_VARS}")
-    tokens = list(_tokenize(text))
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise PolynomialSyntaxError("empty polynomial", 0)
-    tokens.append(("end", None, tokens[-1][2]))
+    try:  # an operator stays itself, an integer is its int and a variable zi is ~i < 0
+        items = [t if t in _OPERATORS else ~int(t[1:]) if t[0] == "z" else int(t) for t in tokens]
+    except ValueError:  # the first token that is no operator, integer or variable, anywhere
+        for index, token in enumerate(tokens):
+            if token[-1].isdecimal():  # an integer or a variable zi
+                try:
+                    int(token.removeprefix("z"))
+                except ValueError:  # more digits than sys.get_int_max_str_digits()
+                    raise _error_at(text, index, "integer has too many digits") from None
+            elif token == "z":
+                raise _error_at(text, index, "variable needs an index, like z0") from None
+            elif token not in _OPERATORS:
+                raise _error_at(text, index, f"unexpected character {token!r}") from None
+    items.append(None)  # the end
 
-    terms: list[tuple[dict[int, int], int, int]] = []
+    terms: list[tuple[dict[int, int], int, int]] = []  # exponents, coefficient, first token
     pos = 0
-    while tokens[pos][0] != "end":
+    while items[pos] is not None:
         coefficient = 1
-        while tokens[pos][0] in ("+", "-"):
-            coefficient *= -1 if tokens[pos][0] == "-" else 1
+        while items[pos] in ("+", "-"):
+            coefficient *= -1 if items[pos] == "-" else 1
             pos += 1
-        kind, _, term_pos = tokens[pos]
-        if kind == "end":
-            raise PolynomialSyntaxError("dangling sign at the end of the expression", term_pos)
-        if kind == "^":
-            raise PolynomialSyntaxError("expected a term", term_pos)
-        exponents: dict[int, int] = {}
+        if items[pos] is None:
+            raise _error_at(text, pos, "dangling sign at the end of the expression")
+        if items[pos] == "^":
+            raise _error_at(text, pos, "expected a term")
+        start, exponents = pos, {}
         while True:
-            kind, value, _ = tokens[pos]
-            if kind == "int":
-                coefficient *= value
-            elif kind == "var":
+            item = items[pos]
+            if type(item) is not int:
+                if item != "*":
+                    break
+                if type(items[pos + 1]) is not int:
+                    raise _error_at(text, pos + 1, "'*' needs a following factor")
+            elif item >= 0:
+                coefficient *= item
+            else:
                 power = 1
-                if tokens[pos + 1][0] == "^":
-                    kind, power, where = tokens[pos + 2]
-                    if kind != "int":
-                        raise PolynomialSyntaxError("'^' needs an integer exponent", where)
+                if items[pos + 1] == "^":
+                    power = items[pos + 2]
+                    if type(power) is not int or power < 0:
+                        raise _error_at(text, pos + 2, "'^' needs an integer exponent")
                     pos += 2
-                exponents[value] = exponents.get(value, 0) + power
-            elif kind != "*":
-                break
-            elif tokens[pos + 1][0] not in ("int", "var"):
-                raise PolynomialSyntaxError("'*' needs a following factor", tokens[pos + 1][2])
+                exponents[~item] = exponents.get(~item, 0) + power
             pos += 1
-        terms.append((exponents, coefficient, term_pos))
+        terms.append((exponents, coefficient, start))
 
     width = nvars
     if width is None:
         width = min(1 + max((i for e, _, _ in terms for i in e), default=-1), SCAN_MAX_VARS)
     merged: dict[Exponents, int] = {}
-    duplicated = False
-    for exponents, coefficient, term_pos in terms:
-        for index in exponents:
-            if index >= width:
-                raise PolynomialSyntaxError(
-                    f"variable z{index} is out of range for {width} variables", term_pos
-                )
-        vector = tuple(exponents.get(i, 0) for i in range(width))
-        if vector in merged:
-            duplicated = True
+    for exponents, coefficient, start in terms:
+        vector = [0] * width
+        for i, power in exponents.items():
+            if i >= width:
+                raise _error_at(text, start, f"variable z{i} is out of range for {width} variables")
+            vector[i] = power
+        vector = tuple(vector)
         merged[vector] = merged.get(vector, 0) + coefficient
-    cancelled = sorted(v for v, c in merged.items() if c == 0)
-    if cancelled:
+    if 0 in merged.values():
+        cancelled = sorted(v for v, c in merged.items() if c == 0)
         raise CancelledMonomialError(
             f"coefficients cancel the monomials {cancelled}; supports must be generic"
         )
-    if duplicated:
+    if len(merged) < len(terms):
         warnings.warn("duplicate monomials were merged", DuplicateMonomialWarning)
     return frozenset(merged)
 
@@ -171,24 +171,26 @@ def parse_polynomial(text: str, nvars: int | None = None) -> frozenset[Exponents
 def render_polynomial(support: Iterable[Sequence[int]]) -> str:
     """Canonical text form: monomials in descending lexicographic order."""
     vectors = sorted({require_ints(m, "exponents") for m in support}, reverse=True)
-    if not vectors:
-        return "0"
-    parts = []
     for m in vectors:
         if min(m, default=0) < 0:
             raise ValueError(f"monomial {m} has a negative exponent")
-        factors = [
-            f"z{i}^{a}" if a > 1 else f"z{i}" for i, a in enumerate(m) if a > 0
-        ]
-        parts.append("*".join(factors) if factors else "1")
-    return " + ".join(parts)
+    return _polynomial_text(vectors)
+
+
+def _polynomial_text(vectors: Iterable[Exponents]) -> str:
+    """render_polynomial of checked, distinct vectors in descending order (a report's, reversed)."""
+    parts = [
+        "*".join([f"z{i}^{a}" if a > 1 else f"z{i}" for i, a in enumerate(m) if a]) or "1"
+        for m in vectors
+    ]
+    return " + ".join(parts) or "0"
 
 
 # -- report rendering ------------------------------------------------------
 
-def _decimals(key: str, values: Sequence[int]) -> list[str]:
-    """[str(v) for v in values], one str per distinct magnitude: Δ(t) repeats most
-    of its own, often with both signs, and a negative value is "-" and its magnitude's."""
+def _decimals(key: str, values: Sequence[int]) -> tuple[list[str], bool]:
+    """[str(v) for v in values] and whether every |v| < 2^53, read off one str per distinct
+    magnitude: Δ(t) repeats most of its own, often with both signs, and -m is "-" + str(m)."""
     distinct = set(values)
     try:
         table = {m: str(m) for m in set(map(abs, distinct))}
@@ -196,19 +198,21 @@ def _decimals(key: str, values: Sequence[int]) -> list[str]:
         limit = sys.get_int_max_str_digits()
         raise BoundExceededError(f"{key} exceeds the int -> str limit of {limit} digits") from None
     table.update({v: "-" + table[-v] for v in distinct if v < 0})
-    return list(map(table.__getitem__, values))
+    return list(map(table.__getitem__, values)), max(table, default=0) < _JSON_SAFE
 
 
 def _big_int(out: dict, key: str, value: int) -> None:
-    if abs(value) < _JSON_SAFE:
+    (decimal,), safe = _decimals(key, [value])
+    if safe:
         out[key] = value
-    out[key + "_str"] = _decimals(key, [value])[0]
+    out[key + "_str"] = decimal
 
 
 def _big_int_list(out: dict, key: str, values: Sequence[int]) -> None:
-    if all(abs(v) < _JSON_SAFE for v in values):
+    decimals, safe = _decimals(key, values)
+    if safe:
         out[key] = list(values)
-    out[key + "_str"] = _decimals(key, values)
+    out[key + "_str"] = decimals
 
 
 def _divisor_terms(divisor: Divisor) -> list[list[int]]:
@@ -306,8 +310,8 @@ def _report_dict(report: InvariantReport, invariants: dict) -> dict:
         "input": {
             "weights": list(report.weights),
             "degree": report.degree,
-            "polynomial": render_polynomial(report.support),
-            "support": [list(m) for m in report.support],
+            "polynomial": _polynomial_text(reversed(report.support)),
+            "support": list(map(list, report.support)),
             "permutation": list(report.permutation),
         },
         "flags": {
@@ -356,7 +360,7 @@ def render_json_line(report: InvariantReport) -> str:
         _invariants_fragment if report.milnor_number <= MEMO_MAX_MU
         else _invariants_fragment.__wrapped__
     )(*_weight_only_fields(report))
-    line = json.dumps(_report_dict(report, {"genus": report.genus}), ensure_ascii=False)
+    line = _json_line(_report_dict(report, {"genus": report.genus}))
     before, key, after = line.partition('"invariants": {')
     return "".join((before, key, head, bulk, ", ", after))
 
@@ -377,7 +381,7 @@ def render_text(report: InvariantReport) -> str:
     )
     lines = [
         f"weights: ({', '.join(str(w) for w in report.weights)})  degree: {report.degree}",
-        f"polynomial: {render_polynomial(report.support)}",
+        f"polynomial: {_polynomial_text(reversed(report.support))}",
         f"flags: {', '.join(flags)}",
         f"Milnor number: {report.milnor_number}",
         f"characteristic divisor: {_divisor_pretty(report.divisor)}",
@@ -604,7 +608,7 @@ def run_scan(args: argparse.Namespace) -> int:
                 weights = ",".join(str(w) for w in row["weights"])
                 out.write(f"w=({weights}) d={row['degree']} mu={mu} b2={b2}\n")
             else:
-                out.write(json.dumps(row, ensure_ascii=False) + "\n")
+                out.write(_json_line(row) + "\n")
     return 0
 
 

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -37,6 +38,10 @@ Exponents = tuple[int, ...]
 # quasi_smooth_failure's variable ceiling: it walks 2^n - 1 subsets; 16 variables take 0.12 s
 # and 29 MB peak RSS (CPython 3.11, x86-64), and every two more cost four times as much
 MAX_QUASI_SMOOTH_VARS = 16
+
+# count_monomials' ceiling on its walk, prod(k // c + 1) remainders over the weights c but the
+# two least: 10^6 take about 0.1 s, and analyze's counts stay under 4 * mu (count_monomials)
+MAX_WALK = 1_000_000
 
 
 def require_ints(values: Iterable[int], what: str) -> tuple[int, ...]:
@@ -87,8 +92,8 @@ class WeightSystem:
 
 
 def _unchecked(cls, **fields):
-    """cls(**fields) without __post_init__, for fields that pass it by construction: a
-    relabeling of a checked instance, or a Stratum whose fields come from the subset table."""
+    """cls(**fields) without __init__ or __post_init__, for fields that pass any check by
+    construction: a relabeled checked instance, a table's Stratum, analyze's InvariantReport."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -117,17 +122,17 @@ class WeightedPolynomial:
     system: WeightSystem
 
     def __post_init__(self) -> None:
-        support = frozenset(require_ints(m, "exponents") for m in self.support)
+        support = frozenset(map(require_ints, self.support, repeat("exponents")))
         object.__setattr__(self, "support", support)
-        degrees = set()
+        ws = self.system.weights
         for m in support:
-            if len(m) != self.system.nvars:
+            if len(m) != len(ws):
                 raise LengthMismatchError(
-                    f"monomial {m} has {len(m)} exponents, expected {self.system.nvars}"
+                    f"monomial {m} has {len(m)} exponents, expected {len(ws)}"
                 )
-            if any(a < 0 for a in m):
+            if min(m) < 0:
                 raise ValueError(f"monomial {m} has a negative exponent")
-            degrees.add(weighted_degree(m, self.system))
+        degrees = {sum(map(mul, m, ws)) for m in support}
         if degrees and degrees != {self.system.degree}:
             raise NotQuasiHomogeneousError(degrees, self.system.degree)
 
@@ -185,13 +190,18 @@ def count_monomials(weights: Sequence[int], k: int) -> int:
     """Number of exponent vectors of weighted degree exactly k: a walk over the exponents
     of all weights but the two least, a <= b (a pad k + 1 for n < 2), then a*x + b*y = r in
     closed form, x stepping by b/g from (r/g)*(a/g)^-1 mod b/g, g = gcd(a, b), up to r/a.
-    The work is the number of walked vectors of degree at most k (one for n <= 2), not k."""
+    The work is the number of walked vectors of degree at most k (one for n <= 2), not k; a
+    box of more than MAX_WALK is refused first.  For analyze's p_g over sorted weights (a, b, c,
+    e), k = d - |w| >= 0, the box is <= (d/c)^2 <= 4 (d - a)/a (d - b)/b < 4 mu, as d >= 2c and
+    (d - c)/c (d - e)/e >= (a + b + c)/c > 1; a genus count's, over (a, b, c), is below mu/2 + 1."""
     ws = require_ints(weights, "weights")
     if any(w < 1 for w in ws):
         raise NonPositiveWeightError("weights must be positive")
     if k < 0:
         return 0
     a, b, *rest = sorted(ws + (k + 1,) * (2 - len(ws)))
+    if math.prod(k // c + 1 for c in rest) > MAX_WALK:
+        raise BoundExceededError(f"the monomial count would walk more than {MAX_WALK} remainders")
     g = math.gcd(a, b)
     step, inverse = b // g, pow(a // g, -1, b // g)
     remainders = (k,)

@@ -102,6 +102,13 @@ SYNTAX_ERRORS = [
     ("z2", 2, "variable z2 is out of range for 2 variables", 0),
     ("z0 + z1*z7", 4, "variable z7 is out of range for 4 variables", 5),
     ("z0 + z20000000", None, "variable z20000000 is out of range for 100 variables", 5),
+    ("z0 + z1 + z5", 4, "variable z5 is out of range for 4 variables", 10),
+    # a lexical error anywhere wins over an earlier syntax error
+    ("z0 * + z1^" + "9" * 5000, None, "integer has too many digits", 10),
+    ("z0 ^ ^ z1 @", None, "unexpected character '@'", 10),
+    # positions count characters, and any Unicode space is one
+    ("z0\u00a0+\u3000z1 ^", None, "'^' needs an integer exponent", 8),
+    ("z0\u3000*\u00a0@", None, "unexpected character '@'", 5),
 ]
 
 
@@ -709,10 +716,14 @@ def test_the_renderers_encode_no_coefficient_item_by_item(monkeypatch):
 def test_decimals_converts_repeated_values_like_str():
     big = 3**500
     values = [0, big, -big, 0, -1, big, 1, -big, 0, 2**53, -(2**53), 1]
-    assert cli._decimals("xs", values) == [str(v) for v in values]
+    assert cli._decimals("xs", values) == ([str(v) for v in values], False)
     lone_negatives = [-7, 0, -(3**400)]  # no positive twin shares their magnitude's str
-    assert cli._decimals("xs", lone_negatives) == [str(v) for v in lone_negatives]
-    assert cli._decimals("xs", []) == []
+    assert cli._decimals("xs", lone_negatives) == ([str(v) for v in lone_negatives], False)
+    assert cli._decimals("xs", []) == ([], True)
+    # the flag is whether every magnitude is under 2^53, a bound the JSON numbers keep
+    edge = [-(2**53 - 1), 0, 2**53 - 1, -(2**53 - 1)]
+    assert cli._decimals("xs", edge) == ([str(v) for v in edge], True)
+    assert cli._decimals("xs", [1, -(2**53)]) == (["1", str(-(2**53))], False)
 
 
 def test_the_largest_memoized_fragment_is_stored_one_byte_per_character():

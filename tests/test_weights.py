@@ -120,6 +120,34 @@ def test_weighted_polynomial_rejects_negative_exponents_and_bad_length():
         WeightedPolynomial(frozenset({(1, 1, 0)}), w)
 
 
+def test_weighted_polynomial_refusals_keep_their_class_and_text():
+    w = WeightSystem((1, 1), 2)
+    refusals = [
+        ({(True, 1)}, TypeError, "exponents must be of type int; True is a bool"),
+        ({(2.0, 0)}, TypeError, "exponents must be of type int; 2.0 is a float"),
+        ({(1, 1, 0)}, LengthMismatchError, "monomial (1, 1, 0) has 3 exponents, expected 2"),
+        ({(3, -1)}, ValueError, "monomial (3, -1) has a negative exponent"),
+        ({(2, 0), (1, 0)}, NotQuasiHomogeneousError,
+         "monomials have weighted degrees 1, 2; the stated degree is 2"),
+        # one monomial failing two checks: type, then length, then sign, then degree
+        ({(2.0, 0, 0)}, TypeError, "exponents must be of type int; 2.0 is a float"),
+        ({(3, -1, 0)}, LengthMismatchError, "monomial (3, -1, 0) has 3 exponents, expected 2"),
+        ({(3, -2)}, ValueError, "monomial (3, -2) has a negative exponent"),
+        ({(1, 1, 1)}, LengthMismatchError, "monomial (1, 1, 1) has 3 exponents, expected 2"),
+        # every monomial's type is checked before any other check, and the degrees last
+        ({(1, 1, 0), (0, 2), (2.0, 0)}, TypeError, "exponents must be of type int; 2.0 is a float"),
+        ({(3, -1), (1, 0)}, ValueError, "monomial (3, -1) has a negative exponent"),
+    ]
+    for support, error, text in refusals:
+        with pytest.raises(error) as err:
+            WeightedPolynomial(frozenset(support), w)
+        assert type(err.value) is error and str(err.value) == text, support
+    # any iterable of exponent sequences is read into a frozenset of tuples
+    f = WeightedPolynomial([[2, 0], (0, 2), [1, 1]], w)
+    assert f.support == frozenset({(2, 0), (0, 2), (1, 1)})
+    assert all(type(m) is tuple for m in f.support)
+
+
 def test_empty_support_is_allowed_for_restrictions():
     w = WeightSystem((1, 1), 2)
     f = WeightedPolynomial(frozenset(), w)
@@ -188,6 +216,25 @@ def test_count_monomials_work_follows_the_walk_not_the_degree():
     start = time.perf_counter()
     assert count_monomials((10**6 + 1, 10**6 + 3, 10**6 + 7), 7 * 10**6 + 21) == 3
     assert time.perf_counter() - start < 0.1
+
+
+def test_count_monomials_refuses_a_walk_over_its_ceiling_before_walking():
+    # four weights of 1 beside the two least: a box of 101^4 remainders, about 1 s to walk
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError, match="would walk more than 1000000 remainders"):
+        count_monomials((1,) * 6, 100)
+    assert time.perf_counter() - start < 0.1
+    assert weights_module.MAX_WALK == 1_000_000
+
+
+def test_count_monomials_admits_a_walk_at_its_ceiling(monkeypatch):
+    # (1, 1, 1, 1) at degree k walks a box of (k + 1)^2 remainders
+    monkeypatch.setattr(weights_module, "MAX_WALK", 36)
+    assert count_monomials((1, 1, 1, 1), 5) == brute_count((1, 1, 1, 1), 5) == 56
+    assert count_monomials((2, 2, 1, 1), 11) == brute_count((2, 2, 1, 1), 11)
+    with pytest.raises(BoundExceededError):
+        count_monomials((1, 1, 1, 1), 6)
+    assert count_monomials((1, 1, 1, 1), -1) == 0  # nothing to walk
 
 
 def test_count_monomials_refuses_non_integer_weights():
