@@ -20,17 +20,15 @@ the registry is matched on the same canonical form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections import namedtuple
+from functools import cached_property, lru_cache
 from itertools import permutations
 from operator import itemgetter
 from types import MappingProxyType
 
-from .divisor import Divisor
 from .errors import BoundExceededError, ConsistencyError, SinglinkError, WrongDimensionError
 from .milnor_algebra import check_divisor_character, genus_branch_curve, require_polynomial_series
 from .monodromy import (
-    ExpandedPoly,
     brief,
     characteristic_divisor,
     expand,
@@ -41,8 +39,6 @@ from .monodromy import (
 from .orbifold import (
     CONTAINED,
     TORSION_FREE,
-    Fano,
-    Stratum,
     fano,
     orbifold_order,
     pair_well_formed,
@@ -53,7 +49,6 @@ from .weights import (
     Exponents,
     WeightedPolynomial,
     WeightSystem,
-    _unchecked,
     count_monomials,
     quasi_smooth_failure,
     require_ints,
@@ -86,9 +81,9 @@ def _canonicalize(f: WeightedPolynomial) -> tuple[WeightedPolynomial, tuple[int,
     if perm == tuple(range(len(w))):
         return f, perm
     relabel = itemgetter(*perm)  # a tuple, as an unsorted perm has at least two entries
-    system = _unchecked(WeightSystem, weights=relabel(w), degree=f.system.degree)
+    system = tuple.__new__(WeightSystem, (relabel(w), f.system.degree))
     support = frozenset(map(relabel, f.support))
-    return _unchecked(WeightedPolynomial, support=support, system=system), perm
+    return tuple.__new__(WeightedPolynomial, (support, system)), perm
 
 
 def _tie_relabelings(f: WeightedPolynomial) -> frozenset:
@@ -105,48 +100,49 @@ def _subset_label(indices: tuple[int, ...]) -> str:
     return "{" + ", ".join(f"z{i}" for i in indices) + "}"
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(namedtuple(
+    "RegistryEntry", "weights degree support tag citation obstructed reference_order"
+)):
     """One published existence result, keyed by the tie relabelings of its canonical form."""
 
-    weights: tuple[int, ...]
-    degree: int
-    support: tuple[Exponents, ...]
-    tag: str
-    citation: str
-    obstructed: bool = False
-    reference_order: int | None = None
-    key: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.weights) != 4:  # analyze matches no other; refused before any enumeration
-            raise WrongDimensionError(f"a registry entry has 4 variables, not {len(self.weights)}")
-        for name, kind in (("tag", str), ("citation", str), ("obstructed", bool)):
-            if type(getattr(self, name)) is not kind:
-                raise TypeError(f"{name} must be a {kind.__name__}, not {getattr(self, name)!r}")
-        object.__setattr__(self, "weights", validate_weights(self.weights))
-        support = tuple(sorted(require_ints(m, "exponents") for m in self.support))
-        object.__setattr__(self, "support", support)
-        if self.reference_order is not None:
-            require_ints((self.reference_order,), "the reference orbifold order")
-            if self.reference_order < 1:
-                raise ValueError(
-                    f"the reference orbifold order {self.reference_order} is not positive"
-                )
+    def __new__(
+        cls, weights: tuple[int, ...], degree: int, support: tuple[Exponents, ...], tag: str,
+        citation: str, obstructed: bool = False, reference_order: int | None = None,
+    ) -> RegistryEntry:
+        if len(weights) != 4:  # analyze matches no other; refused before any enumeration
+            raise WrongDimensionError(f"a registry entry has 4 variables, not {len(weights)}")
+        for name, value, kind in (("tag", tag, str), ("citation", citation, str),
+                                  ("obstructed", obstructed, bool)):
+            if type(value) is not kind:
+                raise TypeError(f"{name} must be a {kind.__name__}, not {value!r}")
+        weights = validate_weights(weights)
+        support = tuple(sorted(require_ints(m, "exponents") for m in support))
+        if reference_order is not None:
+            require_ints((reference_order,), "the reference orbifold order")
+            if reference_order < 1:
+                raise ValueError(f"the reference orbifold order {reference_order} is not positive")
+        fields = (weights, degree, support, tag, citation, obstructed, reference_order)
+        self = tuple.__new__(cls, fields)
         f = self.polynomial()  # validates the degree and quasi-homogeneity
         failure = quasi_smooth_failure(f)
         if failure is not None:
             raise SinglinkError(
-                f"registry entry {self.tag} is not quasi-smooth at {_subset_label(failure)}"
+                f"registry entry {tag} is not quasi-smooth at {_subset_label(failure)}"
             )
-        if not self.obstructed and not (
+        if not obstructed and not (
             fano(f.system).is_fano and pair_well_formed(singular_strata(f), f.nvars)
         ):
             raise SinglinkError(
-                f"registry entry {self.tag} claims an SE metric but is not a "
-                "well-formed Fano pair"
+                f"registry entry {tag} claims an SE metric but is not a well-formed Fano pair"
             )
-        object.__setattr__(self, "key", _tie_relabelings(_canonicalize(f)[0]))
+        self.key = _tie_relabelings(_canonicalize(f)[0])  # as below, from the checked f
+        return self
+
+    @cached_property
+    def key(self) -> frozenset:
+        """The tie relabelings of the canonical form, which analyze and registry_lookup
+        match; a _replace copy, which skips __new__, builds its own on first read."""
+        return _tie_relabelings(_canonicalize(self.polynomial())[0])
 
     def polynomial(self) -> WeightedPolynomial:
         return WeightedPolynomial(
@@ -266,46 +262,21 @@ def smale_name(k: int) -> str:
     return f"#{k}(S²×S³)"
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name passed detail")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    """Only what is rendered or checked for one link, in canonical variable order."""
+class InvariantReport(namedtuple("InvariantReport", (
+    "weights degree support permutation quasi_smooth space_well_formed divisibility_ok "
+    "pair_well_formed fano milnor_number divisor expanded b2_divisor b2_hodge hodge signature "
+    "genus strata orbifold_order orbifold_order_source registry_reference_order torsion smale_k "
+    "diffeomorphism_type se_status registry_tag registry_citation assumptions notes"
+))):
+    """Only what is rendered or checked for one link, in canonical variable order.  The
+    hodge field holds ((p, q), h^{p,q}) pairs; genus, smale_k, diffeomorphism_type and the
+    registry fields may be None."""
 
-    weights: tuple[int, ...]
-    degree: int
-    support: tuple[Exponents, ...]
-    permutation: tuple[int, ...]
-    quasi_smooth: bool
-    space_well_formed: bool
-    divisibility_ok: bool
-    pair_well_formed: bool
-    fano: Fano
-    milnor_number: int
-    divisor: Divisor
-    expanded: ExpandedPoly
-    b2_divisor: int
-    b2_hodge: int
-    hodge: tuple[tuple[tuple[int, int], int], ...]
-    signature: int
-    genus: int | None
-    strata: tuple[Stratum, ...]
-    orbifold_order: int
-    orbifold_order_source: str
-    registry_reference_order: int | None
-    torsion: str
-    smale_k: int | None
-    diffeomorphism_type: str | None
-    se_status: str
-    registry_tag: str | None
-    registry_citation: str | None
-    assumptions: tuple[str, ...]
-    notes: tuple[str, ...]
+    __slots__ = ()
 
 
 def _weight_rows(r) -> list:
@@ -338,7 +309,7 @@ def _require(checks: tuple[CheckResult, ...]) -> None:
 def cross_checks(report: InvariantReport) -> tuple[CheckResult, ...]:
     """Recompute every two-route quantity from the report's own fields.  analyze runs
     the weight-only rows once per facts build and the registry row per record."""
-    rows = _weight_rows(vars(report))
+    rows = _weight_rows(report._asdict())
     return _results(rows + _reference_rows(report.orbifold_order, report.registry_reference_order))
 
 
@@ -478,8 +449,7 @@ def analyze(
     else:
         status = NOT_WELL_FORMED
 
-    return _unchecked(
-        InvariantReport,
+    return InvariantReport(
         weights=w.weights,
         degree=w.degree,
         support=support,

@@ -27,9 +27,9 @@ import os
 import re
 import sys
 import warnings
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
 
 from .classify import (
     BUILTIN_REGISTRY,

@@ -10,7 +10,6 @@ monomial count: p_g = h^{2,0} at d - |w| (Steenbrink), and the genus of a branch
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .divisor import Divisor
 from .errors import ConsistencyError, DegenerateDegreeError, InexactDivisionError
@@ -47,6 +46,7 @@ def check_divisor_character(w: WeightSystem, divisor: Divisor) -> None:
     for n in orders:
         got = sum(j * a for j, a in divisor if n % j == 0)
         if got * scale != (want := _scaled_character(w, n)):
+            from fractions import Fraction  # imported only where a refusal formats one
             raise ConsistencyError(
                 f"divisor character {got} at order {n} differs from the weights' "
                 f"{Fraction(want, scale)}"
@@ -86,6 +86,7 @@ def genus_branch_curve(w3: WeightSystem) -> int:
     twice += gcd(d, a) * b * c + gcd(d, b) * a * c + gcd(d, c) * a * b
     g = count_monomials(w3.weights, k := d - w3.total)
     if twice != 2 * g * a * b * c:
+        from fractions import Fraction
         raise ConsistencyError(
             f"closed-form genus {Fraction(twice, 2 * a * b * c)} differs from the "
             f"monomial count {g} at degree {k}"

@@ -37,12 +37,11 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from operator import add, mul, neg
-from typing import Iterable, Sequence
 
 from .divisor import Divisor
 from .errors import (
@@ -58,8 +57,9 @@ from .weights import WeightSystem, require_ints
 MAX_DEGREE = 500_000  # expand's own ceiling on the product's degree; analyze's is classify.MAX_MU
 
 
-def brief(x: int | Fraction) -> str:
-    """A non-negative x in full, or its power of ten past the int -> str digit limit."""
+def brief(x) -> str:
+    """A non-negative int or Fraction x in full, or its power of ten past the int -> str
+    digit limit."""
     try:
         return str(x)
     except ValueError:  # over sys.get_int_max_str_digits()
@@ -80,6 +80,7 @@ def milnor_number(w: WeightSystem) -> int:
     num, den = milnor_product(w)
     mu, rest = divmod(num, den)
     if rest or mu <= 0:
+        from fractions import Fraction  # imported only where a refusal formats one
         raise NonIntegralMilnorNumberError(
             f"Milnor product {brief(Fraction(num, den))} is not a positive integer; "
             "the weight data is inconsistent with an isolated singularity link"
@@ -111,8 +112,9 @@ def characteristic_divisor(w: WeightSystem) -> Divisor:
     """Divisor of the monodromy characteristic polynomial."""
     num, den = milnor_product(w)
     terms, scale = milnor_orlik_terms(w.weights, w.degree)
-    bad = {n: Fraction(c, scale) for n, c in terms.items() if c % scale}
-    if bad:
+    if any(c % scale for c in terms.values()):
+        from fractions import Fraction
+        bad = {n: Fraction(c, scale) for n, c in terms.items() if c % scale}
         raise IntegralityViolationError(
             f"characteristic divisor has fractional coefficients {bad}; "
             "the weight data is inconsistent with an isolated singularity link"
@@ -120,6 +122,7 @@ def characteristic_divisor(w: WeightSystem) -> Divisor:
     divisor = Divisor(sorted((n, c // scale) for n, c in terms.items()))
     degree = sum(j * a for j, a in divisor)
     if degree * den != num:
+        from fractions import Fraction
         raise ConsistencyError(
             f"divisor degree {degree} differs from Milnor product {Fraction(num, den)}"
         )
@@ -133,18 +136,16 @@ _BLOCK = 512  # coefficients per step of the residue's Horner walk
 *_R_POWERS, _R_BLOCK = accumulate(repeat(R, _BLOCK), lambda a, r: a * r % P, initial=1)
 
 
-@dataclass(frozen=True)
-class ExpandedPoly:
+class ExpandedPoly(namedtuple("ExpandedPoly", "coefficients")):
     """Dense exact integer coefficients, constant term first: Delta(t), or the
-    Poincare series P(t), whose degree is the socle degree T."""
+    Poincare series P(t), whose degree is the socle degree T.  Instances keep a
+    __dict__ for residue."""
 
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = require_ints(self.coefficients, "coefficients")
+    def __new__(cls, coefficients: Iterable[int]) -> ExpandedPoly:
+        coeffs = require_ints(coefficients, "coefficients")
         if not coeffs or coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coefficients", coeffs)
+        return tuple.__new__(cls, (coeffs,))
 
     @property
     def degree(self) -> int:

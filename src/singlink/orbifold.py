@@ -25,10 +25,10 @@ are refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import UnsupportedDimensionError, WrongDimensionError
-from .weights import WeightedPolynomial, WeightSystem, _subsets, _unchecked, require_ints
+from .weights import WeightedPolynomial, WeightSystem, _subsets, require_ints
 
 DISJOINT = "disjoint"
 MEETS = "meets"
@@ -38,28 +38,23 @@ TORSION_FREE = "torsion_free"
 TORSION_UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Fano:
+class Fano(namedtuple("Fano", "is_fano index")):
     """Sign and value of |w| - d; positive means anticanonically positive."""
 
-    is_fano: bool
-    index: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Stratum:
-    indices: tuple[int, ...]
-    isotropy_order: int
-    incidence: str
+class Stratum(namedtuple("Stratum", "indices isotropy_order incidence")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        indices = require_ints(self.indices, "stratum indices")
-        object.__setattr__(self, "indices", tuple(sorted(indices)))
-        require_ints((self.isotropy_order,), "the isotropy order")
-        if self.isotropy_order < 2:
+    def __new__(cls, indices: tuple[int, ...], isotropy_order: int, incidence: str) -> Stratum:
+        indices = tuple(sorted(require_ints(indices, "stratum indices")))
+        require_ints((isotropy_order,), "the isotropy order")
+        if isotropy_order < 2:
             raise ValueError("strata are listed only for isotropy order > 1")
-        if self.incidence not in (DISJOINT, MEETS, CONTAINED):
-            raise ValueError(f"unknown incidence {self.incidence!r}")
+        if incidence not in (DISJOINT, MEETS, CONTAINED):
+            raise ValueError(f"unknown incidence {incidence!r}")
+        return tuple.__new__(cls, (indices, isotropy_order, incidence))
 
 
 def fano(w: WeightSystem) -> Fano:
@@ -95,7 +90,7 @@ def singular_strata(f: WeightedPolynomial) -> tuple[Stratum, ...]:
         for mask in masks:  # a plain loop: sum() over a generator costs more
             inside += not mask & outside
         incidence = (CONTAINED, DISJOINT, MEETS)[min(inside, 2)]
-        out.append(_unchecked(Stratum, indices=subset, isotropy_order=m, incidence=incidence))
+        out.append(tuple.__new__(Stratum, (subset, m, incidence)))
     return tuple(out)
 
 

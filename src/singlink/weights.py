@@ -12,16 +12,20 @@ vectors).  No invariant computed anywhere in this package depends on
 coefficient values, only on the support, provided the coefficients are
 generic; reports state that assumption explicitly.  Whether the singularity
 is isolated is decided from the support too (quasi_smooth_failure).
+
+The package's value classes are named tuples whose constructors validate;
+tuple.__new__(cls, fields) builds one unchecked, for fields that pass the
+checks by construction, and so does _replace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, combinations, repeat
 from operator import mul
-from typing import Iterable, Sequence
 
 from .errors import (
     BoundExceededError,
@@ -68,18 +72,17 @@ def validate_weights(weights: Iterable[int]) -> tuple[int, ...]:
     return ws
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(namedtuple("WeightSystem", "weights degree")):
     """Normalized positive weights together with a positive degree."""
 
-    weights: tuple[int, ...]
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", validate_weights(self.weights))
-        require_ints((self.degree,), "the degree")
-        if self.degree < 1:
-            raise DegenerateDegreeError(f"degree {self.degree} is not positive")
+    def __new__(cls, weights: Iterable[int], degree: int) -> WeightSystem:
+        weights = validate_weights(weights)
+        require_ints((degree,), "the degree")
+        if degree < 1:
+            raise DegenerateDegreeError(f"degree {degree} is not positive")
+        return tuple.__new__(cls, (weights, degree))
 
     @property
     def nvars(self) -> int:
@@ -89,14 +92,6 @@ class WeightSystem:
     def total(self) -> int:
         """|w| = sum of the weights."""
         return sum(self.weights)
-
-
-def _unchecked(cls, **fields):
-    """cls(**fields) without __init__ or __post_init__, for fields that pass any check by
-    construction: a relabeled checked instance, a table's Stratum, analyze's InvariantReport."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def weighted_degree(exponents: Sequence[int], w: WeightSystem | Sequence[int]) -> int:
@@ -109,22 +104,17 @@ def weighted_degree(exponents: Sequence[int], w: WeightSystem | Sequence[int]) -
     return sum(a * wi for a, wi in zip(exponents, ws))
 
 
-@dataclass(frozen=True)
-class WeightedPolynomial:
+class WeightedPolynomial(namedtuple("WeightedPolynomial", "support system")):
     """A monomial support set that is quasi-homogeneous for its weight system.
 
     The support may be empty: that is the zero polynomial, whose degree
     only the weight system can fix (quasi_degree, which infers the degree
-    from the monomials, refuses it).
+    from the monomials, refuses it).  Instances keep a __dict__ for masks.
     """
 
-    support: frozenset[Exponents]
-    system: WeightSystem
-
-    def __post_init__(self) -> None:
-        support = frozenset(map(require_ints, self.support, repeat("exponents")))
-        object.__setattr__(self, "support", support)
-        ws = self.system.weights
+    def __new__(cls, support: Iterable[Sequence[int]], system: WeightSystem) -> WeightedPolynomial:
+        support = frozenset(map(require_ints, support, repeat("exponents")))
+        ws = system.weights
         for m in support:
             if len(m) != len(ws):
                 raise LengthMismatchError(
@@ -133,8 +123,9 @@ class WeightedPolynomial:
             if min(m) < 0:
                 raise ValueError(f"monomial {m} has a negative exponent")
         degrees = {sum(map(mul, m, ws)) for m in support}
-        if degrees and degrees != {self.system.degree}:
-            raise NotQuasiHomogeneousError(degrees, self.system.degree)
+        if degrees and degrees != {system.degree}:
+            raise NotQuasiHomogeneousError(degrees, system.degree)
+        return tuple.__new__(cls, (support, system))
 
     @property
     def nvars(self) -> int:
@@ -153,7 +144,8 @@ class WeightedPolynomial:
 
 
 def quasi_degree(monomials: Iterable[Sequence[int]], weights: Sequence[int]) -> WeightedPolynomial:
-    """Build a WeightedPolynomial, inferring the degree from the monomials."""
+    """Build a WeightedPolynomial, inferring the degree from the monomials; each
+    check runs once, so neither constructor repeats it."""
     support = frozenset(require_ints(m, "exponents") for m in monomials)
     if not support:
         raise EmptySubsetError("a polynomial needs at least one monomial")
@@ -161,8 +153,12 @@ def quasi_degree(monomials: Iterable[Sequence[int]], weights: Sequence[int]) -> 
     degrees = {weighted_degree(m, ws) for m in support}
     if len(degrees) != 1:
         raise NotQuasiHomogeneousError(degrees)
-    system = WeightSystem(ws, degrees.pop())
-    return WeightedPolynomial(support, system)
+    (degree,) = degrees
+    if degree < 1:
+        raise DegenerateDegreeError(f"degree {degree} is not positive")
+    if negative := next((m for m in support if min(m) < 0), None):
+        raise ValueError(f"monomial {negative} has a negative exponent")
+    return tuple.__new__(WeightedPolynomial, (support, tuple.__new__(WeightSystem, (ws, degree))))
 
 
 def is_well_formed_space(w: WeightSystem) -> bool:

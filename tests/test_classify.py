@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -185,13 +184,13 @@ def test_registry_refuses_non_integer_numbers():
     assert "60.9 is a float" in str(err.value)
     dk1 = BUILTIN_REGISTRY[0]
     with pytest.raises(TypeError):
-        dataclasses.replace(dk1, degree=60.0)
+        RegistryEntry(**{**dk1._asdict(), "degree": 60.0})
     with pytest.raises(TypeError):
-        dataclasses.replace(dk1, weights=(9.0, 15, 17, 20))
+        RegistryEntry(**{**dk1._asdict(), "weights": (9.0, 15, 17, 20)})
     with pytest.raises(TypeError):
-        dataclasses.replace(dk1, support=((5.0, 1, 0, 0),) + dk1.support[1:])
+        RegistryEntry(**{**dk1._asdict(), "support": ((5.0, 1, 0, 0),) + dk1.support[1:]})
     with pytest.raises(TypeError):
-        dataclasses.replace(dk1, reference_order=765.0)
+        RegistryEntry(**{**dk1._asdict(), "reference_order": 765.0})
 
 
 @pytest.mark.parametrize(
@@ -213,7 +212,7 @@ def test_registry_refuses_fields_of_the_wrong_type(field, value, message):
     assert str(err.value) == f"registry line 1: {message}"
     if field != "invariants":
         with pytest.raises(TypeError):
-            dataclasses.replace(BUILTIN_REGISTRY[0], **{field: value})
+            RegistryEntry(**{**BUILTIN_REGISTRY[0]._asdict(), field: value})
 
 
 def test_registry_refuses_an_unknown_reference_invariant():
@@ -243,7 +242,7 @@ def test_registry_refuses_a_reference_order_that_is_not_a_positive_int(value, er
         load_registry(json.dumps(record) + "\n")
     if value is not None:
         with pytest.raises(ValueError):
-            dataclasses.replace(BUILTIN_REGISTRY[1], reference_order=value)
+            RegistryEntry(**{**BUILTIN_REGISTRY[1]._asdict(), "reference_order": value})
     # an absent key still means no reference
     del record["invariants"]
     (entry,) = load_registry(json.dumps(record) + "\n")
@@ -604,7 +603,7 @@ def test_analyze_with_an_empty_registry(f60):
 
 
 def test_analyze_with_an_obstructed_registry(f60):
-    entry = dataclasses.replace(BUILTIN_REGISTRY[0], obstructed=True)
+    entry = BUILTIN_REGISTRY[0]._replace(obstructed=True)
     r = analyze(f60, registry=(entry,))
     assert r.se_status == OBSTRUCTED
     assert r.registry_tag == "DK-1"
@@ -625,7 +624,7 @@ def test_errors_carry_the_pipeline_stage():
     assert "[stage: milnor number]" in str(err.value)
 
 
-_WRONG_REFERENCE = dataclasses.replace(BUILTIN_REGISTRY[0], reference_order=7)
+_WRONG_REFERENCE = BUILTIN_REGISTRY[0]._replace(reference_order=7)
 
 
 @pytest.mark.parametrize(
@@ -698,7 +697,7 @@ def test_each_stage_labels_its_refusal(f, registry, residue, error, message, mon
 def test_cross_checks_catch_corrupted_reports(report60):
     assert all(c.passed for c in cross_checks(report60))
     require_consistent(report60)
-    bad = dataclasses.replace(report60, b2_hodge=99)
+    bad = report60._replace(b2_hodge=99)
     failed = [c for c in cross_checks(bad) if not c.passed]
     assert [c.name for c in failed] == ["b2 routes"]
     with pytest.raises(ConsistencyError) as err:
@@ -709,7 +708,7 @@ def test_cross_checks_catch_corrupted_reports(report60):
     assert not quintic.fano.is_fano and all(c.passed for c in cross_checks(quintic))
 
     def failed(report, **fields):
-        return [(c.name, c.detail) for c in cross_checks(dataclasses.replace(report, **fields))
+        return [(c.name, c.detail) for c in cross_checks(report._replace(**fields))
                 if not c.passed]
 
     assert failed(quintic, b2_divisor=99) == [("b2 routes", "got (52, 99), expected (52, 52)")]
@@ -720,7 +719,7 @@ def test_cross_checks_catch_corrupted_reports(report60):
 
 
 def test_cross_checks_validate_registry_reference(report256_1):
-    bad = dataclasses.replace(report256_1, orbifold_order=1)
+    bad = report256_1._replace(orbifold_order=1)
     names = [c.name for c in cross_checks(bad) if not c.passed]
     assert "orbifold order vs registry reference" in names
 
@@ -736,13 +735,13 @@ def test_analyze_relabels_a_built_polynomial_without_checking_it_again(monkeypat
     """A relabeling of a valid polynomial is valid: the caller's constructor checks
     the input once, and analyze's canonical copy runs no check of its own."""
     checked = []
-    original = WeightedPolynomial.__post_init__
+    original = WeightedPolynomial.__new__
 
-    def counted(self):
-        checked.append(self)
-        original(self)
+    def counted(cls, support, system):
+        checked.append(original(cls, support, system))
+        return checked[-1]
 
-    monkeypatch.setattr(WeightedPolynomial, "__post_init__", counted)
+    monkeypatch.setattr(WeightedPolynomial, "__new__", staticmethod(counted))
     perm = (3, 1, 0, 2)
     support = frozenset(tuple(m[i] for i in perm) for m in F60_SUPPORT)
     f = WeightedPolynomial(support, WeightSystem(tuple(F60_WEIGHTS[i] for i in perm), 60))
@@ -1175,7 +1174,7 @@ def test_a_repeated_weight_system_reuses_its_characteristic_polynomial(monkeypat
     assert first.permutation == (3, 1, 0, 2) and second.permutation == (0, 1, 2, 3)
     golden = (Path(__file__).parent / "golden" / "report_dk1.json").read_text(encoding="utf-8")
     assert render_json(second) == golden
-    assert render_json(dataclasses.replace(first, permutation=(0, 1, 2, 3))) == golden
+    assert render_json(first._replace(permutation=(0, 1, 2, 3))) == golden
 
 
 RESIDUE_CHECK = "expanded vs factored Delta(t) mod P"
@@ -1185,7 +1184,7 @@ def test_the_residue_memo_never_hides_a_wrong_polynomial(report60):
     assert [c.name for c in cross_checks(report60)].count(RESIDUE_CHECK) == 1
     residue = report60.expanded.residue  # memoized on the instance
     times_t_minus_1 = monodromy.expand(report60.divisor + ((1, 1),))
-    bad = dataclasses.replace(report60, expanded=times_t_minus_1)
+    bad = report60._replace(expanded=times_t_minus_1)
     assert [c.name for c in cross_checks(bad) if not c.passed] == [RESIDUE_CHECK]
     bad_residue = residue * (monodromy.R - 1) % monodromy.P
     with pytest.raises(ConsistencyError, match=f"got {bad_residue}, expected {residue}"):
@@ -1200,14 +1199,14 @@ def test_one_coefficient_off_by_one_anywhere_fails_the_residue_check(report60):
             coeffs[k] += delta
             if not coeffs[-1]:
                 continue  # the leading 1 cannot drop to 0 in an ExpandedPoly
-            bad = dataclasses.replace(report60, expanded=ExpandedPoly(tuple(coeffs)))
+            bad = report60._replace(expanded=ExpandedPoly(tuple(coeffs)))
             with pytest.raises(ConsistencyError, match=re.escape(RESIDUE_CHECK)):
                 require_consistent(bad)
 
 
 def test_the_residue_check_refuses_a_point_where_a_factor_vanishes(monkeypatch, report60):
     # a fresh instance, so no residue at the patched point outlives the test
-    report = dataclasses.replace(report60, expanded=ExpandedPoly(report60.expanded.coefficients))
+    report = report60._replace(expanded=ExpandedPoly(report60.expanded.coefficients))
     monkeypatch.setattr(monodromy, "R", monodromy.P - 1)  # (-1)^4 = 1: DK-1 has (t^4 - 1)
     with pytest.raises(ConsistencyError, match="vanishes at R"):
         require_consistent(report)

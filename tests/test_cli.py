@@ -1,8 +1,8 @@
-import dataclasses
 import json
 import math
 import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -592,7 +592,7 @@ def test_brief_shows_a_number_past_the_digit_limit_as_a_power_of_ten():
 def test_rendering_refuses_an_integer_past_the_digit_limit(report60):
     """No analyze input under MAX_MU has such a coefficient (Fermat d = 15 has
     well under 1,000 digits), but a report that does is refused by name."""
-    report = dataclasses.replace(report60, expanded=ExpandedPoly((-1, 0, 10**5000)))
+    report = report60._replace(expanded=ExpandedPoly((-1, 0, 10**5000)))
     limit = sys.get_int_max_str_digits()
     message = f"expanded_coefficients exceeds the int -> str limit of {limit} digits"
     for render in (render_json, render_json_line):
@@ -653,13 +653,13 @@ def test_render_json_line_stores_no_fragment_above_the_mu_cutoff():
 def test_a_replaced_field_renders_its_own_value_after_a_memo_hit(report60):
     for _ in range(2):
         render_json_line(report60)
-    replaced = dataclasses.replace(report60, expanded=ExpandedPoly((-1, 0, 7)))
+    replaced = report60._replace(expanded=ExpandedPoly((-1, 0, 7)))
     invariants = json.loads(render_json_line(replaced))["invariants"]
     assert invariants["expanded_coefficients"] == [-1, 0, 7]
     assert invariants["expanded_degree"] == 2
     _assert_line_is_the_plain_dump(replaced)
     # an equal value of another type is another key: 86.0 renders as 86.0
-    _assert_line_is_the_plain_dump(dataclasses.replace(report60, milnor_number=86.0))
+    _assert_line_is_the_plain_dump(report60._replace(milnor_number=86.0))
     invariants = json.loads(render_json_line(report60))["invariants"]
     assert invariants["expanded_coefficients"] == list(report60.expanded.coefficients)
 
@@ -667,7 +667,7 @@ def test_a_replaced_field_renders_its_own_value_after_a_memo_hit(report60):
 def test_the_fragment_memo_keeps_at_most_its_entry_bound(report60):
     cli._invariants_fragment.cache_clear()
     for signature in range(classify.MEMO_ENTRIES + 50):
-        render_json_line(dataclasses.replace(report60, signature=-signature))
+        render_json_line(report60._replace(signature=-signature))
     info = cli._invariants_fragment.cache_info()
     assert info.currsize == info.maxsize == classify.MEMO_ENTRIES
 
@@ -682,7 +682,7 @@ def test_both_renderers_are_the_plain_dump(all_reports):
     JSON-safe (both lists, then only the strings) and with one coefficient."""
     reports = [_fermat_report(d) for d in range(2, 16)] + list(all_reports)
     reports += [
-        dataclasses.replace(all_reports[0], expanded=ExpandedPoly(coefficients))
+        all_reports[0]._replace(expanded=ExpandedPoly(coefficients))
         for coefficients in ((-(2**53 - 1), 0, 2**53 - 1), (-1, 0, 2**53), (7,))
     ]
     cli._invariants_fragment.cache_clear()
@@ -1173,3 +1173,27 @@ def test_cli_degree_option_matches_inference(capsys, report60):
     out = capsys.readouterr().out
     assert code == 0
     assert out == render_json(report60)
+
+
+# dataclasses would load inspect, ast, dis and tokenize, and fractions decimal and numbers;
+# typing is read only in annotations, which `from __future__ import annotations` never runs
+_COLD_START = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "import singlink, singlink.cli\n"
+    "from singlink.cli import parse_polynomial, render_json, render_text\n"
+    f"f = singlink.quasi_degree(parse_polynomial({DK1_POLY!r}, 4), (9, 15, 17, 20))\n"
+    "report = singlink.analyze(f)\n"
+    "assert render_text(report) and render_json(report)\n"
+    "loaded = set(sys.modules) - before\n"
+    "heavy = {'dataclasses', 'inspect', 'fractions', 'decimal', 'typing'}\n"
+    "print(report.registry_tag, sorted(loaded & heavy))\n"
+)
+
+
+def test_a_cold_dk1_report_loads_neither_dataclasses_nor_fractions():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", _COLD_START], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "DK-1 []\n", "")

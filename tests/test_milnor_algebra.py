@@ -284,6 +284,17 @@ def test_genus_is_checked_against_the_monomial_count(monkeypatch):
         genus_branch_curve(w)
 
 
+def test_a_closed_form_genus_off_a_polynomial_series_is_shown_as_a_fraction(monkeypatch):
+    # (1, 1, 3) at d = 5 has no polynomial P(t); past that guard the closed form is 2/3
+    w = WeightSystem((1, 1, 3), 5)
+    with pytest.raises(InexactDivisionError):
+        genus_branch_curve(w)
+    monkeypatch.setattr(milnor_algebra, "require_polynomial_series", lambda w: None)
+    with pytest.raises(ConsistencyError) as err:
+        genus_branch_curve(w)
+    assert str(err.value) == "closed-form genus 2/3 differs from the monomial count 1 at degree 0"
+
+
 def test_genus_counts_monomials_below_the_partial_degrees():
     rng = random.Random(47)
     seen = 0

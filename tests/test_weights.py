@@ -163,6 +163,39 @@ def test_quasi_degree_infers_the_degree():
         quasi_degree([(1, 0), (0, 2)], (1, 1))
 
 
+@pytest.mark.parametrize(
+    "monomials, weights, error, text",
+    [
+        ([], (1, 1), EmptySubsetError, "a polynomial needs at least one monomial"),
+        ([(2.5, 0)], (1, 1), TypeError, "exponents must be of type int; 2.5 is a float"),
+        ([(1, 0, 0)], (1, 1), LengthMismatchError,
+         "exponent vector has length 3, weights have length 2"),
+        ([(3, -1)], (1, 1), ValueError, "monomial (3, -1) has a negative exponent"),
+        ([(3, -1), (0, 2)], (1, 1), ValueError, "monomial (3, -1) has a negative exponent"),
+        ([(1, 0), (0, 2)], (1, 1), NotQuasiHomogeneousError,
+         "monomials have distinct weighted degrees: 1, 2"),
+        ([(1, 0)], (2, 4), NotNormalizedError, "weights are not normalized: gcd = 2"),
+        ([(1, 0)], (0, 1), NonPositiveWeightError, "weight 0 is not positive"),
+        ([(1, 0)], (1.0, 1), TypeError, "weights must be of type int; 1.0 is a float"),
+        ([(0, 0)], (1, 1), DegenerateDegreeError, "degree 0 is not positive"),
+        # when several checks fail, the first in this order wins: exponent types, an empty
+        # support, the weights, lengths, one degree, a positive degree, signs
+        ([(2.5, 0)], (2, 4), TypeError, "exponents must be of type int; 2.5 is a float"),
+        ([], (2, 4), EmptySubsetError, "a polynomial needs at least one monomial"),
+        ([(1, 0, 0)], (2, 4), NotNormalizedError, "weights are not normalized: gcd = 2"),
+        ([(1, 0, 0), (3, -1)], (1, 1), LengthMismatchError,
+         "exponent vector has length 3, weights have length 2"),
+        ([(3, -1), (0, 3)], (1, 1), NotQuasiHomogeneousError,
+         "monomials have distinct weighted degrees: 2, 3"),
+        ([(-1, 0)], (1, 1), DegenerateDegreeError, "degree -1 is not positive"),
+    ],
+)
+def test_quasi_degree_refusals_keep_their_class_and_text(monomials, weights, error, text):
+    with pytest.raises(error) as err:
+        quasi_degree(monomials, weights)
+    assert type(err.value) is error and str(err.value) == text
+
+
 def test_well_formed_space_checks_all_delete_one_subsets():
     assert is_well_formed_space(WeightSystem((9, 15, 17, 20), 60))
     assert is_well_formed_space(WeightSystem((1, 1, 1, 1), 2))
