@@ -135,13 +135,13 @@ class RegistryEntry(namedtuple(
             raise SinglinkError(
                 f"registry entry {tag} claims an SE metric but is not a well-formed Fano pair"
             )
-        self.key = _tie_relabelings(_canonicalize(f)[0])  # as below, from the checked f
+        self.key  # built with the checked entry, as load_registry and every lookup read it
         return self
 
     @cached_property
     def key(self) -> frozenset:
         """The tie relabelings of the canonical form, which analyze and registry_lookup
-        match; a _replace copy, which skips __new__, builds its own on first read."""
+        match; built on first read, so a _replace copy builds its own."""
         return _tie_relabelings(_canonicalize(self.polynomial())[0])
 
     def polynomial(self) -> WeightedPolynomial:

@@ -14,6 +14,7 @@ import math
 from .divisor import Divisor
 from .errors import ConsistencyError, DegenerateDegreeError, InexactDivisionError
 from .errors import WrongDimensionError
+from .monodromy import ratio
 from .weights import WeightSystem, count_monomials
 
 
@@ -46,10 +47,9 @@ def check_divisor_character(w: WeightSystem, divisor: Divisor) -> None:
     for n in orders:
         got = sum(j * a for j, a in divisor if n % j == 0)
         if got * scale != (want := _scaled_character(w, n)):
-            from fractions import Fraction  # imported only where a refusal formats one
             raise ConsistencyError(
                 f"divisor character {got} at order {n} differs from the weights' "
-                f"{Fraction(want, scale)}"
+                f"{ratio(want, scale)}"
             )
 
 
@@ -86,9 +86,8 @@ def genus_branch_curve(w3: WeightSystem) -> int:
     twice += gcd(d, a) * b * c + gcd(d, b) * a * c + gcd(d, c) * a * b
     g = count_monomials(w3.weights, k := d - w3.total)
     if twice != 2 * g * a * b * c:
-        from fractions import Fraction
         raise ConsistencyError(
-            f"closed-form genus {Fraction(twice, 2 * a * b * c)} differs from the "
+            f"closed-form genus {ratio(twice, 2 * a * b * c)} differs from the "
             f"monomial count {g} at degree {k}"
         )
     return g

@@ -66,6 +66,13 @@ def brief(x) -> str:
         return f"~10^{math.log10(x.numerator) - math.log10(x.denominator):.0f}"
 
 
+def ratio(num: int, den: int):
+    """num / den as a Fraction, for a refusal's text: fractions is imported only here,
+    so a run that refuses nothing never loads it."""
+    from fractions import Fraction
+    return Fraction(num, den)
+
+
 def milnor_product(w: WeightSystem) -> tuple[int, int]:
     """prod(d/w_i - 1) as the integer pair (prod(d - w_i), prod(w_i))."""
     if w.degree < max(w.weights):
@@ -80,9 +87,8 @@ def milnor_number(w: WeightSystem) -> int:
     num, den = milnor_product(w)
     mu, rest = divmod(num, den)
     if rest or mu <= 0:
-        from fractions import Fraction  # imported only where a refusal formats one
         raise NonIntegralMilnorNumberError(
-            f"Milnor product {brief(Fraction(num, den))} is not a positive integer; "
+            f"Milnor product {brief(ratio(num, den))} is not a positive integer; "
             "the weight data is inconsistent with an isolated singularity link"
         )
     return mu
@@ -113,8 +119,7 @@ def characteristic_divisor(w: WeightSystem) -> Divisor:
     num, den = milnor_product(w)
     terms, scale = milnor_orlik_terms(w.weights, w.degree)
     if any(c % scale for c in terms.values()):
-        from fractions import Fraction
-        bad = {n: Fraction(c, scale) for n, c in terms.items() if c % scale}
+        bad = {n: ratio(c, scale) for n, c in terms.items() if c % scale}
         raise IntegralityViolationError(
             f"characteristic divisor has fractional coefficients {bad}; "
             "the weight data is inconsistent with an isolated singularity link"
@@ -122,9 +127,8 @@ def characteristic_divisor(w: WeightSystem) -> Divisor:
     divisor = Divisor(sorted((n, c // scale) for n, c in terms.items()))
     degree = sum(j * a for j, a in divisor)
     if degree * den != num:
-        from fractions import Fraction
         raise ConsistencyError(
-            f"divisor degree {degree} differs from Milnor product {Fraction(num, den)}"
+            f"divisor degree {degree} differs from Milnor product {ratio(num, den)}"
         )
     return divisor
 

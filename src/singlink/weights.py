@@ -144,8 +144,8 @@ class WeightedPolynomial(namedtuple("WeightedPolynomial", "support system")):
 
 
 def quasi_degree(monomials: Iterable[Sequence[int]], weights: Sequence[int]) -> WeightedPolynomial:
-    """Build a WeightedPolynomial, inferring the degree from the monomials; each
-    check runs once, so neither constructor repeats it."""
+    """Build a WeightedPolynomial, inferring the degree from the monomials; the
+    weights are validated once, and the polynomial's constructor checks the rest."""
     support = frozenset(require_ints(m, "exponents") for m in monomials)
     if not support:
         raise EmptySubsetError("a polynomial needs at least one monomial")
@@ -154,11 +154,9 @@ def quasi_degree(monomials: Iterable[Sequence[int]], weights: Sequence[int]) -> 
     if len(degrees) != 1:
         raise NotQuasiHomogeneousError(degrees)
     (degree,) = degrees
-    if degree < 1:
+    if degree < 1:  # as WeightSystem refuses it; its other checks ran on ws above
         raise DegenerateDegreeError(f"degree {degree} is not positive")
-    if negative := next((m for m in support if min(m) < 0), None):
-        raise ValueError(f"monomial {negative} has a negative exponent")
-    return tuple.__new__(WeightedPolynomial, (support, tuple.__new__(WeightSystem, (ws, degree))))
+    return WeightedPolynomial(support, tuple.__new__(WeightSystem, (ws, degree)))
 
 
 def is_well_formed_space(w: WeightSystem) -> bool:

@@ -180,6 +180,17 @@ def test_a_registry_entry_claiming_se_must_be_a_well_formed_fano_pair():
     assert entry.support == tuple(sorted(_QUINTIC["support"])) and entry.reference_order is None
 
 
+def test_replace_skips_the_checks_that_the_constructor_runs():
+    entry = RegistryEntry(**_QUINTIC, obstructed=True)
+    claimed = entry._replace(obstructed=False)  # unchecked: a library caller's responsibility
+    assert claimed.obstructed is False and claimed.key == entry.key
+    with pytest.raises(SinglinkError) as err:
+        RegistryEntry(**{**entry._asdict(), "obstructed": False})
+    assert str(err.value) == (
+        "registry entry quintic claims an SE metric but is not a well-formed Fano pair"
+    )
+
+
 def test_constructors_normalize_their_fields():
     assert WeightSystem([1, 2], 3).weights == (1, 2)
     assert ExpandedPoly([0, -1]).coefficients == (0, -1)
