@@ -27,8 +27,6 @@ from .classify import (
     cross_checks,
     load_registry,
     registry_dump,
-    registry_lookup,
-    require_consistent,
     smale_name,
     smale_type,
 )
@@ -80,7 +78,6 @@ from .weights import (
     WeightedPolynomial,
     WeightSystem,
     count_monomials,
-    divisibility_condition,
     is_well_formed_space,
     quasi_degree,
     quasi_smooth_failure,

@@ -140,8 +140,8 @@ class RegistryEntry(namedtuple(
 
     @cached_property
     def key(self) -> frozenset:
-        """The tie relabelings of the canonical form, which analyze and registry_lookup
-        match; built on first read, so a _replace copy builds its own."""
+        """The tie relabelings of the canonical form, which analyze matches; built on first
+        read, so a _replace copy builds its own."""
         return _tie_relabelings(_canonicalize(self.polynomial())[0])
 
     def polynomial(self) -> WeightedPolynomial:
@@ -235,16 +235,6 @@ def load_registry(text: str) -> tuple[RegistryEntry, ...]:
     return tuple(entries)
 
 
-def registry_lookup(
-    f: WeightedPolynomial, registry: tuple[RegistryEntry, ...] = BUILTIN_REGISTRY
-) -> RegistryEntry | None:
-    """Match weights, degree and support, all up to one shared relabeling: the
-    canonical form of f against each entry's tie relabelings (entry.key)."""
-    f, _ = _canonicalize(f)
-    key = (f.system.weights, f.system.degree, f.sorted_support)
-    return next((entry for entry in registry if key in entry.key), None)
-
-
 def smale_type(b2: int, torsion_free: bool) -> int | None:
     """Connected-sum rank for a simply connected spin 5-manifold link."""
     if b2 < 0:
@@ -297,24 +287,17 @@ def _reference_rows(order: int, ref: int | None) -> list:
     return [] if ref is None else [("orbifold order vs registry reference", order, ref)]
 
 
-def _results(rows: list) -> tuple[CheckResult, ...]:
-    return tuple(CheckResult(name, got == want, f"got {got}, expected {want}") for name, got, want in rows)
-
-
-def _require(checks: tuple[CheckResult, ...]) -> None:
-    if failures := [c for c in checks if not c.passed]:
-        raise ConsistencyError("; ".join(f"{c.name}: {c.detail}" for c in failures))
+def _require(rows: list) -> None:
+    if failures := [f"{name}: got {got}, expected {want}" for name, got, want in rows if got != want]:
+        raise ConsistencyError("; ".join(failures))
 
 
 def cross_checks(report: InvariantReport) -> tuple[CheckResult, ...]:
-    """Recompute every two-route quantity from the report's own fields.  analyze runs
-    the weight-only rows once per facts build and the registry row per record."""
+    """Every two-route row recomputed from the report's own fields, passed or failed;
+    analyze raises on the same rows, the weight-only ones once per facts build."""
     rows = _weight_rows(report._asdict())
-    return _results(rows + _reference_rows(report.orbifold_order, report.registry_reference_order))
-
-
-def require_consistent(report: InvariantReport) -> None:
-    _require(cross_checks(report))
+    rows += _reference_rows(report.orbifold_order, report.registry_reference_order)
+    return tuple(CheckResult(name, got == want, f"got {got}, expected {want}") for name, got, want in rows)
 
 
 def _split_variable(f: WeightedPolynomial) -> int | None:
@@ -346,7 +329,7 @@ def _weight_facts(w: WeightSystem) -> MappingProxyType:
             b2_hodge=pg + h11 + pg, signature=1 + 2 * pg - h11,
         )
         stage = "cross checks"
-        _require(_results(_weight_rows(facts)))
+        _require(_weight_rows(facts))
     except SinglinkError as exc:
         exc.args = (f"[stage: {stage}] {exc}",) + exc.args[1:]
         raise
@@ -394,7 +377,7 @@ def analyze(
         entry = next((e for e in registry if (w.weights, w.degree, support) in e.key), None)
         reference_order = entry.reference_order if entry else None
         stage = "cross checks"  # the weight-only rows ran when the facts were built
-        _require(_results(_reference_rows(order, reference_order)))
+        _require(_reference_rows(order, reference_order))
     except SinglinkError as exc:
         if stage is not None:
             exc.args = (f"[stage: {stage}] {exc}",) + exc.args[1:]

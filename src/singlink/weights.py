@@ -168,18 +168,6 @@ def is_well_formed_space(w: WeightSystem) -> bool:
     )
 
 
-def divisibility_condition(w: WeightSystem) -> bool:
-    """True iff the gcd of every delete-two weight subset divides the degree."""
-    ws = w.weights
-    if len(ws) < 3:
-        return True
-    for i, j in combinations(range(len(ws)), 2):
-        rest = [ws[k] for k in range(len(ws)) if k not in (i, j)]
-        if w.degree % math.gcd(*rest) != 0:
-            return False
-    return True
-
-
 def count_monomials(weights: Sequence[int], k: int) -> int:
     """Number of exponent vectors of weighted degree exactly k: a walk over the exponents
     of all weights but the two least, a <= b (a pad k + 1 for n < 2), then a*x + b*y = r in

@@ -1,7 +1,6 @@
 import json
 import math
 import random
-import re
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -36,7 +35,6 @@ from singlink import (
     WeightSystem,
     WrongDimensionError,
     analyze,
-    divisibility_condition,
     is_well_formed_space,
     cross_checks,
     load_registry,
@@ -44,14 +42,13 @@ from singlink import (
     pair_well_formed,
     quasi_degree,
     registry_dump,
-    registry_lookup,
-    require_consistent,
     singular_strata,
     smale_name,
     smale_type,
     torsion_status,
 )
 from singlink.cli import entry, render_json, render_json_line
+from divisibility import divisibility_condition
 from poincare import hodge_numbers
 from conftest import (
     F60_SUPPORT,
@@ -286,16 +283,15 @@ def test_registry_lookup_is_permutation_invariant(f60):
         ],
         (17, 15, 20, 9),
     )
-    entry = registry_lookup(permuted)
-    assert entry is not None and entry.tag == "DK-1"
-    assert registry_lookup(f60).tag == "DK-1"
+    assert analyze(permuted).registry_tag == "DK-1"
+    assert analyze(f60).registry_tag == "DK-1"
 
 
 def test_registry_lookup_misses_on_different_support(f60):
     # same weights and degree, smaller support
     g = quasi_degree([(5, 1, 0, 0), (1, 0, 3, 0), (0, 4, 0, 0)], (9, 15, 17, 20))
-    assert registry_lookup(f60) is not None
-    assert registry_lookup(g) is None
+    assert analyze(f60).registry_tag is not None
+    assert analyze(g).registry_tag is None
 
 
 def test_registry_entry_normalizes_and_validates():
@@ -696,13 +692,9 @@ def test_each_stage_labels_its_refusal(f, registry, residue, error, message, mon
 
 def test_cross_checks_catch_corrupted_reports(report60):
     assert all(c.passed for c in cross_checks(report60))
-    require_consistent(report60)
     bad = report60._replace(b2_hodge=99)
-    failed = [c for c in cross_checks(bad) if not c.passed]
-    assert [c.name for c in failed] == ["b2 routes"]
-    with pytest.raises(ConsistencyError) as err:
-        require_consistent(bad)
-    assert "b2 routes" in str(err.value)
+    failed = [(c.name, c.detail) for c in cross_checks(bad) if not c.passed]
+    assert failed == [("b2 routes", "got (2, 2), expected (99, 99)")]
     # the rendered b2_divisor is checked too, also where no Fano signature check reads it
     quintic = analyze(quasi_degree(FERMAT_QUINTIC["support"], FERMAT_QUINTIC["weights"]))
     assert not quintic.fano.is_fano and all(c.passed for c in cross_checks(quintic))
@@ -716,6 +708,21 @@ def test_cross_checks_catch_corrupted_reports(report60):
     assert failed(report60, milnor_number=87) == [
         ("divisor degree vs milnor number", "got 86, expected 87")
     ]
+
+
+def test_the_cross_checks_stage_joins_every_failing_row(monkeypatch):
+    """Two weight-only rows fail at once: a p_g of 1 where DK-1 has 0 breaks the Fano
+    signature row, and a patched factored residue the residue row.  analyze raises one
+    ConsistencyError that names both, in cross_checks' order."""
+    monkeypatch.setattr(classify, "factored_residue", lambda divisor: 0)
+    monkeypatch.setattr(classify, "count_monomials", lambda weights, k: 1)
+    clear_memos()
+    with pytest.raises(ConsistencyError) as caught:
+        analyze(quasi_degree(F60_SUPPORT, F60_WEIGHTS))
+    assert str(caught.value) == (
+        "[stage: cross checks] expanded vs factored Delta(t) mod P: got 66887296110255346, "
+        "expected 0; signature vs 1 - b2 (Fano): got 3, expected -1"
+    )
 
 
 def test_cross_checks_validate_registry_reference(report256_1):
@@ -795,8 +802,7 @@ def test_public_functions_agree_with_the_report(name, tag, request):
     assert pair_well_formed(strata, f.nvars) == r.pair_well_formed
     assert orbifold_order(strata) == r.orbifold_order
     assert torsion_status(pair_well_formed(strata, f.nvars), f.nvars) == r.torsion
-    entry = registry_lookup(f, TIED_REGISTRY)
-    assert (entry.tag if entry else None) == r.registry_tag == tag
+    assert r.registry_tag == tag
 
 
 def _relabeled(f, perm):
@@ -817,10 +823,7 @@ AXIS_CUBIC = quasi_degree([(2, 1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)], (1, 1, 1, 
 )
 def test_every_relabeling_finds_the_same_registry_entry(f, tag):
     for perm in permutations(range(4)):
-        g = _relabeled(f, perm)
-        entry = registry_lookup(g, TIED_REGISTRY)
-        assert (entry.tag if entry else None) == tag
-        assert analyze(g, registry=TIED_REGISTRY).registry_tag == tag
+        assert analyze(_relabeled(f, perm), registry=TIED_REGISTRY).registry_tag == tag
 
 
 def _count_calls(monkeypatch, holder, name):
@@ -860,7 +863,6 @@ def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch
     strata = _count_calls(monkeypatch, orbifold, "singular_strata")
     keys = _count_calls(monkeypatch, classify, "_tie_relabelings")
     space_wf = _count_calls(monkeypatch, weights, "is_well_formed_space")
-    div_ok = _count_calls(monkeypatch, weights, "divisibility_condition")
     character = _count_calls(monkeypatch, milnor_algebra, "check_divisor_character")
     pair_flag = _count_calls(monkeypatch, orbifold, "pair_well_formed")
     divisor = _count_calls(monkeypatch, monodromy, "characteristic_divisor")
@@ -870,14 +872,14 @@ def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch
     assert len(expanded) == 1  # Delta(t), never P(t)
     assert len(strata) == 1
     assert keys == []
-    assert space_wf == div_ok == []  # the strata decide both ambient flags
+    assert space_wf == []  # the strata decide both ambient flags
     assert len(character) == len(pair_flag) == len(divisor) == 1
     analyze(g)
     assert len(exact) == len(counts) == 1 + 2 * dk2  # the branch curve's, again
     assert len(expanded) == 1
     assert len(strata) == 2
     assert keys == []
-    assert space_wf == div_ok == []
+    assert space_wf == []
     assert len(character) == len(divisor) == 1
     assert len(pair_flag) == 2
 
@@ -1185,10 +1187,10 @@ def test_the_residue_memo_never_hides_a_wrong_polynomial(report60):
     residue = report60.expanded.residue  # memoized on the instance
     times_t_minus_1 = monodromy.expand(report60.divisor + ((1, 1),))
     bad = report60._replace(expanded=times_t_minus_1)
-    assert [c.name for c in cross_checks(bad) if not c.passed] == [RESIDUE_CHECK]
     bad_residue = residue * (monodromy.R - 1) % monodromy.P
-    with pytest.raises(ConsistencyError, match=f"got {bad_residue}, expected {residue}"):
-        require_consistent(bad)
+    assert [(c.name, c.detail) for c in cross_checks(bad) if not c.passed] == [
+        (RESIDUE_CHECK, f"got {bad_residue}, expected {residue}")
+    ]
 
 
 def test_one_coefficient_off_by_one_anywhere_fails_the_residue_check(report60):
@@ -1200,8 +1202,7 @@ def test_one_coefficient_off_by_one_anywhere_fails_the_residue_check(report60):
             if not coeffs[-1]:
                 continue  # the leading 1 cannot drop to 0 in an ExpandedPoly
             bad = report60._replace(expanded=ExpandedPoly(tuple(coeffs)))
-            with pytest.raises(ConsistencyError, match=re.escape(RESIDUE_CHECK)):
-                require_consistent(bad)
+            assert [c.name for c in cross_checks(bad) if not c.passed] == [RESIDUE_CHECK]
 
 
 def test_the_residue_check_refuses_a_point_where_a_factor_vanishes(monkeypatch, report60):
@@ -1209,4 +1210,4 @@ def test_the_residue_check_refuses_a_point_where_a_factor_vanishes(monkeypatch, 
     report = report60._replace(expanded=ExpandedPoly(report60.expanded.coefficients))
     monkeypatch.setattr(monodromy, "R", monodromy.P - 1)  # (-1)^4 = 1: DK-1 has (t^4 - 1)
     with pytest.raises(ConsistencyError, match="vanishes at R"):
-        require_consistent(report)
+        cross_checks(report)

@@ -23,7 +23,6 @@ from singlink import (
     WeightSystem,
     analyze,
     characteristic_divisor,
-    divisibility_condition,
     is_well_formed_space,
     middle_betti,
     milnor_number,
@@ -48,6 +47,7 @@ from singlink.cli import (
     scan_rows,
 )
 from conftest import clear_memos, one_above_mu
+from divisibility import divisibility_condition
 from poincare import poincare_series
 
 DK1_POLY = "z0^5*z1 + z0*z2^3 + z1^4 + z3^3"

@@ -16,7 +16,6 @@ from singlink import (
     WeightSystem,
     WrongDimensionError,
     analyze,
-    divisibility_condition,
     fano,
     is_well_formed_space,
     orbifold_order,
@@ -25,6 +24,7 @@ from singlink import (
     singular_strata,
     torsion_status,
 )
+from divisibility import divisibility_condition
 
 
 def strata_map(f):

@@ -1,0 +1,73 @@
+"""The public API and the README that documents it: singlink.__all__ by name, and
+every value that README's Library example quotes in a comment."""
+
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+import singlink
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC_API = [
+    "BUILTIN_REGISTRY", "BoundExceededError", "CANDIDATE", "CONTAINED",
+    "CancelledMonomialError", "CheckResult", "ConsistencyError", "DISJOINT",
+    "DegenerateDegreeError", "Divisor", "DuplicateMonomialWarning", "EmptySubsetError",
+    "ExpandedPoly", "Fano", "InexactDivisionError", "IntegralityViolationError",
+    "InvariantReport", "KNOWN_SE", "LengthMismatchError", "MEETS", "NOT_FANO",
+    "NOT_QUASI_SMOOTH", "NOT_WELL_FORMED", "NonIntegralMilnorNumberError",
+    "NonPositiveWeightError", "NotNormalizedError", "NotQuasiHomogeneousError", "OBSTRUCTED",
+    "PolynomialSyntaxError", "RegistryEntry", "SinglinkError", "Stratum", "TORSION_FREE",
+    "TORSION_UNKNOWN", "UnsupportedDimensionError", "WeightSystem", "WeightedPolynomial",
+    "WrongDimensionError", "analyze", "bp_oracle", "characteristic_divisor",
+    "count_monomials", "cross_checks", "expand", "fano", "genus_branch_curve",
+    "is_well_formed_space", "load_registry", "middle_betti", "milnor_number",
+    "orbifold_order", "pair_well_formed", "quasi_degree", "quasi_smooth_failure",
+    "registry_dump", "singular_strata", "smale_name", "smale_type", "to_factored",
+    "torsion_status", "validate_weights", "weighted_degree",
+]
+
+
+def test_the_public_api_is_its_explicit_list():
+    """Adding a name to singlink or retiring one is a decision: it edits this list."""
+    assert len(PUBLIC_API) == 62
+    assert sorted(singlink.__all__) == PUBLIC_API
+
+
+def library_block(text: str) -> str:
+    """The first python code block under README's "## Library" heading."""
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def quoted_values(block: str) -> list[tuple[str, object, object]]:
+    """(expression, value, quoted value) of each bare expression in block, run in order.
+
+    An expression's value comment sits on its last line, or alone on the line after
+    it, and is a Python literal, optionally followed by ": " and prose.  Every bare
+    expression must carry one."""
+    trailing, alone = {}, {}
+    for tok in tokenize.generate_tokens(io.StringIO(block).readline):
+        if tok.type == tokenize.COMMENT:
+            where = alone if tok.line.lstrip().startswith("#") else trailing
+            where[tok.start[0]] = tok.string[1:].strip()
+    namespace: dict = {}
+    checked = []
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
+            continue
+        comment = trailing.get(stmt.end_lineno, alone.get(stmt.end_lineno + 1))
+        assert comment is not None, f"line {stmt.end_lineno} of the block quotes no value"
+        got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        checked.append((ast.unparse(stmt.value), got, ast.literal_eval(comment.split(": ", 1)[0])))
+    return checked
+
+
+def test_the_readme_library_example_quotes_its_values():
+    """86, the DK-1 divisor, '#2(S²×S³)', the Hodge pairs, the DK-2 divisor, the genus 0
+    and the orbifold order 765, each against what its expression returns."""
+    checked = quoted_values(library_block(README.read_text(encoding="utf-8")))
+    assert [(expr, got, want) for expr, got, want in checked if got != want] == []
+    assert len(checked) == 7

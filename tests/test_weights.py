@@ -17,7 +17,6 @@ from singlink import (
     WeightSystem,
     analyze,
     count_monomials,
-    divisibility_condition,
     is_well_formed_space,
     quasi_degree,
     quasi_smooth_failure,
@@ -25,6 +24,7 @@ from singlink import (
     weighted_degree,
 )
 from conftest import clear_memos
+from divisibility import divisibility_condition
 
 
 def brute_count(weights, k):
