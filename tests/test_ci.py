@@ -1,0 +1,22 @@
+"""CI runs Tier-1 and the checks in ci/checks.py, and nothing else in Python: the workflow
+holds no inline script, and it names every check the script defines in exactly one step."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+
+
+def test_the_workflow_runs_every_check_and_no_inline_python():
+    text = WORKFLOW.read_text(encoding="utf-8")
+    assert "<<" not in text, "a heredoc"
+    assert not re.search(r"\bpython3? +-c?\s", text), "a python -c or a script on stdin"
+    spec = importlib.util.spec_from_file_location("checks", ROOT / "ci" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    steps = [line for line in text.replace("\\\n", " ").splitlines() if not line.lstrip().startswith("#")]
+    calls = [found.split() for line in steps for found in re.findall(r"ci/checks\.py((?: +\w+)*)", line)]
+    assert calls and all(calls), "a step runs ci/checks.py without naming its checks"
+    assert sorted(name for call in calls for name in call) == sorted(checks.CHECKS)

@@ -822,8 +822,10 @@ AXIS_CUBIC = quasi_degree([(2, 1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)], (1, 1, 1, 
     ids=["tied_cubic", "axis_cubic"] + [e.tag for e in TIED_REGISTRY],
 )
 def test_every_relabeling_finds_the_same_registry_entry(f, tag):
+    status = KNOWN_SE if tag else NOT_QUASI_SMOOTH
     for perm in permutations(range(4)):
-        assert analyze(_relabeled(f, perm), registry=TIED_REGISTRY).registry_tag == tag
+        r = analyze(_relabeled(f, perm), registry=TIED_REGISTRY)
+        assert (r.registry_tag, r.se_status) == (tag, status)
 
 
 def _count_calls(monkeypatch, holder, name):

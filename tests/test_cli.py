@@ -438,6 +438,51 @@ def test_cli_batch_counts_skipped_and_failed_records(tmp_path, capsys):
     assert "line 4: failed" in captured.err
 
 
+# (weights, degree, poly): two cubics and DK-1 with a relabeling share a weight system,
+# Fermat d = 14 is above the memos' mu cutoff, and the last two are refused, one with a
+# non-integral mu and one on an ambient space that is not well formed
+SHARED_RECORDS = [
+    ("1,1,1,1", 3, "z0^3 + z1^3 + z2^3 + z3^3"),
+    ("1,1,1,1", 3, "z0^2*z1 + z2^3 + z3^3"),
+    ("9,15,17,20", 60, DK1_POLY),
+    ("17,15,20,9", 60, "z1*z3^5 + z0^3*z3 + z1^4 + z2^3"),
+    ("1,1,1,1", 14, "z0^14 + z1^14 + z2^14 + z3^14"),
+    ("2,3,5,7", 16, "z0^8 + z0*z3^2 + z1^3*z3 + z0^3*z2^2"),
+    ("2,2,2,1", 4, "z0^2 + z1^2 + z2^2 + z3^4"),
+]
+
+
+def test_cli_batch_lines_are_what_a_cold_analyze_prints_for_each_record(tmp_path, capsys):
+    """A memo hit inside batch gives analyze's report, and a refused line the [stage: ...]
+    text analyze prints."""
+    path = tmp_path / "batch.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps({"weights": [int(w) for w in weights.split(",")], "degree": d, "poly": poly})
+            + "\n"
+            for weights, d, poly in SHARED_RECORDS
+        ),
+        encoding="utf-8",
+    )
+    clear_memos()
+    cli._invariants_fragment.cache_clear()
+    assert entry(["batch", str(path)]) == 0
+    batch = capsys.readouterr()
+    reports, refusals = [], []
+    for line, (weights, d, poly) in enumerate(SHARED_RECORDS, start=1):
+        clear_memos()
+        code = entry(["analyze", "--weights", weights, "--degree", str(d), "--poly", poly,
+                      "--format", "json"])
+        single = capsys.readouterr()
+        assert code == (0 if line <= 5 else 1)
+        if code == 0:
+            reports.append(json.loads(single.out))
+        else:
+            refusals.append(f"line {line}: failed ({single.err.strip().removeprefix('error: ')})")
+    assert [json.loads(x) for x in batch.out.splitlines()] == reports
+    assert batch.err.splitlines() == refusals + ["ok=5 skipped=0 failed=2"]
+
+
 FERMAT_16 = "z0^16 + z1^16 + z2^16 + z3^16"
 
 
@@ -492,7 +537,7 @@ def test_cli_batch_counts_a_superscript_exponent_as_failed_and_goes_on(tmp_path,
     assert [json.loads(line) for line in captured.out.splitlines()] == [json.loads(golden)]
 
 
-def test_parse_polynomial_refuses_an_explicit_width_over_the_ceiling():
+def test_parse_polynomial_refuses_an_explicit_width_over_the_ceiling(tmp_path, capsys):
     """An explicit width would give every term a vector that wide, so a width
     over the ceiling is refused before any is built."""
     assert parse_polynomial("z0", nvars=cli.SCAN_MAX_VARS) == frozenset(
@@ -501,6 +546,16 @@ def test_parse_polynomial_refuses_an_explicit_width_over_the_ceiling():
     with pytest.raises(BoundExceededError) as err:
         parse_polynomial("z0", nvars=cli.SCAN_MAX_VARS + 1)
     assert str(err.value) == "101 variables exceed the ceiling 100"
+    # a batch record with 40,000 weights and 400 terms fails at once
+    record = {"weights": [1] * 40000, "degree": 1, "poly": " + ".join(f"z{i}" for i in range(400))}
+    path = tmp_path / "wide.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert entry(["batch", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "ok=0 skipped=0 failed=1"
 
 
 def test_cli_batch_reads_past_bytes_that_are_not_utf8(tmp_path, capsys):
@@ -681,6 +736,10 @@ def test_both_renderers_are_the_plain_dump(all_reports):
     up to d = 5, only the strings above), the DK links, and replaced expansions at the edge of
     JSON-safe (both lists, then only the strings) and with one coefficient."""
     reports = [_fermat_report(d) for d in range(2, 16)] + list(all_reports)
+    # mu = (d - 1)^4 and both routes give b2 = d^3 - 4d^2 + 6d - 3: 28,561 and 2,041 at d = 14
+    assert [(r.milnor_number, r.b2_divisor, r.b2_hodge) for r in reports[:14]] == [
+        ((d - 1) ** 4, d**3 - 4 * d**2 + 6 * d - 3, d**3 - 4 * d**2 + 6 * d - 3) for d in range(2, 16)
+    ]
     reports += [
         all_reports[0]._replace(expanded=ExpandedPoly(coefficients))
         for coefficients in ((-(2**53 - 1), 0, 2**53 - 1), (-1, 0, 2**53), (7,))
@@ -820,6 +879,9 @@ def test_cli_batch_writes_to_a_file(tmp_path, capsys):
     assert "ok=1 skipped=0 failed=0" in captured.err
     record = json.loads(dst.read_text(encoding="utf-8"))
     assert record["invariants"]["milnor_number"] == 86
+    # the line is the golden report, dumped compactly by this Python's own json
+    golden = (Path(__file__).parent / "golden" / "report_dk1.json").read_text(encoding="utf-8")
+    assert dst.read_text(encoding="utf-8") == json.dumps(json.loads(golden), ensure_ascii=False) + "\n"
 
 
 def test_cli_batch_refuses_to_overwrite_its_input(tmp_path, capsys):

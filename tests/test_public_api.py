@@ -1,14 +1,20 @@
-"""The public API and the README that documents it: singlink.__all__ by name, and
-every value that README's Library example quotes in a comment."""
+"""The public API and the README that documents it: singlink.__all__ by name, every
+value that README's Library example quotes in a comment, and what its command-line
+examples print."""
 
 import ast
 import io
+import json
+import re
+import shlex
 import tokenize
 from pathlib import Path
 
 import singlink
+from singlink.cli import entry
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 PUBLIC_API = [
     "BUILTIN_REGISTRY", "BoundExceededError", "CANDIDATE", "CONTAINED",
@@ -71,3 +77,33 @@ def test_the_readme_library_example_quotes_its_values():
     checked = quoted_values(library_block(README.read_text(encoding="utf-8")))
     assert [(expr, got, want) for expr, got, want in checked if got != want] == []
     assert len(checked) == 7
+
+
+def readme_commands(text: str) -> list[list[str]]:
+    """The arguments of each line of README's sh blocks that runs singlink."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("singlink ")]
+
+
+def test_the_readme_command_line_examples_print_what_it_quotes(tmp_path, monkeypatch, capsys):
+    """Each singlink example exits 0 in a fresh directory whose inputs.jsonl holds DK-1:
+    analyze ends with the quoted classification line, scan prints the quoted line count
+    and row, and registry prints the golden table."""
+    text = README.read_text(encoding="utf-8")
+    ending = re.search(r"ending with the classification line\s+`([^`]+)`", text)[1]
+    count, row = re.search(r"The example prints ([\d,]+) lines, among them\s+`([^`]+)`", text).groups()
+    monkeypatch.chdir(tmp_path)
+    dk1 = {"weights": [9, 15, 17, 20], "degree": 60, "poly": "z0^5*z1 + z0*z2^3 + z1^4 + z3^3"}
+    Path("inputs.jsonl").write_text(json.dumps(dk1) + "\n", encoding="utf-8")
+    printed = {}
+    for argv in readme_commands(text):
+        assert entry(argv) == 0, argv
+        printed[argv[0]] = capsys.readouterr().out
+    assert sorted(printed) == ["analyze", "batch", "registry", "scan"]
+    assert printed["analyze"].endswith(f"\n{ending}\n")
+    scanned = printed["scan"].splitlines()
+    assert (len(scanned), scanned.count(row)) == (int(count.replace(",", "")), 1)
+    assert printed["registry"] == (GOLDEN / "registry.jsonl").read_text(encoding="utf-8")
+    (report,) = Path("reports.jsonl").read_text(encoding="utf-8").splitlines()
+    assert json.loads(report)["input"]["weights"] == dk1["weights"]
