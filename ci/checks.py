@@ -158,23 +158,30 @@ def _bench_smoke(tmp):
         assert result["correct"] is True and result["failed"] == 0, result
 
 
+def _line_counts(directory):
+    """{file name: line count} of the .py files in directory under the repo root."""
+    path = os.path.join(ROOT, directory)
+    counts = {}
+    for name in sorted(os.listdir(path)):
+        if name.endswith(".py"):
+            with open(os.path.join(path, name), encoding="utf-8") as fh:
+                counts[name] = fh.read().count("\n")
+    return counts
+
+
 def _summary(tmp):
-    """Records, as no gate: the line count of each source file, the size of the public API
-    (tests/test_public_api.py pins the names), and the cumulative import time of singlink
-    and singlink.cli, what every CLI call pays first."""
+    """Records, as no gate: the line count of each source file and of the tests, the size
+    of the public API (tests/test_public_api.py pins the names), and the cumulative import
+    time of singlink and singlink.cli, what every CLI call pays first."""
     import subprocess
 
     import singlink
 
-    src = os.path.join(ROOT, "src", "singlink")
-    counts = {}
-    for name in sorted(os.listdir(src)):
-        if name.endswith(".py"):
-            with open(os.path.join(src, name), encoding="utf-8") as fh:
-                counts[name] = fh.read().count("\n")
+    counts = _line_counts(os.path.join("src", "singlink"))
     print(f"src/singlink/*.py: {sum(counts.values())} lines")
     for name, lines in counts.items():
         print(f"{lines:5d} src/singlink/{name}")
+    print(f"tests/*.py: {sum(_line_counts('tests').values())} lines")
     print(f"singlink.__all__: {len(singlink.__all__)} names")
     argv = [sys.executable, "-X", "importtime", "-c", "import singlink, singlink.cli"]
     timings = subprocess.run(argv, stderr=subprocess.PIPE, text=True, check=True).stderr

@@ -52,16 +52,6 @@ class RingDivisor:
         """Index -> coefficient mapping (a copy; zero coefficients pruned)."""
         return dict(self._terms)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms))
-
-    def coefficient(self, n: int) -> Scalar:
-        return self._terms.get(n, 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self._terms.values())
 
@@ -117,16 +107,7 @@ class RingDivisor:
         """
         return sum(c * n for n, c in self._terms.items())
 
-    def unit_coefficient(self) -> Scalar:
-        """Multiplicity of the root 1: sum of ALL coefficients.
-
-        Every Lambda_n contains <1> exactly once, so the multiplicity of 1
-        in the root multiset is the coefficient sum, not the stored entry
-        at index 1.
-        """
-        return sum(self._terms.values())
-
-    # -- comparison and rendering ----------------------------------------
+    # -- comparison -------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -135,41 +116,10 @@ class RingDivisor:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}: {_frac_str(c)}" for n, c in sorted(self._terms.items()))
+        inner = ", ".join(f"{n}: {c}" for n, c in sorted(self._terms.items()))
         return f"RingDivisor({{{inner}}})"
 
-    def pretty(self) -> str:
-        """Human form with the unit split out, largest index first.
-
-        Example: "Λ60 + Λ20 + Λ12 - Λ4 - Λ3 + 1".
-        """
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for n in sorted(self._terms, reverse=True):
-            c = self._terms[n]
-            sign = "-" if c < 0 else "+"
-            c = abs(c)
-            if n == 1:
-                body = _frac_str(c)
-            elif c == 1:
-                body = f"Λ{n}"
-            else:
-                body = f"{_frac_str(c)}·Λ{n}"
-            parts.append((sign, body))
-        sign, body = parts[0]
-        out = body if sign == "+" else f"-{body}"
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
-
-
-def _frac_str(c: Scalar) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def _promote(value: RingDivisor | Scalar) -> RingDivisor:

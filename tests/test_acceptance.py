@@ -6,20 +6,17 @@ values for the three registry links and independently expanded grouped
 products for their characteristic polynomials.
 """
 
-import json
 import math
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import reduce
 from pathlib import Path
 
 from singlink import classify
 from singlink import (
     BUILTIN_REGISTRY,
     WeightSystem,
-    analyze,
     bp_oracle,
     characteristic_divisor,
     count_monomials,
@@ -39,6 +36,10 @@ from conftest import (
     F256_2_WEIGHTS,
     F60_SUPPORT,
     F60_WEIGHTS,
+    GROUPED_256,
+    GROUPED_60,
+    brieskorn_pham_quadruples,
+    brieskorn_pham_system,
 )
 from divisor_ring import RingDivisor, lambda_of
 
@@ -53,14 +54,6 @@ def criterion(number, summary):
         print(f"criterion {number:2d}: FAIL - {summary}")
         raise
     print(f"criterion {number:2d}: PASS - {summary}")
-
-
-def naive_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
 
 
 def test_criterion_1_milnor_numbers(all_reports):
@@ -79,26 +72,9 @@ def test_criterion_2_characteristic_divisors(all_reports):
 
 def test_criterion_3_expanded_polynomials(all_reports):
     with criterion(3, "expansions equal the grouped products"):
-        grouped_60 = reduce(
-            naive_mul,
-            [
-                [-1, 1], [-1, 1],
-                [1] * 15,
-                [1] + [0] * 14 + [1],
-                [1] + [0] * 29 + [1],
-                [1] * 5,
-                [1, 0, 0, 0, 0, 1],
-                [1] + [0] * 9 + [1],
-                [1, 0, -1, 0, 1],
-                [1, -1, 1],
-            ],
-        )
-        grouped_256 = reduce(
-            naive_mul, [[-1, 1]] + [[1] + [0] * (2**k - 1) + [1] for k in range(1, 8)]
-        )
-        assert list(all_reports[0].expanded.coefficients) == grouped_60
-        assert list(all_reports[1].expanded.coefficients) == grouped_256
-        assert list(all_reports[2].expanded.coefficients) == grouped_256
+        assert list(all_reports[0].expanded.coefficients) == GROUPED_60
+        assert list(all_reports[1].expanded.coefficients) == GROUPED_256
+        assert list(all_reports[2].expanded.coefficients) == GROUPED_256
 
 
 def test_criterion_4_betti_numbers_two_routes(all_reports):
@@ -144,26 +120,10 @@ def test_criterion_8_fano_indices(all_reports):
 
 def test_criterion_9_oracle_equivalence():
     start = time.monotonic()
-    tuples = []
-    a = [0, 0, 0, 0]
-
-    def fill(position, lower, budget):
-        if position == 4:
-            tuples.append(tuple(a))
-            return
-        value = lower
-        while (value - 1) <= budget:
-            a[position] = value
-            fill(position + 1, value, budget // (value - 1))
-            value += 1
-
-    fill(0, 2, 500)
+    tuples = brieskorn_pham_quadruples(500)
     mismatches = []
     for exps in tuples:
-        big_l = math.lcm(*exps)
-        weights = tuple(big_l // x for x in exps)
-        system = WeightSystem(weights, big_l)
-        via_divisor = expand(characteristic_divisor(system))
+        via_divisor = expand(characteristic_divisor(brieskorn_pham_system(exps)))
         via_roots = bp_oracle(exps, bound=500)
         if via_divisor.coefficients != via_roots.coefficients:
             mismatches.append(exps)

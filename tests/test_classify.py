@@ -3,7 +3,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
@@ -53,9 +53,16 @@ from poincare import hodge_numbers
 from conftest import (
     F60_SUPPORT,
     F60_WEIGHTS,
+    brieskorn_pham_quadruples,
+    brieskorn_pham_system,
     clear_memos,
+    count_calls,
     count_mask_builds,
     count_residue_passes,
+    fermat,
+    full_support,
+    pure_powers,
+    relabeled,
 )
 
 
@@ -157,7 +164,7 @@ def test_registry_refuses_an_entry_without_four_variables(n):
     record = {
         "weights": [1] * n,
         "degree": 2,
-        "support": [[2 * (i == k) for i in range(n)] for k in range(n)],
+        "support": pure_powers((2,) * n),
         "tag": f"Q{n}",
         "citation": "none",
         "obstructed": True,
@@ -265,7 +272,7 @@ def test_registry_refuses_a_relabeled_duplicate():
     # on tied weights, every relabeling of the tie is a duplicate too
     c3 = TIED_REGISTRY[4]
     for perm in [(0, 1, 3, 2), (3, 2, 0, 1), (2, 3, 1, 0)]:
-        g = _relabeled(c3.polynomial(), perm)
+        g = relabeled(c3.support, c3.weights, perm)
         copy = RegistryEntry(g.system.weights, g.system.degree, g.sorted_support, "C3 again", "")
         assert copy.support != c3.support
         with pytest.raises(SinglinkError) as err:
@@ -274,15 +281,7 @@ def test_registry_refuses_a_relabeled_duplicate():
 
 
 def test_registry_lookup_is_permutation_invariant(f60):
-    permuted = quasi_degree(
-        [
-            (0, 1, 0, 5),
-            (3, 0, 0, 1),
-            (0, 4, 0, 0),
-            (0, 0, 3, 0),
-        ],
-        (17, 15, 20, 9),
-    )
+    permuted = relabeled(F60_SUPPORT, F60_WEIGHTS, (2, 1, 3, 0))
     assert analyze(permuted).registry_tag == "DK-1"
     assert analyze(f60).registry_tag == "DK-1"
 
@@ -488,16 +487,12 @@ def test_a_linear_monomial_is_refused_at_the_milnor_number():
     assert "[stage: milnor number]" in str(err.value)
 
 
-def _fermat(d):
-    return quasi_degree([tuple(d if j == i else 0 for j in range(4)) for i in range(4)], (1, 1, 1, 1))
-
-
 def test_analyze_refuses_a_milnor_number_over_the_ceiling_at_once():
     # Fermat d = 16: mu = 15^4 = 50,625 > MAX_MU; d = 15 (mu = 38,416) is below it
     assert 14**4 <= classify.MAX_MU < 15**4
     start = time.perf_counter()
     with pytest.raises(BoundExceededError) as err:
-        analyze(_fermat(16))
+        analyze(fermat(16))
     assert time.perf_counter() - start < 0.5
     assert "[stage: milnor number]" in str(err.value)
     assert "50625" in str(err.value)
@@ -505,10 +500,10 @@ def test_analyze_refuses_a_milnor_number_over_the_ceiling_at_once():
 
 def test_analyze_ceiling_admits_a_milnor_number_equal_to_it(monkeypatch):
     monkeypatch.setattr(classify, "MAX_MU", 16)
-    assert analyze(_fermat(3)).milnor_number == 16
+    assert analyze(fermat(3)).milnor_number == 16
     monkeypatch.setattr(classify, "MAX_MU", 15)
     with pytest.raises(BoundExceededError):
-        analyze(_fermat(3))
+        analyze(fermat(3))
 
 
 def _a2_stabilization(m):
@@ -516,7 +511,7 @@ def _a2_stabilization(m):
     return quasi_degree([(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 1)], (2 * m, 3 * m, 1, 6 * m - 1))
 
 
-def test_analyze_refuses_a_socle_degree_over_the_ceiling_at_once():
+def test_analyze_reports_mu_2_and_s5_at_once_far_above_expands_degree_ceiling():
     """analyze bounds mu, not T: T = 2 * 10^7 and T = 10^9, far above expand's
     degree ceiling, are reported at once, cold."""
     for m in (10**7, 5 * 10**8):
@@ -562,15 +557,7 @@ def test_analyze_at_the_socle_ceiling_expands_only_delta(monkeypatch):
 
 
 def test_analyze_is_equivariant_under_relabeling(report60):
-    permuted = quasi_degree(
-        [
-            (0, 1, 0, 5),
-            (3, 0, 0, 1),
-            (0, 4, 0, 0),
-            (0, 0, 3, 0),
-        ],
-        (17, 15, 20, 9),
-    )
+    permuted = relabeled(F60_SUPPORT, F60_WEIGHTS, (2, 1, 3, 0))
     r = analyze(permuted)
     assert r.permutation == (3, 1, 0, 2)
     assert r.weights == report60.weights
@@ -633,7 +620,7 @@ _WRONG_REFERENCE = BUILTIN_REGISTRY[0]._replace(reference_order=7)
             "data is inconsistent with an isolated singularity link",
         ),
         (
-            _fermat(16), BUILTIN_REGISTRY, None, BoundExceededError,
+            fermat(16), BUILTIN_REGISTRY, None, BoundExceededError,
             "[stage: milnor number] Milnor number 50625 exceeds the analyze ceiling 50000",
         ),
         (
@@ -749,9 +736,7 @@ def test_analyze_relabels_a_built_polynomial_without_checking_it_again(monkeypat
         return checked[-1]
 
     monkeypatch.setattr(WeightedPolynomial, "__new__", staticmethod(counted))
-    perm = (3, 1, 0, 2)
-    support = frozenset(tuple(m[i] for i in perm) for m in F60_SUPPORT)
-    f = WeightedPolynomial(support, WeightSystem(tuple(F60_WEIGHTS[i] for i in perm), 60))
+    f = relabeled(F60_SUPPORT, F60_WEIGHTS, (3, 1, 0, 2))
     assert checked == [f]
     r = analyze(f)
     assert checked == [f]
@@ -805,13 +790,6 @@ def test_public_functions_agree_with_the_report(name, tag, request):
     assert r.registry_tag == tag
 
 
-def _relabeled(f, perm):
-    """f with variable i renamed to the position of i in perm."""
-    return quasi_degree(
-        [tuple(m[i] for i in perm) for m in f.support], tuple(f.system.weights[i] for i in perm)
-    )
-
-
 # z0^2*z1 + z2^3 + z3^3: a tied cubic that no entry holds under any relabeling
 AXIS_CUBIC = quasi_degree([(2, 1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)], (1, 1, 1, 1))
 
@@ -824,24 +802,8 @@ AXIS_CUBIC = quasi_degree([(2, 1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)], (1, 1, 1, 
 def test_every_relabeling_finds_the_same_registry_entry(f, tag):
     status = KNOWN_SE if tag else NOT_QUASI_SMOOTH
     for perm in permutations(range(4)):
-        r = analyze(_relabeled(f, perm), registry=TIED_REGISTRY)
+        r = analyze(relabeled(f.support, f.system.weights, perm), registry=TIED_REGISTRY)
         assert (r.registry_tag, r.se_status) == (tag, status)
-
-
-def _count_calls(monkeypatch, holder, name):
-    """Count calls of holder.name, in every singlink module that binds it."""
-    original = getattr(holder, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    for module in (classify, milnor_algebra, monodromy, orbifold):
-        for key, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, key, counted)
-    return calls
 
 
 @pytest.mark.parametrize("name", ["f256_1", "fermat_sextic"])
@@ -853,21 +815,21 @@ def test_analyze_builds_each_shared_intermediate_once(name, request, monkeypatch
     second support on the same weight system reads every weight-only fact back
     from the memos and computes only its strata (and branch curve) anew."""
     if name == "fermat_sextic":
-        f = quasi_degree([tuple(6 * (i == k) for i in range(4)) for k in range(4)], (1,) * 4)
+        f = fermat(6)
         g = WeightedPolynomial(f.support | {(5, 1, 0, 0)}, f.system)
     else:
         f = request.getfixturevalue(name)
         g = WeightedPolynomial(f.support - {(17, 0, 1, 0)}, f.system)
     clear_memos()
-    exact = _count_calls(monkeypatch, milnor_algebra, "require_polynomial_series")
-    counts = _count_calls(monkeypatch, weights, "count_monomials")
-    expanded = _count_calls(monkeypatch, monodromy, "expand")
-    strata = _count_calls(monkeypatch, orbifold, "singular_strata")
-    keys = _count_calls(monkeypatch, classify, "_tie_relabelings")
-    space_wf = _count_calls(monkeypatch, weights, "is_well_formed_space")
-    character = _count_calls(monkeypatch, milnor_algebra, "check_divisor_character")
-    pair_flag = _count_calls(monkeypatch, orbifold, "pair_well_formed")
-    divisor = _count_calls(monkeypatch, monodromy, "characteristic_divisor")
+    exact = count_calls(monkeypatch, milnor_algebra, "require_polynomial_series")
+    counts = count_calls(monkeypatch, weights, "count_monomials")
+    expanded = count_calls(monkeypatch, monodromy, "expand")
+    strata = count_calls(monkeypatch, orbifold, "singular_strata")
+    keys = count_calls(monkeypatch, classify, "_tie_relabelings")
+    space_wf = count_calls(monkeypatch, weights, "is_well_formed_space")
+    character = count_calls(monkeypatch, milnor_algebra, "check_divisor_character")
+    pair_flag = count_calls(monkeypatch, orbifold, "pair_well_formed")
+    divisor = count_calls(monkeypatch, monodromy, "characteristic_divisor")
     analyze(f)
     dk2 = name == "f256_1"
     assert len(exact) == len(counts) == 1 + dk2  # DK-2 adds its branch curve's
@@ -896,10 +858,7 @@ def test_analyze_builds_the_variable_masks_once_on_the_canonical_polynomial(monk
     analyze(f)
     assert len(built) == 1 and built[0] is f
     assert isinstance(f.masks, tuple) and len(f.masks) == len(f.support)
-    perm = (2, 0, 3, 1)
-    g = quasi_degree(
-        [tuple(m[i] for i in perm) for m in F60_SUPPORT], tuple(F60_WEIGHTS[i] for i in perm)
-    )
+    g = relabeled(F60_SUPPORT, F60_WEIGHTS, (2, 0, 3, 1))
     analyze(g)
     assert len(built) == 2 and built[1] is not g and built[1] == f
     assert "masks" not in vars(g)
@@ -913,9 +872,9 @@ def test_a_split_over_a_space_that_is_not_well_formed_stops_at_strata(monkeypatc
     support = {(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 1, 1, 0), (0, 0, 0, 4)}
     f = WeightedPolynomial(frozenset(support), WeightSystem((2, 2, 2, 1), 4))
     assert classify._split_variable(f) == 3
-    genus = _count_calls(monkeypatch, milnor_algebra, "genus_branch_curve")
-    divisor = _count_calls(monkeypatch, monodromy, "characteristic_divisor")
-    series = _count_calls(monkeypatch, milnor_algebra, "require_polynomial_series")
+    genus = count_calls(monkeypatch, milnor_algebra, "genus_branch_curve")
+    divisor = count_calls(monkeypatch, monodromy, "characteristic_divisor")
+    series = count_calls(monkeypatch, milnor_algebra, "require_polynomial_series")
     clear_memos()
     for _ in range(2):
         with pytest.raises(UnsupportedDimensionError) as info:
@@ -927,31 +886,18 @@ def test_a_split_over_a_space_that_is_not_well_formed_stops_at_strata(monkeypatc
     assert genus == divisor == series == []
 
 
-def _bp_exponents(budget, prefix=()):
-    """Nondecreasing exponent quadruples, each at least 2, with prod(a_i - 1) <= budget,
-    in the order criterion 9's fill lists them."""
-    if len(prefix) == 4:
-        return [prefix]
-    return [
-        q for a in range(prefix[-1] if prefix else 2, budget + 2)
-        for q in _bp_exponents(budget // (a - 1), prefix + (a,))
-    ]
-
-
 def test_a_brieskorn_pham_sweep_refuses_ill_formed_spaces_before_the_weight_memo(monkeypatch):
     """z0^a0 + ... + z3^a3 on weights L / a_i, L = lcm(a), for every quadruple
     with prod(a_i - 1) <= 300: all but 53 ambient spaces are not well formed, and
     each of those is refused at strata without building its divisor, so Delta(t)
     is built once per report and the memo holds only the accepted systems."""
-    divisor = _count_calls(monkeypatch, monodromy, "characteristic_divisor")
+    divisor = count_calls(monkeypatch, monodromy, "characteristic_divisor")
     clear_memos()
     reports, refusals = [], []
-    for exps in _bp_exponents(300):
-        big_l = math.lcm(*exps)
-        system = WeightSystem(tuple(big_l // a for a in exps), big_l)
-        support = frozenset(tuple(a * (i == k) for i in range(4)) for k, a in enumerate(exps))
+    for exps in brieskorn_pham_quadruples(300):
         try:
-            reports.append(analyze(WeightedPolynomial(support, system)))
+            f = WeightedPolynomial(pure_powers(exps), brieskorn_pham_system(exps))
+            reports.append(analyze(f))
         except SinglinkError as exc:
             refusals.append(str(exc))
     assert len(reports) == 53 and len(refusals) == 1404
@@ -963,7 +909,7 @@ def test_analyze_keeps_no_weight_facts_above_the_mu_cutoff():
     """A system with mu above MEMO_MAX_MU (Fermat d = 8, mu = 2,401) builds its
     weight facts on every call and leaves the memo as it was."""
     d = next(d for d in range(2, 20) if (d - 1) ** 4 > classify.MEMO_MAX_MU)
-    f = _fermat(d)
+    f = fermat(d)
     before = classify._weight_facts.cache_info()
     first, second = analyze(f), analyze(f)
     assert classify._weight_facts.cache_info() == before
@@ -979,12 +925,6 @@ def test_the_weight_memo_keeps_at_most_its_entry_bound():
     assert info.currsize == info.maxsize == classify.MEMO_ENTRIES
 
 
-def _full_support(ws, degree):
-    """Every monomial of weighted degree `degree` on the weights ws."""
-    ranges = (range(degree // w + 1) for w in ws)
-    return frozenset(m for m in product(*ranges) if sum(a * w for a, w in zip(m, ws)) == degree)
-
-
 def test_the_ambient_flags_read_from_the_strata_match_the_weight_kernels():
     """Every full-support system with weights <= 5 and d < 16 that analyze
     reports: space_well_formed and divisibility_ok, read from the strata, equal
@@ -997,14 +937,14 @@ def test_the_ambient_flags_read_from_the_strata_match_the_weight_kernels():
         for degree in range(1, 16):
             system = WeightSystem(ws, degree)
             try:
-                r = analyze(WeightedPolynomial(_full_support(ws, degree), system))
+                r = analyze(WeightedPolynomial(full_support(ws, degree), system))
             except SinglinkError:
                 continue
             reports.append(r)
             assert r.space_well_formed == is_well_formed_space(system), system
             assert r.divisibility_ok == divisibility_condition(system), system
     assert (len(reports), sum(not r.divisibility_ok for r in reports)) == (217, 58)
-    r = analyze(WeightedPolynomial(_full_support((1, 1, 2, 2), 3), WeightSystem((1, 1, 2, 2), 3)))
+    r = analyze(WeightedPolynomial(full_support((1, 1, 2, 2), 3), WeightSystem((1, 1, 2, 2), 3)))
     rendered = json.loads(render_json_line(r))
     assert rendered["flags"]["divisibility_ok"] is False
     assert rendered["classification"]["torsion"] == TORSION_UNKNOWN
@@ -1013,7 +953,7 @@ def test_the_ambient_flags_read_from_the_strata_match_the_weight_kernels():
 
 def _sampled_supports(ws, degree, rng, draws=12):
     """Up to `draws` random supports of 4 to 6 degree-d monomials that analyze accepts."""
-    monomials = sorted(_full_support(ws, degree))
+    monomials = full_support(ws, degree)
     out = []
     for _ in range(draws):
         support = frozenset(rng.sample(monomials, min(len(monomials), rng.randint(4, 6))))
@@ -1064,8 +1004,7 @@ def test_a_refused_system_raises_the_same_error_on_every_call():
     """A refusal inside the weight memo is not cached, and singular_strata keeps
     no cache: each call raises afresh, with one stage label."""
     inexact = quasi_degree([(7, 0, 0, 0), (0, 7, 0, 0), (0, 0, 7, 0), (3, 0, 0, 1)], (1, 1, 1, 4))
-    fermat = [tuple(a * (i == k) for i in range(4)) for k, a in enumerate((6, 3, 3, 3))]
-    ill_formed = quasi_degree(fermat, (1, 2, 2, 2))
+    ill_formed = quasi_degree(pure_powers((6, 3, 3, 3)), (1, 2, 2, 2))
     inexact_and_ill_formed = quasi_degree(
         [(9, 0, 0, 0), (1, 4, 0, 0), (1, 0, 4, 0), (1, 0, 0, 4)], (1, 2, 2, 2)
     )
@@ -1100,14 +1039,14 @@ def test_the_weight_only_rows_run_once_per_facts_build(monkeypatch, tmp_path, ca
     facts: a memo hit calls factored_residue zero times, and above MEMO_MAX_MU,
     where analyze builds the facts on every call, once per call.  A system whose
     facts fail a row is not cached, so each record on it fails with the same text."""
-    residues = _count_calls(monkeypatch, monodromy, "factored_residue")
+    residues = count_calls(monkeypatch, monodromy, "factored_residue")
     clear_memos()
     residue = analyze(FERMAT_CUBIC).expanded.residue
     assert len(residues) == 1
-    for f in (TIED_CUBIC, AXIS_CUBIC, _relabeled(FERMAT_CUBIC, (2, 0, 3, 1))):
+    for f in (TIED_CUBIC, AXIS_CUBIC, relabeled(FERMAT_CUBIC.support, (1,) * 4, (2, 0, 3, 1))):
         analyze(f)
     assert len(residues) == 1
-    fermat8 = _fermat(8)
+    fermat8 = fermat(8)
     assert analyze(fermat8).milnor_number == 7**4 > classify.MEMO_MAX_MU
     analyze(fermat8)
     assert len(residues) == 3
@@ -1138,7 +1077,7 @@ def test_analyze_and_render_build_no_fraction(tag, monkeypatch):
     the series and characteristic-polynomial caches are emptied so their one
     build is covered too."""
     if tag == "fermat_sextic":
-        f = quasi_degree([tuple(6 * (i == k) for i in range(4)) for k in range(4)], (1,) * 4)
+        f = fermat(6)
     else:
         f = next(e for e in BUILTIN_REGISTRY if e.tag == tag).polynomial()
     clear_memos()
@@ -1157,20 +1096,11 @@ def test_analyze_and_render_build_no_fraction(tag, monkeypatch):
 def test_a_repeated_weight_system_reuses_its_characteristic_polynomial(monkeypatch):
     """Two labelings of DK-1: Delta(t) is expanded once and its residue
     computed once, and the cached polynomial renders the golden."""
-    relabeled = quasi_degree(
-        [(0, 1, 0, 5), (3, 0, 0, 1), (0, 4, 0, 0), (0, 0, 3, 0)], (17, 15, 20, 9)
-    )
-    expanded = []
-
-    def counted_expand(factors):
-        expanded.append(factors)
-        return original_expand(factors)
-
-    original_expand = classify.expand  # the binding the weight memo expands Delta(t) with
-    monkeypatch.setattr(classify, "expand", counted_expand)
+    permuted = relabeled(F60_SUPPORT, F60_WEIGHTS, (2, 1, 3, 0))
+    expanded = count_calls(monkeypatch, classify, "expand")
     passes = count_residue_passes(monkeypatch)
     clear_memos()
-    first = analyze(relabeled)
+    first = analyze(permuted)
     second = analyze(quasi_degree(F60_SUPPORT, F60_WEIGHTS))
     assert len(expanded) == 1
     assert passes == [second.milnor_number] == [86]  # one Horner pass over Delta(t)

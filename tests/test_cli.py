@@ -46,7 +46,7 @@ from singlink.cli import (
     report_to_json_dict,
     scan_rows,
 )
-from conftest import clear_memos, one_above_mu
+from conftest import clear_memos, count_calls, fermat, one_above_mu, relabeled
 from divisibility import divisibility_condition
 from poincare import poincare_series
 
@@ -465,7 +465,6 @@ def test_cli_batch_lines_are_what_a_cold_analyze_prints_for_each_record(tmp_path
         encoding="utf-8",
     )
     clear_memos()
-    cli._invariants_fragment.cache_clear()
     assert entry(["batch", str(path)]) == 0
     batch = capsys.readouterr()
     reports, refusals = [], []
@@ -665,12 +664,6 @@ def test_rendering_refuses_an_integer_past_the_digit_limit_after_a_warm_render(r
     test_rendering_refuses_an_integer_past_the_digit_limit(report60)
 
 
-def _relabeled_report(report, perm):
-    return analyze(quasi_degree(
-        [tuple(m[i] for i in perm) for m in report.support], [report.weights[i] for i in perm]
-    ))
-
-
 def _assert_line_is_the_plain_dump(report):
     assert render_json_line(report) == json.dumps(report_to_json_dict(report), ensure_ascii=False)
 
@@ -678,11 +671,11 @@ def _assert_line_is_the_plain_dump(report):
 def test_render_json_line_is_the_plain_dump_on_memo_hits(all_reports):
     """The fragment memo is keyed on the weight-only field values: each relabeling
     hits it, and so does DK-3, whose values are DK-2's."""
-    cli._invariants_fragment.cache_clear()
+    clear_memos()
     perms = ((0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0))
     for report in all_reports:
         for perm in perms:
-            _assert_line_is_the_plain_dump(_relabeled_report(report, perm))
+            _assert_line_is_the_plain_dump(analyze(relabeled(report.support, report.weights, perm)))
     distinct = len({cli._weight_only_fields(r) for r in all_reports})
     assert distinct == 2
     info = cli._invariants_fragment.cache_info()
@@ -690,7 +683,7 @@ def test_render_json_line_is_the_plain_dump_on_memo_hits(all_reports):
 
 
 def test_render_json_line_is_the_plain_dump_for_cubics_that_share_a_weight_system():
-    cli._invariants_fragment.cache_clear()
+    clear_memos()
     for poly in ("z0^3 + z1^3 + z2^3 + z3^3", "z0^2*z1 + z2^3 + z3^3"):
         _assert_line_is_the_plain_dump(analyze(quasi_degree(parse_polynomial(poly), (1, 1, 1, 1))))
     assert cli._invariants_fragment.cache_info()[:2] == (1, 1)  # (hits, misses)
@@ -698,7 +691,7 @@ def test_render_json_line_is_the_plain_dump_for_cubics_that_share_a_weight_syste
 
 def test_render_json_line_stores_no_fragment_above_the_mu_cutoff():
     d = next(d for d in range(2, 20) if (d - 1) ** 4 > classify.MEMO_MAX_MU)
-    report = analyze(quasi_degree([tuple(d * (i == k) for i in range(4)) for k in range(4)], (1,) * 4))
+    report = analyze(fermat(d))
     before = cli._invariants_fragment.cache_info()
     for _ in range(2):
         _assert_line_is_the_plain_dump(report)
@@ -720,22 +713,18 @@ def test_a_replaced_field_renders_its_own_value_after_a_memo_hit(report60):
 
 
 def test_the_fragment_memo_keeps_at_most_its_entry_bound(report60):
-    cli._invariants_fragment.cache_clear()
+    clear_memos()
     for signature in range(classify.MEMO_ENTRIES + 50):
         render_json_line(report60._replace(signature=-signature))
     info = cli._invariants_fragment.cache_info()
     assert info.currsize == info.maxsize == classify.MEMO_ENTRIES
 
 
-def _fermat_report(d):
-    return analyze(quasi_degree([tuple(d * (i == k) for i in range(4)) for k in range(4)], (1,) * 4))
-
-
 def test_both_renderers_are_the_plain_dump(all_reports):
     """The joined expanded_* lists give json.dumps's own bytes: Fermat d = 2..15 (both lists
     up to d = 5, only the strings above), the DK links, and replaced expansions at the edge of
     JSON-safe (both lists, then only the strings) and with one coefficient."""
-    reports = [_fermat_report(d) for d in range(2, 16)] + list(all_reports)
+    reports = [analyze(fermat(d)) for d in range(2, 16)] + list(all_reports)
     # mu = (d - 1)^4 and both routes give b2 = d^3 - 4d^2 + 6d - 3: 28,561 and 2,041 at d = 14
     assert [(r.milnor_number, r.b2_divisor, r.b2_hodge) for r in reports[:14]] == [
         ((d - 1) ** 4, d**3 - 4 * d**2 + 6 * d - 3, d**3 - 4 * d**2 + 6 * d - 3) for d in range(2, 16)
@@ -744,7 +733,7 @@ def test_both_renderers_are_the_plain_dump(all_reports):
         all_reports[0]._replace(expanded=ExpandedPoly(coefficients))
         for coefficients in ((-(2**53 - 1), 0, 2**53 - 1), (-1, 0, 2**53), (7,))
     ]
-    cli._invariants_fragment.cache_clear()
+    clear_memos()
     for report in reports:
         data = report_to_json_dict(report)
         assert render_json(report) == json.dumps(data, indent=2, ensure_ascii=False) + "\n"
@@ -757,15 +746,9 @@ def test_both_renderers_are_the_plain_dump(all_reports):
 def test_the_renderers_encode_no_coefficient_item_by_item(monkeypatch):
     """At Fermat d = 8 (mu = 2,401, above MEMO_MAX_MU) each coefficient used to cost one
     call of the string encoder, 2,456 calls per render in all."""
-    report = _fermat_report(8)
-    calls = []
-
-    def counted(text):
-        calls.append(text)
-        return json.encoder.py_encode_basestring(text)
-
-    monkeypatch.setattr(json.encoder, "encode_basestring", counted)
-    cli._invariants_fragment.cache_clear()
+    report = analyze(fermat(8))
+    calls = count_calls(monkeypatch, json.encoder, "encode_basestring")
+    clear_memos()
     for render in (render_json, render_json_line):
         calls.clear()
         render(report)
@@ -813,7 +796,7 @@ def test_cli_batch_counts_a_render_failure_as_failed(tmp_path, capsys, monkeypat
     assert rendered == [(1, 1, 1, 1), (9, 15, 17, 20)]
 
 
-def test_cli_batch_counts_a_record_over_the_socle_ceiling_as_failed(tmp_path, capsys):
+def test_cli_batch_counts_a_record_with_socle_degree_2e7_and_mu_2_as_ok(tmp_path, capsys):
     """Socle degree T = 2 * 10^7 with mu = 2 is reported: analyze bounds mu, not T."""
     m = 10**7
     record = {"weights": [2 * m, 3 * m, 1, 6 * m - 1], "degree": 6 * m, "poly": "z0^3 + z1^2 + z2*z3"}

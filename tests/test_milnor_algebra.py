@@ -25,7 +25,7 @@ from singlink import (
 )
 from singlink.cli import entry
 from singlink.monodromy import factored_residue
-from conftest import clear_memos, one_above_mu
+from conftest import clear_memos, count_calls, one_above_mu
 from poincare import graded_dim as _dim, hodge_numbers, poincare_series, series_genus
 
 
@@ -115,13 +115,7 @@ def test_series_is_one_expand_call(monkeypatch):
         assert not [name for name, value in vars(module).items() if value in kernels]
     assert poincare.expand is monodromy.expand
     assert "expand" not in vars(milnor_algebra)
-    calls = []
-
-    def counted(factors):
-        calls.append(factors)
-        return monodromy.expand(factors)
-
-    monkeypatch.setattr(poincare, "expand", counted)
+    calls = count_calls(monkeypatch, poincare, "expand")
     w = WeightSystem((9, 15, 17, 20), 60)
     assert sum(poincare_series(w).coefficients) == 86
     assert len(calls) == 1

@@ -2,7 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, permutations
 
 import pytest
@@ -24,24 +24,22 @@ from singlink import (
     expand,
     middle_betti,
     milnor_number,
-    quasi_degree,
     to_factored,
 )
 from singlink.monodromy import P, R, factored_residue
-from conftest import clear_memos, count_residue_passes
+from conftest import (
+    GROUPED_256,
+    GROUPED_60,
+    brieskorn_pham_quadruples,
+    brieskorn_pham_system,
+    clear_memos,
+    count_calls,
+    count_residue_passes,
+    naive_product,
+    plus_one,
+    relabeled,
+)
 from divisor_ring import lambda_of
-
-
-def naive_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def naive_product(polys):
-    return reduce(naive_mul, polys, [1])
 
 
 def reference_expand(factors):
@@ -88,28 +86,6 @@ def multiplicity_at_one(p):
         coeffs, count = sums, count + 1
 
 
-def brieskorn_pham_quadruples(bound):
-    """Nondecreasing quadruples a_i >= 2 with prod(a_i - 1) <= bound."""
-    out = []
-
-    def extend(prefix, low, prod):
-        if len(prefix) == 4:
-            out.append(tuple(prefix))
-            return
-        a = low
-        while prod * (a - 1) <= bound:
-            extend(prefix + [a], a, prod * (a - 1))
-            a += 1
-
-    extend([], 2, 1)
-    return out
-
-
-def brieskorn_pham_system(exps):
-    big_l = math.lcm(*exps)
-    return WeightSystem(tuple(big_l // a for a in exps), big_l)
-
-
 def random_quotient(rng):
     """prod (t^m - 1) / (t^j - 1) over random pairs j | m, as (j, e) pairs: a
     polynomial."""
@@ -120,16 +96,6 @@ def random_quotient(rng):
         exps[m] = exps.get(m, 0) + 1
         exps[j] = exps.get(j, 0) - 1
     return tuple(exps.items())
-
-
-def geometric(n):
-    """1 + t + ... + t^(n-1)."""
-    return [1] * n
-
-
-def plus_one(n):
-    """t^n + 1."""
-    return [1] + [0] * (n - 1) + [1]
 
 
 def test_milnor_numbers_of_the_reference_links(f60, f256_1, f256_2):
@@ -292,10 +258,8 @@ def test_characteristic_polynomial_is_built_once_per_weight_system(f60, monkeypa
                 monkeypatch.setattr(module, name, counted)
     passes = count_residue_passes(monkeypatch)
     clear_memos()
-    relabeled = quasi_degree(
-        [(0, 1, 0, 5), (3, 0, 0, 1), (0, 4, 0, 0), (0, 0, 3, 0)], (17, 15, 20, 9)
-    )
-    first, second = analyze(relabeled), analyze(f60)
+    permuted = relabeled(f60.support, f60.system.weights, (2, 1, 3, 0))
+    first, second = analyze(permuted), analyze(f60)
     assert [arg for name, arg in calls if name == "characteristic_divisor"] == [f60.system]
     assert [arg for name, arg in calls if name == "expand" and arg == divisor] == [divisor]
     assert passes == [86]
@@ -408,25 +372,15 @@ def test_factored_and_expanded_polys_refuse_non_integers():
 
 def test_expansion_matches_grouped_product_for_degree_60_link(f60):
     expanded = expand(characteristic_divisor(f60.system))
-    grouped = naive_product(
-        [
-            [-1, 1], [-1, 1],
-            geometric(15), plus_one(15), plus_one(30),
-            geometric(5), plus_one(5), plus_one(10),
-            [1, 0, -1, 0, 1],
-            [1, -1, 1],
-        ]
-    )
-    assert list(expanded.coefficients) == grouped
+    assert list(expanded.coefficients) == GROUPED_60
     assert expanded.degree == 86
     assert multiplicity_at_one(expanded) == 2
 
 
 def test_expansion_matches_grouped_product_for_degree_256_links(f256_1, f256_2):
-    grouped = naive_product([[-1, 1]] + [plus_one(2 ** k) for k in range(1, 8)])
     for f in (f256_1, f256_2):
         expanded = expand(characteristic_divisor(f.system))
-        assert list(expanded.coefficients) == grouped
+        assert list(expanded.coefficients) == GROUPED_256
         assert expanded.degree == 255
         assert multiplicity_at_one(expanded) == 1
 
@@ -488,10 +442,7 @@ def test_bp_oracle_agrees_with_divisor_pipeline():
     while len(cases) < 20:
         cases.append(tuple(rng.randint(2, 9) for _ in range(rng.randint(2, 4))))
     for exps in cases:
-        big_l = math.lcm(*exps)
-        weights = tuple(big_l // a for a in exps)
-        w = WeightSystem(weights, big_l)
-        via_divisor = expand(characteristic_divisor(w))
+        via_divisor = expand(characteristic_divisor(brieskorn_pham_system(exps)))
         assert bp_oracle(exps).coefficients == via_divisor.coefficients, exps
 
 
@@ -648,23 +599,9 @@ def test_multiplicity_at_one_of_t_power_plus_one_is_zero():
 KERNELS = ("_mul_binomial_power", "_div_binomial")
 
 
-def _count_kernel_calls(monkeypatch):
-    """Count calls of expand's two kernels, patched where monodromy binds them."""
-    calls = []
-    for name in KERNELS:
-        original = getattr(monodromy, name)
-
-        def counted(*args, _original=original, _name=name):
-            calls.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(monodromy, name, counted)
-    return calls
-
-
 def test_expand_makes_one_kernel_call_per_factor_and_denominator_unit(monkeypatch):
     fac = characteristic_divisor(WeightSystem((1, 1, 1, 1), 11))
-    calls = _count_kernel_calls(monkeypatch)
+    calls = count_calls(monkeypatch, monodromy, *KERNELS)
     expanded = expand(fac)
     assert expanded.degree == 10_000
     assert calls
@@ -693,7 +630,7 @@ def test_residue_calls_no_kernel(monkeypatch, f60):
     # both sides of the residue check are independent of expand's kernels
     divisor = characteristic_divisor(f60.system)
     expanded = expand(divisor)
-    calls = _count_kernel_calls(monkeypatch)
+    calls = count_calls(monkeypatch, monodromy, *KERNELS)
     assert expanded.residue == factored_residue(divisor)
     assert calls == []
 
@@ -755,7 +692,7 @@ def test_bp_oracle_calls_no_kernel(monkeypatch):
     # the oracle builds its cyclotomic table with its own arithmetic, so it
     # shares no failure mode with expand
     monodromy._cyclotomic.cache_clear()
-    calls = _count_kernel_calls(monkeypatch)
+    calls = count_calls(monkeypatch, monodromy, *KERNELS)
     assert bp_oracle((4, 6, 9, 10)).degree == 3 * 5 * 8 * 9
     assert calls == []
 

@@ -1,6 +1,6 @@
 """The public API and the README that documents it: singlink.__all__ by name, every
-value that README's Library example quotes in a comment, and what its command-line
-examples print."""
+value that README's Library example quotes in a comment, what its command-line
+examples print, and the report keys its JSON schema section names."""
 
 import ast
 import io
@@ -107,3 +107,24 @@ def test_the_readme_command_line_examples_print_what_it_quotes(tmp_path, monkeyp
     assert printed["registry"] == (GOLDEN / "registry.jsonl").read_text(encoding="utf-8")
     (report,) = Path("reports.jsonl").read_text(encoding="utf-8").splitlines()
     assert json.loads(report)["input"]["weights"] == dk1["weights"]
+
+
+def test_the_readme_json_schema_names_every_key_of_the_dk1_golden():
+    """README's "JSON report schema" lists the top-level keys in order, and each section's
+    bullet names that section's keys in order, the `_str` twins aside; a stratum's keys are
+    the `{...}` the strata bullet quotes."""
+    section = README.read_text(encoding="utf-8").split("\n## JSON report schema\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    golden = json.loads((GOLDEN / "report_dk1.json").read_text(encoding="utf-8"))
+    top = re.search(r"Top-level keys, in order: (.*?)\.\n", section, re.S)[1]
+    assert re.findall(r"`(\w+)`", top) == list(golden)
+    bullets = dict(re.findall(r"^- `(\w+)`: (.*?)(?=^- |^\n)", section, re.M | re.S))
+    assert list(bullets) == list(golden)
+    for key, value in golden.items():
+        named = re.findall(r"`([^`]+)`", bullets[key])
+        if key == "strata":
+            (fields,) = [name for name in named if name.startswith("{")]
+            assert all(list(item) == fields.strip("{}").split(", ") for item in value), fields
+        else:
+            keys = [name for name in value if not name.endswith("_str")]
+            assert [name for name in named if name in value] == keys, key

@@ -22,18 +22,7 @@ from sympy.polys.rings import ring
 
 from singlink import WeightedPolynomial, WeightSystem, quasi_smooth_failure
 from singlink.cli import scan_rows
-
-
-def full_support(weights, degree):
-    """Every exponent vector of weighted degree `degree`."""
-    if len(weights) == 1:
-        return [(degree // weights[0],)] if degree % weights[0] == 0 else []
-    first, rest = weights[0], weights[1:]
-    return [
-        (a,) + tail
-        for a in range(degree // first + 1)
-        for tail in full_support(rest, degree - a * first)
-    ]
+from conftest import full_support
 
 
 def _failure_of_full_support(ws, d):

@@ -24,7 +24,7 @@ from singlink import (
     quasi_degree,
     registry_dump,
 )
-from conftest import F60_SUPPORT, F60_WEIGHTS, clear_memos
+from conftest import F60_SUPPORT, F60_WEIGHTS, clear_memos, pure_powers
 
 FIELDS = {
     WeightSystem: ("weights", "degree"),
@@ -105,7 +105,7 @@ _DK1 = dict(
 )
 _QUINTIC = dict(
     _DK1, weights=(1, 1, 1, 1), degree=5, tag="quintic",
-    support=tuple(tuple(5 * (i == k) for i in range(4)) for k in range(4)),
+    support=tuple(pure_powers((5,) * 4)),
 )
 
 REFUSALS = [

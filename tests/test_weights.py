@@ -23,7 +23,7 @@ from singlink import (
     validate_weights,
     weighted_degree,
 )
-from conftest import clear_memos
+from conftest import clear_memos, fermat
 from divisibility import divisibility_condition
 
 
@@ -285,25 +285,21 @@ def test_missing_variables(f60):
     assert quasi_smooth_failure(g) == (3,)
 
 
-def _fermat_quadric(n):
-    return quasi_degree([tuple(2 * (i == k) for i in range(n)) for k in range(n)], (1,) * n)
-
-
 def test_quasi_smooth_failure_refuses_too_many_variables(monkeypatch):
     """The subset table has 2^n - 1 rows: a 30-variable input is refused before
     it is built.  A count at the ceiling passes and one above it is refused."""
     start = time.perf_counter()
     with pytest.raises(BoundExceededError) as err:
-        quasi_smooth_failure(_fermat_quadric(30))
+        quasi_smooth_failure(fermat(2, 30))
     assert time.perf_counter() - start < 0.5
     assert str(err.value) == (
         f"30 variables exceed the quasi-smoothness ceiling {weights_module.MAX_QUASI_SMOOTH_VARS}"
     )
     assert 4 <= weights_module.MAX_QUASI_SMOOTH_VARS < 20
     monkeypatch.setattr(weights_module, "MAX_QUASI_SMOOTH_VARS", 5)
-    assert quasi_smooth_failure(_fermat_quadric(5)) is None
+    assert quasi_smooth_failure(fermat(2, 5)) is None
     with pytest.raises(BoundExceededError):
-        quasi_smooth_failure(_fermat_quadric(6))
+        quasi_smooth_failure(fermat(2, 6))
 
 
 def test_only_the_four_variable_subset_table_is_kept(monkeypatch, f60):
@@ -312,7 +308,7 @@ def test_only_the_four_variable_subset_table_is_kept(monkeypatch, f60):
     built = []
     build = weights_module._subset_table
     monkeypatch.setattr(weights_module, "_subset_table", lambda n: built.append(n) or build(n))
-    assert quasi_smooth_failure(_fermat_quadric(16)) is None
+    assert quasi_smooth_failure(fermat(2, 16)) is None
     assert built == [16]
     assert len(weights_module._subsets(16)) == 2**16 - 1
     assert built == [16, 16]
