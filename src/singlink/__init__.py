@@ -20,6 +20,8 @@ from .classify import (
     NOT_QUASI_SMOOTH,
     NOT_WELL_FORMED,
     OBSTRUCTED,
+    TORSION_FREE,
+    TORSION_UNKNOWN,
     CheckResult,
     InvariantReport,
     RegistryEntry,
@@ -27,8 +29,6 @@ from .classify import (
     cross_checks,
     load_registry,
     registry_dump,
-    smale_name,
-    smale_type,
 )
 from .divisor import Divisor
 from .errors import (
@@ -64,15 +64,12 @@ from .orbifold import (
     CONTAINED,
     DISJOINT,
     MEETS,
-    TORSION_FREE,
-    TORSION_UNKNOWN,
     Fano,
     Stratum,
     fano,
     orbifold_order,
     pair_well_formed,
     singular_strata,
-    torsion_status,
 )
 from .weights import (
     WeightedPolynomial,
@@ -82,7 +79,6 @@ from .weights import (
     quasi_degree,
     quasi_smooth_failure,
     validate_weights,
-    weighted_degree,
 )
 
 __version__ = "0.1.0"

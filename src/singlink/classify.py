@@ -36,15 +36,7 @@ from .monodromy import (
     middle_betti,
     milnor_number,
 )
-from .orbifold import (
-    CONTAINED,
-    TORSION_FREE,
-    fano,
-    orbifold_order,
-    pair_well_formed,
-    singular_strata,
-    torsion_status,
-)
+from .orbifold import CONTAINED, fano, orbifold_order, pair_well_formed, singular_strata
 from .weights import (
     Exponents,
     WeightedPolynomial,
@@ -61,6 +53,9 @@ OBSTRUCTED = "obstructed"
 NOT_FANO = "not_fano"
 NOT_WELL_FORMED = "not_well_formed"
 NOT_QUASI_SMOOTH = "not_quasi_smooth"
+
+TORSION_FREE = "torsion_free"
+TORSION_UNKNOWN = "unknown"
 
 # analyze's one work ceiling, checked before Delta(t) (mu + 1 coefficients) is built: Fermat
 # d = 15 (mu = 38,416) passes, d = 16 not.  Every later stage's work follows mu, not the degree.
@@ -235,23 +230,6 @@ def load_registry(text: str) -> tuple[RegistryEntry, ...]:
     return tuple(entries)
 
 
-def smale_type(b2: int, torsion_free: bool) -> int | None:
-    """Connected-sum rank for a simply connected spin 5-manifold link."""
-    if b2 < 0:
-        raise ValueError("a Betti number cannot be negative")
-    return b2 if torsion_free else None
-
-
-def smale_name(k: int) -> str:
-    if k < 0:
-        raise ValueError("a connected-sum rank cannot be negative")
-    if k == 0:
-        return "S⁵"
-    if k == 1:
-        return "S²×S³"
-    return f"#{k}(S²×S³)"
-
-
 class CheckResult(namedtuple("CheckResult", "name passed detail")):
     __slots__ = ()
 
@@ -364,7 +342,6 @@ def analyze(
         strata = singular_strata(f)
         pwf = pair_well_formed(strata, f.nvars)
         order = orbifold_order(strata)
-        torsion = torsion_status(pwf, f.nvars)
         stage = None  # the memo labels its own refusals
         facts = (_weight_facts if mu <= MEMO_MAX_MU else _weight_facts.__wrapped__)(w)
         stage = "branch curve genus"
@@ -394,8 +371,11 @@ def analyze(
         "orbifold order matches the tabulated reference value" if reference_order is not None
         else "orbifold order computed from the stratum data; no tabulated reference value"
     )
-    k = None if failure else smale_type(facts["b2_divisor"], torsion == TORSION_FREE)
-    name = smale_name(k) if k is not None else None
+    # Randell: in a well-formed space (the strata stage refuses any other) a well-formed
+    # pair has torsion-free H2; otherwise the status is unknown, never a torsion claim
+    torsion = TORSION_FREE if pwf else TORSION_UNKNOWN
+    k = facts["b2_divisor"] if failure is None and pwf else None
+    name = None if k is None else "S⁵" if k == 0 else "S²×S³" if k == 1 else f"#{k}(S²×S³)"
     if failure:
         notes.append(
             f"the support is not quasi-smooth at {_subset_label(failure)}: the generic member is "

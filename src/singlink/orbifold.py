@@ -27,15 +27,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import UnsupportedDimensionError, WrongDimensionError
+from .errors import UnsupportedDimensionError
 from .weights import WeightedPolynomial, WeightSystem, _subsets, require_ints
 
 DISJOINT = "disjoint"
 MEETS = "meets"
 CONTAINED = "contained"
-
-TORSION_FREE = "torsion_free"
-TORSION_UNKNOWN = "unknown"
 
 
 class Fano(namedtuple("Fano", "is_fano index")):
@@ -104,13 +101,3 @@ def pair_well_formed(strata: tuple[Stratum, ...], nvars: int) -> bool:
     """No singular stratum of complex codimension 2 (nvars - 2 indices: edges
     for four variables) lies inside the hypersurface."""
     return not any(s.incidence == CONTAINED and len(s.indices) == nvars - 2 for s in strata)
-
-
-def torsion_status(pair_well_formed: bool, nvars: int) -> str:
-    """Randell's criterion, four variables only: well-formedness forces
-    torsion-free H2, else the status is unknown, never a torsion claim.  The
-    strata's pair flag settles it: singular_strata refuses a space that is not
-    well formed, and an edge whose gcd does not divide d is contained."""
-    if nvars != 4:
-        raise WrongDimensionError(f"torsion status needs exactly 4 variables, got {nvars}")
-    return TORSION_FREE if pair_well_formed else TORSION_UNKNOWN

@@ -94,16 +94,6 @@ class WeightSystem(namedtuple("WeightSystem", "weights degree")):
         return sum(self.weights)
 
 
-def weighted_degree(exponents: Sequence[int], w: WeightSystem | Sequence[int]) -> int:
-    """Weighted degree sum a_i * w_i of an exponent vector."""
-    ws = w.weights if isinstance(w, WeightSystem) else tuple(w)
-    if len(exponents) != len(ws):
-        raise LengthMismatchError(
-            f"exponent vector has length {len(exponents)}, weights have length {len(ws)}"
-        )
-    return sum(a * wi for a, wi in zip(exponents, ws))
-
-
 class WeightedPolynomial(namedtuple("WeightedPolynomial", "support system")):
     """A monomial support set that is quasi-homogeneous for its weight system.
 
@@ -150,7 +140,12 @@ def quasi_degree(monomials: Iterable[Sequence[int]], weights: Sequence[int]) -> 
     if not support:
         raise EmptySubsetError("a polynomial needs at least one monomial")
     ws = validate_weights(weights)
-    degrees = {weighted_degree(m, ws) for m in support}
+    for m in support:
+        if len(m) != len(ws):
+            raise LengthMismatchError(
+                f"exponent vector has length {len(m)}, weights have length {len(ws)}"
+            )
+    degrees = {sum(map(mul, m, ws)) for m in support}
     if len(degrees) != 1:
         raise NotQuasiHomogeneousError(degrees)
     (degree,) = degrees

@@ -114,16 +114,22 @@ def relabeled(support, weights, perm):
     )
 
 
-def count_calls(monkeypatch, holder, *names):
+def count_calls(monkeypatch, holder, *names, record=None):
     """Record the name of each call of holder.<name>, patched in holder and wherever
-    classify, milnor_algebra, monodromy or orbifold binds the same function."""
+    classify, milnor_algebra, monodromy or orbifold binds the same function.  With record,
+    record(name, args, result) takes the name's place once the call returns; a call that
+    raises keeps its name."""
     calls = []
     for name in names:
         original = getattr(holder, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
+            at = len(calls)
             calls.append(_name)
-            return _original(*args, **kwargs)
+            result = _original(*args, **kwargs)
+            if record is not None:
+                calls[at] = record(_name, args, result)
+            return result
 
         for module in (holder, classify, milnor_algebra, monodromy, orbifold):
             for key, value in list(vars(module).items()):

@@ -43,9 +43,6 @@ from singlink import (
     quasi_degree,
     registry_dump,
     singular_strata,
-    smale_name,
-    smale_type,
-    torsion_status,
 )
 from singlink.cli import entry, render_json, render_json_line
 from divisibility import divisibility_condition
@@ -308,19 +305,6 @@ def test_registry_entry_normalizes_and_validates():
         RegistryEntry((9, 15, 17, 20), 61, ((5, 1, 0, 0),), "t", "c")
 
 
-def test_smale_type_and_name():
-    assert smale_type(0, True) == 0
-    assert smale_type(7, True) == 7
-    assert smale_type(7, False) is None
-    assert smale_name(0) == "S⁵"
-    assert smale_name(1) == "S²×S³"
-    assert smale_name(9) == "#9(S²×S³)"
-    with pytest.raises(ValueError):
-        smale_type(-1, True)
-    with pytest.raises(ValueError):
-        smale_name(-2)
-
-
 def test_report_for_the_degree_60_link(report60):
     r = report60
     assert r.weights == (9, 15, 17, 20)
@@ -540,16 +524,7 @@ def test_analyze_at_the_socle_ceiling_expands_only_delta(monkeypatch):
     A call count, not a timer."""
     f = _a2_stabilization(250_000)
     assert (f.system.weights, f.system.degree) == ((500_000, 750_000, 1, 1_499_999), 1_500_000)
-    built = []
-    original = monodromy.expand
-
-    def counted(factors):
-        built.append(original(factors))
-        return built[-1]
-
-    for module in (classify, milnor_algebra, monodromy):
-        if vars(module).get("expand") is original:
-            monkeypatch.setattr(module, "expand", counted)
+    built = count_calls(monkeypatch, monodromy, "expand", record=lambda name, args, result: result)
     clear_memos()
     r = analyze(f)
     assert [p.degree for p in built] == [r.milnor_number] == [2]
@@ -786,7 +761,7 @@ def test_public_functions_agree_with_the_report(name, tag, request):
     assert classify._weight_facts(w)["signature"] == r.signature
     assert pair_well_formed(strata, f.nvars) == r.pair_well_formed
     assert orbifold_order(strata) == r.orbifold_order
-    assert torsion_status(pair_well_formed(strata, f.nvars), f.nvars) == r.torsion
+    assert r.torsion == (TORSION_FREE if pair_well_formed(strata, f.nvars) else TORSION_UNKNOWN)
     assert r.registry_tag == tag
 
 

@@ -1121,6 +1121,20 @@ def test_cli_scan_jsonl_and_out_file(tmp_path, capsys):
     assert rows == list(scan_rows(4))
 
 
+def test_cli_scan_jsonl_writes_mu_and_b2_as_plain_integers_past_two_to_the_53(capsys):
+    """A scan row has no _str twins: 13 of the 14 rows of 16 weights up to 2 carry a mu
+    above 2^53, as a plain JSON integer."""
+    assert entry(["scan", "--max-weight", "2", "--vars", "16"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
+        '{"weights": [' + ", ".join(["1"] * 16) + '], "degree": 15, '
+        '"milnor_number": 2177953337809371136, "b2_divisor": 145196889187291410}'
+    )
+    rows = [json.loads(line) for line in lines]
+    assert {tuple(row) for row in rows} == {("weights", "degree", "milnor_number", "b2_divisor")}
+    assert (len(rows), sum((row["milnor_number"] or 0) > 2**53 for row in rows)) == (14, 13)
+
+
 def test_cli_scan_over_the_ceiling_exits_one(capsys):
     assert entry(["scan", "--max-weight", "513"]) == 1
     assert "error" in capsys.readouterr().err

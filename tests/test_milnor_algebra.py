@@ -266,6 +266,12 @@ def test_genus_of_the_branch_curves():
         genus_branch_curve(WeightSystem((9, 15, 17, 20), 60))
 
 
+def test_a_branch_curve_degree_not_above_every_weight_is_refused():
+    with pytest.raises(DegenerateDegreeError) as err:
+        genus_branch_curve(WeightSystem((1, 1, 5), 5))
+    assert str(err.value) == "degree 5 does not exceed every weight in (1, 1, 5)"
+
+
 def test_genus_is_checked_against_the_monomial_count(monkeypatch):
     # the cubic curve: g = 1 at degree 0, where one monomial is counted
     w = WeightSystem((1, 1, 1), 3)

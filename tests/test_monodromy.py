@@ -7,7 +7,7 @@ from itertools import accumulate, combinations_with_replacement, permutations
 
 import pytest
 
-from singlink import classify, milnor_algebra, monodromy
+from singlink import classify, monodromy
 from singlink import (
     BoundExceededError,
     ConsistencyError,
@@ -245,17 +245,10 @@ def test_characteristic_polynomial_is_built_once_per_weight_system(f60, monkeypa
     residue pass.  A refused system raises with its stage label on every call
     and leaves the memo as it was."""
     divisor = characteristic_divisor(f60.system)
-    calls = []
-    for name in ("characteristic_divisor", "expand"):
-        original = getattr(monodromy, name)
-
-        def counted(arg, name=name, original=original):
-            calls.append((name, arg))
-            return original(arg)
-
-        for module in (classify, milnor_algebra, monodromy):
-            if vars(module).get(name) is original:
-                monkeypatch.setattr(module, name, counted)
+    calls = count_calls(
+        monkeypatch, monodromy, "characteristic_divisor", "expand",
+        record=lambda name, args, result: (name, *args),
+    )
     passes = count_residue_passes(monkeypatch)
     clear_memos()
     permuted = relabeled(f60.support, f60.system.weights, (2, 1, 3, 0))

@@ -14,7 +14,6 @@ from singlink import (
     UnsupportedDimensionError,
     WeightedPolynomial,
     WeightSystem,
-    WrongDimensionError,
     analyze,
     fano,
     is_well_formed_space,
@@ -22,7 +21,6 @@ from singlink import (
     pair_well_formed,
     quasi_degree,
     singular_strata,
-    torsion_status,
 )
 from divisibility import divisibility_condition
 
@@ -32,8 +30,8 @@ def strata_map(f):
 
 
 def torsion_of(f):
-    """torsion_status read from the pair flag of f's strata, as analyze does."""
-    return torsion_status(pair_well_formed(singular_strata(f), f.nvars), f.nvars)
+    """The torsion status analyze reads from the pair flag of f's strata."""
+    return analyze(f).torsion
 
 
 def test_fano_sign_and_index(f60, f256_1, f256_2):
@@ -173,8 +171,6 @@ def test_three_variable_curves_are_supported():
     assert m[(0, 1)] == (3, MEETS)
     assert m[(2,)] == (2, DISJOINT)
     assert orbifold_order(singular_strata(f)) == 3
-    with pytest.raises(WrongDimensionError):
-        torsion_of(f)
 
 
 def test_strata_are_equivariant_under_variable_permutation(f60):
@@ -223,12 +219,6 @@ def test_stratum_refuses_a_non_integer_isotropy_order():
         Stratum((0,), True, MEETS)
 
 
-def test_torsion_status_requires_four_variables():
-    f = quasi_degree([(2, 0), (0, 2)], (1, 1))
-    with pytest.raises(WrongDimensionError):
-        torsion_of(f)
-
-
 def reference_torsion_status(w, strata):
     """Randell's criterion with every hypothesis tested: space well-formedness,
     the divisibility condition and pair well-formedness of the strata."""
@@ -264,13 +254,13 @@ def edge_supports(weights, max_degree):
 
 
 def test_torsion_status_needs_only_the_strata():
-    """The strata agree with the per-subset reference scan, and the torsion
-    status read from them with Randell's criterion.  Each support is the full
-    degree-d support restricted to vertices and edges, the only strata a
-    four-variable singular_strata accepts, so its strata are those of the full
-    support: the support where an edge whose gcd does not divide d would first
-    escape being contained.  Nondecreasing weights stand for their
-    relabelings."""
+    """The strata agree with the per-subset reference scan, and their pair
+    flag, the one input of analyze's torsion status, with Randell's
+    criterion.  Each support is the full degree-d support restricted to
+    vertices and edges, the only strata a four-variable singular_strata
+    accepts, so its strata are those of the full support: the support where
+    an edge whose gcd does not divide d would first escape being contained.
+    Nondecreasing weights stand for their relabelings."""
     checked = divisibility_fails = 0
     for ws in combinations_with_replacement(range(1, 11), 4):
         if math.gcd(*ws) != 1:
@@ -283,7 +273,7 @@ def test_torsion_status_needs_only_the_strata():
                 continue
             got = [(s.indices, s.isotropy_order, s.incidence) for s in strata]
             assert got == reference_strata(f), (ws, degree)
-            got = torsion_status(pair_well_formed(strata, f.nvars), f.nvars)
+            got = TORSION_FREE if pair_well_formed(strata, f.nvars) else TORSION_UNKNOWN
             assert got == reference_torsion_status(f.system, strata), (ws, degree)
             checked += 1
             divisibility_fails += not divisibility_condition(f.system)

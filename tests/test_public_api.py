@@ -30,15 +30,21 @@ PUBLIC_API = [
     "count_monomials", "cross_checks", "expand", "fano", "genus_branch_curve",
     "is_well_formed_space", "load_registry", "middle_betti", "milnor_number",
     "orbifold_order", "pair_well_formed", "quasi_degree", "quasi_smooth_failure",
-    "registry_dump", "singular_strata", "smale_name", "smale_type", "to_factored",
-    "torsion_status", "validate_weights", "weighted_degree",
+    "registry_dump", "singular_strata", "to_factored", "validate_weights",
 ]
 
 
 def test_the_public_api_is_its_explicit_list():
-    """Adding a name to singlink or retiring one is a decision: it edits this list."""
-    assert len(PUBLIC_API) == 62
+    """Adding a name to singlink or retiring one is a decision: it edits this list, and
+    README states the count and names each retired name, which must stay out."""
+    assert len(PUBLIC_API) == 58
     assert sorted(singlink.__all__) == PUBLIC_API
+    text = README.read_text(encoding="utf-8")
+    assert int(re.search(r"`singlink\.__all__`, (\d+) names", text)[1]) == len(singlink.__all__)
+    block = text.split("have left it, each with what replaces it:\n\n", 1)[1].split("\n\n", 1)[0]
+    retired = re.findall(r"^- `(\w+)`", block, re.M)
+    assert len(retired) == 7
+    assert set(retired).isdisjoint(singlink.__all__)
 
 
 def library_block(text: str) -> str:

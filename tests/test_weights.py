@@ -21,7 +21,6 @@ from singlink import (
     quasi_degree,
     quasi_smooth_failure,
     validate_weights,
-    weighted_degree,
 )
 from conftest import clear_memos, fermat
 from divisibility import divisibility_condition
@@ -63,14 +62,6 @@ def test_weight_system_fields_and_degree_check():
     assert w.total == 61
     with pytest.raises(DegenerateDegreeError):
         WeightSystem((1, 2), 0)
-
-
-def test_weighted_degree_and_length_mismatch():
-    w = WeightSystem((9, 15, 17, 20), 60)
-    assert weighted_degree((5, 1, 0, 0), w) == 60
-    assert weighted_degree((0, 0, 0, 3), (9, 15, 17, 20)) == 60
-    with pytest.raises(LengthMismatchError):
-        weighted_degree((1, 2), w)
 
 
 def test_weighted_polynomial_validates_uniform_degree():
@@ -188,6 +179,8 @@ def test_quasi_degree_infers_the_degree():
         ([(3, -1), (0, 3)], (1, 1), NotQuasiHomogeneousError,
          "monomials have distinct weighted degrees: 2, 3"),
         ([(-1, 0)], (1, 1), DegenerateDegreeError, "degree -1 is not positive"),
+        # an empty exponent vector is falsy, and still has the wrong length
+        ([()], (1,), LengthMismatchError, "exponent vector has length 0, weights have length 1"),
     ],
 )
 def test_quasi_degree_refusals_keep_their_class_and_text(monomials, weights, error, text):
